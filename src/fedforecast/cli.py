@@ -26,6 +26,7 @@ import sys
 import yaml
 
 from .config import (
+    METHODS,
     ScenarioConfig,
     load_datasets,
     load_tree,
@@ -37,7 +38,6 @@ from .data import save_csv
 from .errors import ConfigError, FedForecastError, IoError, NumericError
 from .evaluation import (
     COMPARISON_CSV_HEADER,
-    METHODS,
     run_comparison,
     run_methods,
     row_json_obj,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import ClientSplits, SupervisedSet
 from .errors import InsufficientDataError
-from .fedcore import ClientUpdate, FLConfig
+from .fedcore import ClientUpdate, EarlyStop, FLConfig
 from .model import ModelParams, loss, loss_and_grad, predict_batch
 from .optim import make_state, step
 from .privacy import privatize_delta
@@ -69,7 +69,6 @@ def local_update(
     config: FLConfig,
     round_index: int,
     client_id: str,
-    cluster_id: int = -1,
 ) -> ClientUpdate:
     """One client's contribution for one round.
 
@@ -100,7 +99,6 @@ def local_update(
         client_id=client_id,
         new_params=new_params,
         n_samples=train.n_samples,
-        cluster_id=cluster_id,
         train_loss=train_loss,
     )
 
@@ -171,15 +169,9 @@ class FederatedClient:
         return self._test.n_samples
 
     def local_update(
-        self,
-        broadcast: ModelParams,
-        config: FLConfig,
-        round_index: int,
-        cluster_id: int = -1,
+        self, broadcast: ModelParams, config: FLConfig, round_index: int
     ) -> ClientUpdate:
-        return local_update(
-            self._train, broadcast, config, round_index, self.client_id, cluster_id
-        )
+        return local_update(self._train, broadcast, config, round_index, self.client_id)
 
     def train_loss(self, params: ModelParams) -> float:
         return loss(params, self._train.inputs, self._train.targets)
@@ -217,21 +209,18 @@ def train_local(
     client: FederatedClient, init: ModelParams, config: FLConfig
 ) -> tuple[ModelParams, LocalTrace]:
     """Isolated local training: the same per-round schedule as federation,
-    minus any communication. Early stopping matches the engine rule."""
+    minus any communication. Early stopping is the engine's EarlyStop rule."""
     params = init
-    best_val = np.inf
-    stale = 0
+    stopper = EarlyStop(
+        config.early_stop_patience, f"client {client.client_id} validation loss"
+    )
     trace: list[float] = []
     for round_index in range(1, config.rounds + 1):
         params = client.local_update(params, config, round_index).new_params
         val, _ = client.val_loss(params)
+        stop = stopper.update(round_index, val)
         trace.append(val)
-        if best_val - val >= 1e-6:
-            best_val = val
-            stale = 0
-        else:
-            stale += 1
-            if config.early_stop_patience and stale >= config.early_stop_patience:
-                break
+        if stop:
+            break
     best_round = int(np.argmin(np.asarray(trace))) + 1
     return params, LocalTrace(tuple(trace), best_round)

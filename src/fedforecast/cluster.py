@@ -92,17 +92,3 @@ def ifca_assign(train, models: Sequence[ModelParams]) -> int:
             best = j
     return best
 
-
-def assignments_match(a: Mapping[str, int], b: Mapping[str, int]) -> bool:
-    """True when two assignments are equal up to cluster-label permutation."""
-    if set(a) != set(b):
-        return False
-    forward: dict[int, int] = {}
-    backward: dict[int, int] = {}
-    for cid in a:
-        la, lb = a[cid], b[cid]
-        if forward.setdefault(la, lb) != lb:
-            return False
-        if backward.setdefault(lb, la) != la:
-            return False
-    return True

@@ -46,16 +46,18 @@ from .optim import OptimizerConfig
 from .population import PopulationSpec, ShiftChangepoint, generate_population
 from .privacy import DpConfig
 
-_ALL_METHODS = (
-    "local_only",
-    "centralized",
-    "fedavg",
-    "fedavg_personalized",
-    "hc",
-    "hc_personalized",
-    "ifca",
-    "ifca_personalized",
-)
+# Every comparable method -> the engine mode it trains in (None: no engine).
+# A ``*_personalized`` method fine-tunes its base method's result per client.
+METHODS = {
+    "local_only": None,
+    "centralized": None,
+    "fedavg": "global",
+    "fedavg_personalized": "global",
+    "hc": "hc",
+    "hc_personalized": "hc",
+    "ifca": "ifca",
+    "ifca_personalized": "ifca",
+}
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,7 @@ class ScenarioConfig:
 
     def cluster_for(self, base_method: str) -> ClusterConfig:
         """ClusterConfig for one federated method (mode forced to match)."""
-        mode = {"fedavg": "global", "hc": "hc", "ifca": "ifca"}[base_method]
-        return replace(self.cluster, mode=mode)
+        return replace(self.cluster, mode=METHODS[base_method])
 
 
 def with_seed(scenario: ScenarioConfig, seed: int) -> ScenarioConfig:
@@ -354,12 +355,14 @@ def _parse_personalization(raw: dict) -> PersonalizationConfig:
 
 def _parse_methods(raw) -> tuple[str, ...]:
     if raw is None:
-        return _ALL_METHODS
+        return tuple(METHODS)
     if not isinstance(raw, list) or not raw:
         raise ConfigError("methods: expected a nonempty list")
     for m in raw:
-        if m not in _ALL_METHODS:
-            raise ConfigError(f"methods: unknown method {m!r}; expected from {_ALL_METHODS}")
+        if m not in METHODS:
+            raise ConfigError(
+                f"methods: unknown method {m!r}; expected from {tuple(METHODS)}"
+            )
     if len(set(raw)) != len(raw):
         raise ConfigError("methods: duplicates not allowed")
     return tuple(raw)

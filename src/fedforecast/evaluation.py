@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clients import FederatedClient, run_epochs, train_local
-from .config import ScenarioConfig, require_cluster_settings
+from .config import METHODS, ScenarioConfig, require_cluster_settings
 from .data import ClientDataset, TimeSeries, fit_scaler, prepare_client, train_raw_length
 from .errors import (
     AlignmentError,
@@ -33,24 +33,13 @@ from .errors import (
     ShapeError,
 )
 from .fedcore import (
-    FLConfig,
+    EarlyStop,
     RunResult,
     round_csv_rows,
     run_training,
 )
 from .model import ModelParams, ModelSpec, init_params, loss
 from .seeds import derive_seed
-
-METHODS = (
-    "local_only",
-    "centralized",
-    "fedavg",
-    "fedavg_personalized",
-    "hc",
-    "hc_personalized",
-    "ifca",
-    "ifca_personalized",
-)
 
 MAPE_EXCLUDE_BELOW = 1e-8
 NRMSE_MIN_DENOM = 1e-12
@@ -286,9 +275,6 @@ def _base_method(method: str) -> str:
     return method.removesuffix("_personalized")
 
 
-_FL_MODES = {"fedavg": "global", "hc": "hc", "ifca": "ifca"}
-
-
 class _Harness:
     """Shared state for one comparison run over one dataset draw."""
 
@@ -328,7 +314,7 @@ class _Harness:
                 self.clients,
                 self.spec,
                 self.fl,
-                mode=_FL_MODES[base],
+                mode=METHODS[base],
                 cluster=self.scenario.cluster_for(base),
             )
         return self._fl_runs[base]
@@ -386,25 +372,17 @@ class _Harness:
             val_y = np.concatenate([s.val.targets for s in splits])
             values = init_params(self.spec, derive_seed(self.fl.seed, "init", 0)).values.copy()
             trace: list[float] = []
-            best, stale = math.inf, 0
+            stopper = EarlyStop(self.fl.early_stop_patience, "centralized validation loss")
             for round_index in range(1, self.fl.rounds + 1):
                 values, _ = run_epochs(
                     values, train_x, train_y, self.spec, self.fl,
                     ("centralized", round_index),
                 )
-                params = ModelParams(self.spec, values)
-                val = loss(params, val_x, val_y)
-                if not math.isfinite(val):
-                    raise NumericError(
-                        f"round {round_index}: centralized validation loss is {val}"
-                    )
+                val = loss(ModelParams(self.spec, values), val_x, val_y)
+                stop = stopper.update(round_index, val)
                 trace.append(val)
-                if best - val >= 1e-6:
-                    best, stale = val, 0
-                else:
-                    stale += 1
-                    if self.fl.early_stop_patience and stale >= self.fl.early_stop_patience:
-                        break
+                if stop:
+                    break
             self._centralized = (ModelParams(self.spec, values), trace)
         return self._centralized
 
@@ -541,7 +519,9 @@ def run_methods(
     methods = list(methods if methods is not None else scenario.methods)
     for method in methods:
         if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+            raise ConfigError(
+                f"unknown method {method!r}; expected one of {tuple(METHODS)}"
+            )
     require_cluster_settings(scenario.cluster, methods)
     harness = _Harness(datasets, scenario)
     return {method: harness.outcome(method) for method in sorted(set(methods))}

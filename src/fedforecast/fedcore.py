@@ -2,10 +2,14 @@
 
 The server-side loop: deterministic participant selection, broadcast,
 sample-weighted FedAvg aggregation, per-round validation, early stopping,
-and exact communication metering. Cluster strategies plug in here: ``hc``
-runs warm-up FedAvg rounds, one clustering round over all clients' weight
-deltas, then independent per-cluster FedAvg; ``ifca`` broadcasts all k
-cluster models every round and lets each participant pick its own.
+and exact communication metering. Every mode runs one routed round: the
+public round functions only pick the participants and a route (participant
+-> model index). ``run_round`` routes sampled participants to the single
+FedAvg model (also the hc warm-up); ``ifca_round`` broadcasts all k models
+and routes each participant to its lowest-loss one; ``hc_clustering_round``
+routes every client by its current assignment, then regroups them with
+hc_partition over their weight deltas; ``hc_cluster_round`` routes sampled
+participants by that assignment, so each cluster trains independently.
 
 Privacy boundary: nothing in this module touches raw samples. Server
 functions consume client handles only through their narrow methods
@@ -40,6 +44,34 @@ from .seeds import derive_seed, rng_for
 MODES = ("global", "hc", "ifca")
 
 IMPROVEMENT_EPS = 1e-6
+
+
+class EarlyStop:
+    """The early-stopping rule shared by every training loop.
+
+    A round improves when its validation loss beats the best so far by at
+    least IMPROVEMENT_EPS; training stops after ``patience`` consecutive
+    rounds without improvement (0 disables). A non-finite loss means the
+    run diverged and raises NumericError naming the round and ``what``.
+    """
+
+    def __init__(self, patience: int, what: str = "validation loss"):
+        self.patience = patience
+        self.what = what
+        self.best = math.inf
+        self.stale = 0
+
+    def update(self, round_index: int, val_loss: float) -> bool:
+        """Record one round's loss; True when training should stop."""
+        if not math.isfinite(val_loss):
+            raise NumericError(
+                f"round {round_index}: {self.what} is {val_loss}; training diverged"
+            )
+        if self.best - val_loss >= IMPROVEMENT_EPS:
+            self.best, self.stale = val_loss, 0
+        else:
+            self.stale += 1
+        return 0 < self.patience <= self.stale
 
 
 @dataclass(frozen=True)
@@ -112,7 +144,6 @@ class ClientUpdate:
     client_id: str
     new_params: ModelParams
     n_samples: int
-    cluster_id: int = -1
     train_loss: float = math.nan
 
     def __post_init__(self) -> None:
@@ -214,124 +245,40 @@ def _client_map(clients) -> dict[str, object]:
     return by_id
 
 
+def _participants(by_id: Mapping[str, object], config: FLConfig, round_index: int):
+    return select_participants(list(by_id), config.participation, config.seed, round_index)
+
+
 def run_round(
     state: ServerState, clients, config: FLConfig, round_index: int
 ) -> tuple[ServerState, RoundReport]:
     """One global FedAvg round (also the hc warm-up round)."""
     by_id = _client_map(clients)
-    participants = select_participants(
-        list(by_id), config.participation, config.seed, round_index
-    )
-    broadcast = state.models[0]
-    updates = [
-        by_id[cid].local_update(broadcast, config, round_index) for cid in participants
-    ]
-    new_model = fedavg_aggregate(updates)
-    val = _weighted_val_loss([by_id[cid].val_loss(new_model) for cid in participants])
-    pb = param_message_bytes(broadcast.spec)
-    report = RoundReport(
-        round_index=round_index,
-        participants=tuple(participants),
-        train_losses={u.client_id: u.train_loss for u in updates},
-        val_loss=val,
-        bytes_up=len(participants) * pb,
-        bytes_down=len(participants) * pb,
-        assignment=dict(state.assignment),
-        n_clusters=len(state.models),
-    )
-    return replace(state, models=(new_model,)), report
+    route = dict.fromkeys(_participants(by_id, config, round_index), 0)
+    return _routed_round(state, by_id, route, config, round_index)
 
 
 def ifca_round(
     state: ServerState, clients, config: FLConfig, round_index: int
 ) -> tuple[ServerState, RoundReport]:
-    """One iterative cluster-self-selection round.
-
-    All k models are broadcast (bytes_down scales by k); each participant
-    trains from its argmin-loss model; clusters aggregate independently and
-    an empty cluster keeps its previous params.
-    """
+    """One iterative cluster-self-selection round: each participant trains
+    from, and reports to, the model with its lowest own-train loss."""
     by_id = _client_map(clients)
-    k = len(state.models)
-    participants = select_participants(
-        list(by_id), config.participation, config.seed, round_index
-    )
-    chosen: dict[str, int] = {}
-    updates: dict[int, list[ClientUpdate]] = {}
-    for cid in participants:
-        client = by_id[cid]
-        j = client.choose_cluster(state.models)
-        chosen[cid] = j
-        update = client.local_update(state.models[j], config, round_index, cluster_id=j)
-        updates.setdefault(j, []).append(update)
-    new_models = tuple(
-        fedavg_aggregate(updates[j]) if j in updates else state.models[j]
-        for j in range(k)
-    )
-    val = _weighted_val_loss(
-        [by_id[cid].val_loss(new_models[chosen[cid]]) for cid in participants]
-    )
-    pb = param_message_bytes(state.models[0].spec)
-    train_losses: dict[str, float] = {}
-    for j in sorted(updates):
-        for u in updates[j]:
-            train_losses[u.client_id] = u.train_loss
-    report = RoundReport(
-        round_index=round_index,
-        participants=tuple(participants),
-        train_losses={cid: train_losses[cid] for cid in participants},
-        val_loss=val,
-        bytes_up=len(participants) * pb,
-        bytes_down=len(participants) * k * pb,
-        assignment=dict(sorted(chosen.items())),
-        n_clusters=k,
-    )
-    assignment = dict(state.assignment)
-    assignment.update(chosen)
-    return replace(state, models=new_models, assignment=assignment), report
+    route = {
+        cid: by_id[cid].choose_cluster(state.models)
+        for cid in _participants(by_id, config, round_index)
+    }
+    return _routed_round(state, by_id, route, config, round_index)
 
 
 def hc_clustering_round(
     state: ServerState, clients, config: FLConfig, tau: float, round_index: int
 ) -> tuple[ServerState, RoundReport]:
-    """The one-shot clustering round: every client participates.
-
-    Deltas (local minus broadcast params) feed average-linkage clustering;
-    the resulting groups aggregate their updates into per-cluster models.
-    Participation is forced to 100% here so the assignment is a total map.
-    """
+    """The (re)clustering round: every client participates, with no
+    participation draw, so the new assignment is a total map."""
     by_id = _client_map(clients)
-    participants = sorted(by_id)
-    updates: dict[str, ClientUpdate] = {}
-    deltas: dict[str, np.ndarray] = {}
-    for cid in participants:
-        broadcast = _model_for(state, cid)
-        update = by_id[cid].local_update(broadcast, config, round_index)
-        updates[cid] = update
-        deltas[cid] = update.new_params.values - broadcast.values
-    assignment = hc_partition(deltas, tau)
-    k = max(assignment.values()) + 1
-    new_models = tuple(
-        fedavg_aggregate(
-            [updates[cid] for cid in participants if assignment[cid] == j]
-        )
-        for j in range(k)
-    )
-    val = _weighted_val_loss(
-        [by_id[cid].val_loss(new_models[assignment[cid]]) for cid in participants]
-    )
-    pb = param_message_bytes(state.models[0].spec)
-    report = RoundReport(
-        round_index=round_index,
-        participants=tuple(participants),
-        train_losses={cid: updates[cid].train_loss for cid in participants},
-        val_loss=val,
-        bytes_up=len(participants) * pb,
-        bytes_down=len(participants) * pb,
-        assignment=dict(sorted(assignment.items())),
-        n_clusters=k,
-    )
-    return ServerState(state.mode, new_models, dict(sorted(assignment.items()))), report
+    route = {cid: state.assignment.get(cid, 0) for cid in sorted(by_id)}
+    return _routed_round(state, by_id, route, config, round_index, regroup_tau=tau)
 
 
 def hc_cluster_round(
@@ -339,60 +286,80 @@ def hc_cluster_round(
 ) -> tuple[ServerState, RoundReport]:
     """Post-clustering hc round: independent FedAvg inside each cluster."""
     by_id = _client_map(clients)
-    k = len(state.models)
-    participants = select_participants(
-        list(by_id), config.participation, config.seed, round_index
-    )
-    updates: dict[int, list[ClientUpdate]] = {}
+    route = {
+        cid: state.assignment[cid] for cid in _participants(by_id, config, round_index)
+    }
+    return _routed_round(state, by_id, route, config, round_index)
+
+
+def _routed_round(
+    state: ServerState,
+    by_id: Mapping[str, object],
+    route: Mapping[str, int],
+    config: FLConfig,
+    round_index: int,
+    regroup_tau: float | None = None,
+) -> tuple[ServerState, RoundReport]:
+    """Train each participant (in id order) from its routed model, regroup
+    the updates when ``regroup_tau`` is given, FedAvg per model (a model no
+    update routes to keeps its params), validate each participant under its
+    routed model, and meter the bytes."""
+    participants = list(route)
+    updates = {
+        cid: by_id[cid].local_update(state.models[route[cid]], config, round_index)
+        for cid in participants
+    }
+    n_models = len(state.models)
+    assignment = route if state.mode == "ifca" else state.assignment
+    if regroup_tau is not None:
+        deltas = {
+            cid: u.new_params.values - state.models[route[cid]].values
+            for cid, u in updates.items()
+        }
+        route = assignment = dict(sorted(hc_partition(deltas, regroup_tau).items()))
+        n_models = max(route.values()) + 1
+    groups: dict[int, list[ClientUpdate]] = {}
     for cid in participants:
-        j = state.assignment[cid]
-        update = by_id[cid].local_update(state.models[j], config, round_index, cluster_id=j)
-        updates.setdefault(j, []).append(update)
-    new_models = tuple(
-        fedavg_aggregate(updates[j]) if j in updates else state.models[j]
-        for j in range(k)
+        groups.setdefault(route[cid], []).append(updates[cid])
+    models = tuple(
+        fedavg_aggregate(groups[j]) if j in groups else state.models[j]
+        for j in range(n_models)
     )
     val = _weighted_val_loss(
-        [by_id[cid].val_loss(new_models[state.assignment[cid]]) for cid in participants]
+        [by_id[cid].val_loss(models[route[cid]]) for cid in participants]
     )
     pb = param_message_bytes(state.models[0].spec)
-    train_losses: dict[str, float] = {}
-    for j in sorted(updates):
-        for u in updates[j]:
-            train_losses[u.client_id] = u.train_loss
+    fanout = len(state.models) if state.mode == "ifca" else 1
     report = RoundReport(
         round_index=round_index,
         participants=tuple(participants),
-        train_losses={cid: train_losses[cid] for cid in participants},
+        train_losses={cid: updates[cid].train_loss for cid in participants},
         val_loss=val,
         bytes_up=len(participants) * pb,
-        bytes_down=len(participants) * pb,
-        assignment=dict(state.assignment),
-        n_clusters=k,
+        bytes_down=len(participants) * fanout * pb,
+        assignment=dict(assignment),
+        n_clusters=n_models,
     )
-    return replace(state, models=new_models), report
+    return replace(state, models=models, assignment=assignment), report
 
 
-def _model_for(state: ServerState, client_id: str) -> ModelParams:
-    if len(state.models) == 1:
-        return state.models[0]
-    return state.models[state.assignment[client_id]]
+def _total_route(state: ServerState, clients) -> dict[str, int]:
+    """Every client's model index under ``state``, in id order.
+
+    In ifca mode each client self-selects its model; this is a
+    simulation-side diagnostic and is not metered as communication.
+    """
+    ordered = sorted(clients, key=lambda c: c.client_id)
+    if state.mode == "ifca":
+        return {c.client_id: c.choose_cluster(state.models) for c in ordered}
+    return {c.client_id: state.assignment.get(c.client_id, 0) for c in ordered}
 
 
 def _all_client_val_loss(state: ServerState, clients) -> float:
-    """Diagnostic sample-weighted validation loss over every client.
-
-    In ifca mode each client evaluates under its self-selected model; this
-    is a simulation-side diagnostic and is not metered as communication.
-    """
-    pairs = []
-    for client in sorted(clients, key=lambda c: c.client_id):
-        if state.mode == "ifca":
-            model = state.models[client.choose_cluster(state.models)]
-        else:
-            model = _model_for(state, client.client_id)
-        pairs.append(client.val_loss(model))
-    return _weighted_val_loss(pairs)
+    """Diagnostic sample-weighted validation loss over every client."""
+    by_id = _client_map(clients)
+    route = _total_route(state, clients)
+    return _weighted_val_loss([by_id[cid].val_loss(state.models[j]) for cid, j in route.items()])
 
 
 def run_training(
@@ -404,10 +371,9 @@ def run_training(
 ) -> RunResult:
     """Execute up to ``config.rounds`` federated rounds in the given mode.
 
-    Early-stops when the participant-weighted validation loss fails to
-    improve by at least 1e-6 for ``early_stop_patience`` consecutive rounds
-    (patience 0 disables). Raises NumericError naming the round when losses
-    or parameters diverge to non-finite values.
+    Early-stops on the participant-weighted validation loss under the
+    EarlyStop rule. Raises NumericError naming the round when losses or
+    parameters diverge to non-finite values.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown training mode {mode!r}; expected one of {MODES}")
@@ -420,18 +386,14 @@ def run_training(
         raise ConfigError("hc mode requires cluster.tau > 0")
 
     start = time.perf_counter()
-    if mode == "ifca":
-        models = tuple(
-            init_params(model_spec, derive_seed(config.seed, "init", j))
-            for j in range(cluster.k)
-        )
-    else:
-        models = (init_params(model_spec, derive_seed(config.seed, "init", 0)),)
+    models = tuple(
+        init_params(model_spec, derive_seed(config.seed, "init", j))
+        for j in range(cluster.k if mode == "ifca" else 1)
+    )
     state = ServerState(mode, models, {})
 
     reports: list[RoundReport] = []
-    best_val = math.inf
-    stale_rounds = 0
+    stopper = EarlyStop(config.early_stop_patience)
     for round_index in range(1, config.rounds + 1):
         try:
             if mode == "global":
@@ -440,34 +402,25 @@ def run_training(
                 state, report = ifca_round(state, clients, config, round_index)
             else:
                 state, report = _hc_dispatch(state, clients, config, cluster, round_index)
-            if not math.isfinite(report.val_loss):
-                raise NumericError(
-                    f"validation loss is {report.val_loss}; training diverged"
-                )
         except NumericError as exc:
             raise NumericError(f"round {round_index}: {exc}") from None
+        stop = stopper.update(round_index, report.val_loss)
         if config.eval_every > 0 and round_index % config.eval_every == 0:
             report = replace(
                 report, all_client_val_loss=_all_client_val_loss(state, clients)
             )
         reports.append(report)
-        if best_val - report.val_loss >= IMPROVEMENT_EPS:
-            best_val = report.val_loss
-            stale_rounds = 0
-        else:
-            stale_rounds += 1
-            if config.early_stop_patience and stale_rounds >= config.early_stop_patience:
-                break
+        if stop:
+            break
     if reports and reports[-1].all_client_val_loss is None:
         reports[-1] = replace(
             reports[-1], all_client_val_loss=_all_client_val_loss(state, clients)
         )
 
-    assignment = _final_assignment(state, clients)
     return RunResult(
         mode=mode,
         models=state.models,
-        assignment=assignment,
+        assignment={} if mode == "global" else _total_route(state, clients),
         reports=tuple(reports),
         config=config,
         cluster=cluster,
@@ -487,18 +440,6 @@ def _hc_dispatch(state, clients, config, cluster: ClusterConfig, round_index: in
     ):
         return hc_clustering_round(state, clients, config, cluster.tau, round_index)
     return hc_cluster_round(state, clients, config, round_index)
-
-
-def _final_assignment(state: ServerState, clients) -> dict[str, int]:
-    """Total client -> cluster map for the final models."""
-    if state.mode == "global":
-        return {}
-    ordered = sorted(clients, key=lambda c: c.client_id)
-    if state.mode == "ifca":
-        return {c.client_id: c.choose_cluster(state.models) for c in ordered}
-    if not state.assignment:
-        return {c.client_id: 0 for c in ordered}
-    return dict(sorted(state.assignment.items()))
 
 
 def run_result_json_obj(result: RunResult) -> dict:

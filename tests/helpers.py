@@ -45,3 +45,18 @@ def synthetic_linear_client(client_id, weights, bias, n_values, noise_std, seed,
         values.append(nxt)
     series = TimeSeries(start_epoch_hours=0, values=np.array(values))
     return ClientDataset(client_id=client_id, series=series)
+
+
+def assignments_match(a, b) -> bool:
+    """True when two assignments are equal up to cluster-label permutation."""
+    if set(a) != set(b):
+        return False
+    forward: dict[int, int] = {}
+    backward: dict[int, int] = {}
+    for cid in a:
+        la, lb = a[cid], b[cid]
+        if forward.setdefault(la, lb) != lb:
+            return False
+        if backward.setdefault(lb, la) != la:
+            return False
+    return True

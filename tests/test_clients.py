@@ -5,7 +5,7 @@ import pytest
 
 from helpers import population_clients, population_spec
 from fedforecast.clients import fine_tune, train_local
-from fedforecast.errors import InsufficientDataError
+from fedforecast.errors import InsufficientDataError, NumericError
 from fedforecast.fedcore import FLConfig
 from fedforecast.model import init_params, loss, loss_and_grad
 from fedforecast.optim import OptimizerConfig
@@ -174,3 +174,10 @@ def test_train_local_early_stops():
     cfg = config(rounds=50, local_epochs=0, early_stop_patience=2)
     _, trace = train_local(client, init_params(population_spec(), 0), cfg)
     assert len(trace.val_losses) == 3
+
+
+def test_train_local_divergence_names_client_and_round():
+    client = one_client()
+    cfg = config(rounds=50, optimizer=OptimizerConfig(kind="sgd", lr=1e4))
+    with pytest.raises(NumericError, match=rf"round \d+: client {client.client_id} "):
+        train_local(client, init_params(population_spec(), 0), cfg)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 
-from fedforecast.cluster import assignments_match, hc_partition, ifca_assign
+from helpers import assignments_match
+from fedforecast.cluster import hc_partition, ifca_assign
 from fedforecast.data import SupervisedSet
 from fedforecast.errors import InsufficientDataError, ShapeError
 from fedforecast.model import ModelParams, ModelSpec

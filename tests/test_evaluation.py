@@ -263,3 +263,15 @@ def test_fl_needs_two_clients(tmp_path):
     )
     with pytest.raises(ConfigError):
         run_methods(load_datasets(sc), sc)
+
+
+@pytest.mark.parametrize("method", ["local_only", "centralized"])
+def test_divergence_raises_naming_the_round(tmp_path, method):
+    sc = scenario(
+        tmp_path,
+        fl={"rounds": 50, "optimizer": {"kind": "sgd", "lr": 1e4}},
+        methods=[method],
+    )
+    who = r"client c\d+ " if method == "local_only" else ""
+    with pytest.raises(NumericError, match=rf"round \d+: {who}"):
+        run_methods(load_datasets(sc), sc)

@@ -39,6 +39,7 @@ from fedforecast.model import (
     param_message_bytes,
 )
 from fedforecast.optim import OptimizerConfig
+from fedforecast.privacy import DpConfig
 from fedforecast.seeds import derive_seed
 from fedforecast.serialize import to_json_text
 
@@ -322,6 +323,70 @@ def test_one_round_equals_pooled_gradient_step():
     assert np.linalg.norm(fed.models[0].values - expected) <= 1e-9
 
 
+# Metamorphic identities: each pair of runs must agree bit for bit on the
+# models, the per-round losses and the byte totals. assignment and mode
+# legitimately differ between the modes, so they are not compared.
+IDENTITY_CONFIGS = {
+    "full": dict(rounds=6),
+    "sampled_dp": dict(
+        rounds=6, participation=0.5, dp=DpConfig(clip_norm=0.5, sigma=0.3)
+    ),
+    "minibatch": dict(rounds=6, local_epochs=2, batch_size=16),
+}
+
+
+def assert_same_training(a, b):
+    assert len(a.models) == len(b.models)
+    for ma, mb in zip(a.models, b.models):
+        assert ma.values.tobytes() == mb.values.tobytes()
+    assert [r.val_loss for r in a.reports] == [r.val_loss for r in b.reports]
+    assert [r.train_losses for r in a.reports] == [r.train_losses for r in b.reports]
+    assert a.bytes_up_total == b.bytes_up_total
+    assert a.bytes_down_total == b.bytes_down_total
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_CONFIGS))
+def test_ifca_with_one_model_equals_fedavg(name):
+    clients = population_clients(n_clients=6, archetypes=2, days=10, seed=1)
+    config = sgd_config(**IDENTITY_CONFIGS[name])
+    fedavg = run_training(clients, population_spec(), config)
+    ifca = run_training(
+        clients, population_spec(), config, mode="ifca",
+        cluster=ClusterConfig(mode="ifca", k=1),
+    )
+    assert_same_training(ifca, fedavg)
+
+
+@pytest.mark.parametrize("recluster_every", [0, 2])
+@pytest.mark.parametrize("name", ["full", "minibatch"])
+def test_hc_that_never_splits_equals_fedavg(name, recluster_every):
+    clients = population_clients(n_clients=6, archetypes=2, days=10, seed=1)
+    config = sgd_config(**IDENTITY_CONFIGS[name])
+    fedavg = run_training(clients, population_spec(), config)
+    hc = run_training(
+        clients, population_spec(), config, mode="hc",
+        cluster=ClusterConfig(
+            mode="hc", tau=1e9, warmup=2, recluster_every=recluster_every
+        ),
+    )
+    assert_same_training(hc, fedavg)
+
+
+@pytest.mark.parametrize("mode", ["global", "hc", "ifca"])
+def test_client_input_order_is_irrelevant(mode):
+    clients = population_clients(n_clients=6, archetypes=2, days=10, seed=1)
+    config = sgd_config(rounds=6, participation=0.5)
+    cluster = ClusterConfig(mode=mode, tau=0.05, warmup=2, k=2, recluster_every=2)
+    forward = run_training(clients, population_spec(), config, mode, cluster)
+    backward = run_training(clients[::-1], population_spec(), config, mode, cluster)
+    if mode == "hc":
+        assert max(r.n_clusters for r in forward.reports) > 1
+    assert_same_training(forward, backward)
+    assert to_json_text(run_result_json_obj(forward)) == to_json_text(
+        run_result_json_obj(backward)
+    )
+
+
 # ------------------------------------------------------------- api surface
 
 
@@ -334,6 +399,7 @@ def test_server_api_never_accepts_raw_samples():
         fedcore.ifca_round,
         fedcore.hc_clustering_round,
         fedcore.hc_cluster_round,
+        fedcore._routed_round,
         fedcore.run_training,
         fedcore.select_participants,
     ]
