@@ -2,7 +2,7 @@
 
 The package trains short-horizon forecasters for distributed energy
 resources (loads, PV, EVs, HVAC) across privacy-separated clients. It
-provides global weighted averaging, two clustering strategies (one-shot
+provides global weighted averaging, two clustering strategies (periodic
 hierarchical clustering on weight deltas and iterative cluster
 self-selection), per-client fine-tuning, Gaussian update noising with norm
 clipping, exact communication metering, a synthetic non-IID population

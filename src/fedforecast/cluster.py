@@ -2,11 +2,12 @@
 
 Two strategies are supported by the engine:
 
-* one-shot hierarchical clustering (``hc``): after a few warm-up FedAvg
-  rounds, clients are grouped by the Euclidean distance between their local
-  weight deltas (local params minus the broadcast params), average linkage,
-  merging until the minimum inter-cluster distance exceeds a threshold tau;
-  afterwards each cluster trains independently;
+* hierarchical clustering (``hc``): after a few warm-up FedAvg rounds,
+  clients are grouped by the Euclidean distance between their local weight
+  deltas (local params minus the broadcast params), average linkage, merging
+  until the minimum inter-cluster distance exceeds a threshold tau; each
+  cluster then trains on its own, and the clients are regrouped every
+  ``recluster_every`` rounds when that is > 0;
 * iterative cluster self-selection (``ifca``): the server keeps k models,
   every round each participant picks the model with the lowest loss on its
   own training split and contributes its update to that cluster only.
@@ -31,6 +32,12 @@ def hc_partition(deltas: Mapping[str, np.ndarray], tau: float) -> dict[str, int]
     Returns a total map client_id -> cluster_id. Cluster ids are assigned in
     ascending order of each cluster's smallest member client_id, so the
     labeling is independent of the input enumeration order.
+
+    Each merge takes the first closest pair in a scan over pairs (a, b), a
+    before b, in order of smallest member, where a later pair wins only when
+    closer by more than 1e-15; merging stops once that distance exceeds tau.
+    Cost: O(n^2) memory and, per merge, an O(n^2) vectorized scan plus one
+    block mean per other cluster.
     """
     if not deltas:
         raise InsufficientDataError("hc_partition needs at least one client")
@@ -51,27 +58,37 @@ def hc_partition(deltas: Mapping[str, np.ndarray], tau: float) -> dict[str, int]
             d = float(np.linalg.norm(vectors[i] - vectors[j]))
             point_dist[i, j] = point_dist[j, i] = d
 
-    clusters: list[list[int]] = [[i] for i in range(n)]
-    while len(clusters) > 1:
-        best = None
-        best_dist = np.inf
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                cross = point_dist[np.ix_(clusters[a], clusters[b])]
-                d = float(np.mean(cross))
-                if d < best_dist - 1e-15:
-                    best_dist = d
-                    best = (a, b)
-        if best is None or best_dist > tau:
+    # A cluster lives at its smallest member's index, so the upper triangle of
+    # ``avg`` in row-major order is the scan order; other entries are inf.
+    members = {i: [i] for i in range(n)}
+    avg = np.where(np.triu(np.ones((n, n), dtype=bool), 1), point_dist, np.inf)
+    while len(members) > 1:
+        # The scan, skipping rows whose minimum cannot replace the best.
+        row_min = np.fmin.reduce(avg, axis=1)
+        best, pair, start = np.inf, None, 0
+        while (hit := np.flatnonzero(row_min[start:] < best - 1e-15)).size:
+            a, b = start + hit[0], -1
+            while (hit := np.flatnonzero(avg[a, b + 1 :] < best - 1e-15)).size:
+                b += 1 + hit[0]
+                best = avg[a, b]
+            pair, start = (a, b), a + 1
+        if pair is None or best > tau:
             break
-        a, b = best
-        clusters[a] = clusters[a] + clusters[b]
-        del clusters[b]
+        a, b = pair
+        members[a] += members.pop(b)
+        avg[b] = avg[:, b] = np.inf
+        # Row a's blocks, copied in the layout np.ix_ gives, so each mean
+        # sums in the same order and is bitwise the rescan's value.
+        rows = point_dist[members[a]]
+        cols = point_dist.take(members[a], axis=1)
+        for c, other in members.items():
+            if c != a:
+                block = cols[other] if c < a else rows.take(other, axis=1)
+                avg[min(a, c), max(a, c)] = np.mean(block)
 
-    clusters.sort(key=lambda members: min(members))
     assignment: dict[str, int] = {}
-    for label, members in enumerate(clusters):
-        for idx in members:
+    for label, rep in enumerate(members):
+        for idx in members[rep]:
             assignment[ids[idx]] = label
     return assignment
 

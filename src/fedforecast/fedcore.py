@@ -355,10 +355,10 @@ def _total_route(state: ServerState, clients) -> dict[str, int]:
     return {c.client_id: state.assignment.get(c.client_id, 0) for c in ordered}
 
 
-def _all_client_val_loss(state: ServerState, clients) -> float:
-    """Diagnostic sample-weighted validation loss over every client."""
+def _all_client_val_loss(state: ServerState, clients, route: Mapping[str, int]) -> float:
+    """Diagnostic sample-weighted validation loss over every client, each
+    under its model in ``route`` (from ``_total_route``)."""
     by_id = _client_map(clients)
-    route = _total_route(state, clients)
     return _weighted_val_loss([by_id[cid].val_loss(state.models[j]) for cid, j in route.items()])
 
 
@@ -394,6 +394,7 @@ def run_training(
 
     reports: list[RoundReport] = []
     stopper = EarlyStop(config.early_stop_patience)
+    route = None  # _total_route of the current state, once computed
     for round_index in range(1, config.rounds + 1):
         try:
             if mode == "global":
@@ -405,22 +406,26 @@ def run_training(
         except NumericError as exc:
             raise NumericError(f"round {round_index}: {exc}") from None
         stop = stopper.update(round_index, report.val_loss)
+        route = None
         if config.eval_every > 0 and round_index % config.eval_every == 0:
+            route = _total_route(state, clients)
             report = replace(
-                report, all_client_val_loss=_all_client_val_loss(state, clients)
+                report, all_client_val_loss=_all_client_val_loss(state, clients, route)
             )
         reports.append(report)
         if stop:
             break
+    if route is None:
+        route = _total_route(state, clients)
     if reports and reports[-1].all_client_val_loss is None:
         reports[-1] = replace(
-            reports[-1], all_client_val_loss=_all_client_val_loss(state, clients)
+            reports[-1], all_client_val_loss=_all_client_val_loss(state, clients, route)
         )
 
     return RunResult(
         mode=mode,
         models=state.models,
-        assignment={} if mode == "global" else _total_route(state, clients),
+        assignment={} if mode == "global" else route,
         reports=tuple(reports),
         config=config,
         cluster=cluster,

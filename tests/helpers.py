@@ -1,9 +1,12 @@
 """Shared fixtures for the engine-level tests."""
 
+from typing import Mapping
+
 import numpy as np
 
 from fedforecast.clients import FederatedClient
 from fedforecast.data import ClientDataset, TimeSeries, prepare_client
+from fedforecast.errors import InsufficientDataError, ShapeError
 from fedforecast.model import ModelSpec
 from fedforecast.population import PopulationSpec, generate_population
 
@@ -60,3 +63,58 @@ def assignments_match(a, b) -> bool:
         if backward.setdefault(lb, la) != la:
             return False
     return True
+
+
+def reference_hc_partition(deltas: Mapping[str, np.ndarray], tau: float) -> dict[str, int]:
+    """The rescanning average-linkage partition ``hc_partition`` replaced.
+
+    Every merge recomputes the mean cross distance of every cluster pair,
+    so it costs about n^3; tests compare ``hc_partition`` against it for
+    exact equality, ties included.
+
+    Returns a total map client_id -> cluster_id. Cluster ids are assigned in
+    ascending order of each cluster's smallest member client_id, so the
+    labeling is independent of the input enumeration order.
+    """
+    if not deltas:
+        raise InsufficientDataError("hc_partition needs at least one client")
+    ids = sorted(deltas)
+    vectors = []
+    for cid in ids:
+        vec = np.asarray(deltas[cid], dtype=np.float64).ravel()
+        if vectors and vec.shape != vectors[0].shape:
+            raise ShapeError(
+                f"delta for {cid} has length {vec.shape[0]}, "
+                f"expected {vectors[0].shape[0]}"
+            )
+        vectors.append(vec)
+    n = len(ids)
+    point_dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(np.linalg.norm(vectors[i] - vectors[j]))
+            point_dist[i, j] = point_dist[j, i] = d
+
+    clusters: list[list[int]] = [[i] for i in range(n)]
+    while len(clusters) > 1:
+        best = None
+        best_dist = np.inf
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                cross = point_dist[np.ix_(clusters[a], clusters[b])]
+                d = float(np.mean(cross))
+                if d < best_dist - 1e-15:
+                    best_dist = d
+                    best = (a, b)
+        if best is None or best_dist > tau:
+            break
+        a, b = best
+        clusters[a] = clusters[a] + clusters[b]
+        del clusters[b]
+
+    clusters.sort(key=lambda members: min(members))
+    assignment: dict[str, int] = {}
+    for label, members in enumerate(clusters):
+        for idx in members:
+            assignment[ids[idx]] = label
+    return assignment

@@ -1,14 +1,15 @@
 """Clustering primitives: threshold agglomeration and loss-based selection.
 
 The agglomerative routine is cross-checked against scipy's average-linkage
-implementation, which shares no code with ours.
+implementation, which shares no code with ours, and label for label against
+the rescanning implementation it replaced (``helpers.reference_hc_partition``).
 """
 
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 
-from helpers import assignments_match
+from helpers import assignments_match, reference_hc_partition
 from fedforecast.cluster import hc_partition, ifca_assign
 from fedforecast.data import SupervisedSet
 from fedforecast.errors import InsufficientDataError, ShapeError
@@ -54,19 +55,95 @@ def test_mismatched_lengths_rejected():
         hc_partition({"a": np.array([1.0]), "b": np.array([1.0, 2.0])}, tau=1.0)
 
 
-def test_matches_scipy_average_linkage():
+def scipy_cases():
+    """(points, tau) pairs: small random inputs, then planted clusters of up
+    to 300 points cut between and inside the clusters."""
     rng = np.random.default_rng(42)
-    for trial in range(20):
+    for _ in range(20):
         n = int(rng.integers(2, 12))
         dim = int(rng.integers(1, 5))
         points = rng.normal(scale=2.0, size=(n, dim))
-        tau = float(rng.uniform(0.5, 6.0))
-        ids = [f"c{i:02d}" for i in range(n)]
+        yield points, float(rng.uniform(0.5, 6.0))
+    rng = np.random.default_rng(43)
+    for n, k in ((60, 3), (150, 5), (300, 8)):
+        centers = rng.normal(scale=20.0, size=(k, 4))
+        points = centers[rng.integers(0, k, size=n)] + rng.normal(size=(n, 4))
+        for tau in (0.8, 2.5, 10.0):
+            yield points, tau
+
+
+def test_matches_scipy_average_linkage():
+    for trial, (points, tau) in enumerate(scipy_cases()):
+        ids = [f"c{i:03d}" for i in range(len(points))]
         ours = hc_partition(dict(zip(ids, points)), tau=tau)
         z = linkage(points, method="average", metric="euclidean")
         flat = fcluster(z, t=tau, criterion="distance")
         theirs = dict(zip(ids, (int(x) for x in flat)))
         assert assignments_match(ours, theirs), f"trial {trial}: {ours} vs {theirs}"
+
+
+def tie_heavy_inputs(kind):
+    """Point sets of up to 40 clients; all but the gaussian ones have many
+    equal or nearly equal pairwise distances."""
+    rng = np.random.default_rng(["grid", "jittered", "duplicates", "gaussian"].index(kind))
+    for _ in range(20):
+        n = int(rng.integers(2, 41))
+        dim = int(rng.integers(1, 4))
+        if kind == "grid":
+            yield rng.integers(0, 4, size=(n, dim)).astype(float)
+        elif kind == "jittered":  # distances a few ulps apart: near-ties
+            grid = rng.integers(0, 4, size=(n, dim)).astype(float)
+            yield grid + rng.integers(-3, 4, size=(n, dim)) * 2.0**-52
+        elif kind == "duplicates":
+            sites = rng.integers(0, 3, size=(max(1, n // 4), dim)).astype(float)
+            yield sites[rng.integers(0, len(sites), size=n)]
+        else:
+            yield rng.normal(size=(n, dim))
+
+
+@pytest.mark.parametrize("kind", ["grid", "jittered", "duplicates", "gaussian"])
+def test_matches_rescanning_reference_exactly(kind):
+    # Same labels, not just the same partition: the scan-order tie-break and
+    # the stop at tau must both agree, so tau is also set to a realised
+    # point distance.
+    rng = np.random.default_rng(100)
+    for trial, points in enumerate(tie_heavy_inputs(kind)):
+        ids = [f"c{i:02d}" for i in range(len(points))]
+        deltas = dict(zip(ids, points))
+        realised = sorted({float(np.linalg.norm(p - q)) for p in points for q in points})
+        for tau in (realised[int(rng.integers(len(realised)))], 1.2, 1e12):
+            expected = reference_hc_partition(deltas, tau)
+            assert hc_partition(deltas, tau) == expected, f"trial {trial}, tau {tau}"
+
+
+_A, _B = [1.0, 1.0, 1.0], [0.0, 2.0, 2.0]
+_ULP = 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "points, tau, split",
+    [
+        # Seven clients at one point and two at another sqrt(3) away: the
+        # mean of the 14 equal cross distances rounds just above sqrt(3), so
+        # a running sum of cross distances would merge what the rescan keeps
+        # apart.
+        ([_A, _A, _B, _A, _A, _A, _B, _A, _A], float(np.sqrt(3.0)), {2, 6}),
+        # Two groups on a line, 1 apart up to a few ulps, and tau 1: the mean
+        # of the cross distances rounds to at most 1 only when the block is
+        # summed in the rescan's row-major order.
+        (
+            [[1.0], [2 + 2 * _ULP], [2 - _ULP], [1 - _ULP], [2 - _ULP], [2 + 2 * _ULP], [1 - _ULP], [2.0]],
+            1.0,
+            set(),
+        ),
+    ],
+    ids=["running-sum", "block-order"],
+)
+def test_cluster_means_round_as_in_the_rescan(points, tau, split):
+    deltas = {f"c{i}": np.array(p) for i, p in enumerate(points)}
+    expected = {f"c{i}": int(i in split) for i in range(len(points))}
+    assert reference_hc_partition(deltas, tau) == expected
+    assert hc_partition(deltas, tau) == expected
 
 
 # --------------------------------------------------------- cluster selection

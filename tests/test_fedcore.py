@@ -183,6 +183,31 @@ def test_ifca_empty_cluster_retains_initial_params():
             np.testing.assert_array_equal(result.models[j].values, init.values)
 
 
+@pytest.mark.parametrize("eval_every, evaluated_rounds", [(0, 0), (3, 0), (2, 1)])
+def test_ifca_final_route_chosen_once(monkeypatch, eval_every, evaluated_rounds):
+    # Each round's participants choose once; the last report's all-client
+    # loss and the final assignment share one more choice per client.
+    # An evaluation on the last round (eval_every 3) is that same choice.
+    calls = []
+    choose = FederatedClient.choose_cluster
+
+    def counted(self, models):
+        calls.append(self.client_id)
+        return choose(self, models)
+
+    monkeypatch.setattr(FederatedClient, "choose_cluster", counted)
+    clients = population_clients(n_clients=4, days=7, seed=1)
+    result = run_training(
+        clients,
+        population_spec(),
+        sgd_config(rounds=3, eval_every=eval_every),
+        mode="ifca",
+        cluster=ClusterConfig(mode="ifca", k=2),
+    )
+    assert len(result.reports) == 3
+    assert len(calls) == 4 * (3 + evaluated_rounds + 1)
+
+
 def test_hc_tau_extremes_control_cluster_count():
     clients = population_clients(n_clients=4, days=7, seed=2)
     spec = population_spec()
