@@ -6,6 +6,10 @@ sample counts through the FederatedClient handle. local_update runs the
 configured epochs of (mini-)batch optimization from the broadcast params,
 applies update-level DP when enabled, and ships back new params.
 
+run_epochs is the one training kernel. It steps a stack of models, each on
+its own samples: local_update and the centralized baseline run it on a
+stack of one, train_local on every client of equal sample counts at once.
+
 Batch order is shuffled deterministically from (config seed, client id,
 round index); with batch_size 0 the full batch is used and no shuffling
 happens, so one epoch is exactly one full-batch gradient step.
@@ -18,11 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClientSplits, SupervisedSet
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, NumericError
 from .fedcore import ClientUpdate, EarlyStop, FLConfig
-from .model import ModelParams, loss, loss_and_grad, predict_batch
+from .model import (
+    ModelParams,
+    loss,
+    loss_and_grad,
+    predict_batch,
+    stack_loss,
+    stack_loss_and_grad,
+)
 from .optim import make_state, step
-from .privacy import privatize_delta
+from .privacy import privatize_delta, privatize_rows
 from .seeds import rng_for
 from . import cluster as _cluster
 
@@ -33,34 +44,42 @@ def run_epochs(
     targets: np.ndarray,
     spec,
     config: FLConfig,
-    stream_labels: tuple,
-) -> tuple[np.ndarray, float]:
-    """Run config.local_epochs of (mini-)batch steps; returns new values and
-    the mean train loss of the final epoch (losses measured pre-step)."""
-    n = inputs.shape[0]
-    epochs = config.local_epochs
-    if epochs == 0:
-        return values, loss(ModelParams(spec, values), inputs, targets)
+    streams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The training kernel: config.local_epochs of (mini-)batch steps on a
+    stack of C models at once.
+
+    values is C x P, inputs C x n x d and targets C x n x h; model c trains
+    on its own samples only, so every slice equals training that model
+    alone. Minibatch order comes from model c's batch-shuffle stream,
+    labelled ("batches", *streams[c]); full-batch steps use the arrays as
+    given, without copying. Returns the new C x P values and each model's
+    mean train loss of its final epoch (losses measured pre-step); with
+    zero epochs, the values unchanged and their loss.
+    """
+    c, n = inputs.shape[:2]
+    if config.local_epochs == 0:
+        return values, stack_loss(spec, values, inputs, targets)
     batch = config.batch_size
     full_batch = batch == 0 or batch >= n
-    rng = None if full_batch else rng_for(config.seed, "batches", *stream_labels)
-    opt_state = make_state(config.optimizer, values.shape[0])
-    final_epoch_loss = np.nan
-    for _ in range(epochs):
+    rngs = None if full_batch else [rng_for(config.seed, "batches", *s) for s in streams]
+    rows = np.arange(c)[:, None]
+    opt_state = make_state(config.optimizer, values.shape)
+    for _ in range(config.local_epochs):
         if full_batch:
-            order = [np.arange(n)]
+            batches = [(inputs, targets)]
         else:
-            perm = rng.permutation(n)
-            order = [perm[i : i + batch] for i in range(0, n, batch)]
+            # One gather per epoch; each minibatch is a slice of it.
+            perm = np.stack([rng.permutation(n) for rng in rngs])
+            xs, ys = inputs[rows, perm], targets[rows, perm]
+            batches = [(xs[:, i : i + batch], ys[:, i : i + batch]) for i in range(0, n, batch)]
         loss_sum = 0.0
-        for idx in order:
-            batch_loss, grad = loss_and_grad(
-                ModelParams(spec, values), inputs[idx], targets[idx]
-            )
+        for x, y in batches:
+            batch_loss, grad = stack_loss_and_grad(spec, values, x, y)
             values, opt_state = step(opt_state, values, grad)
-            loss_sum += batch_loss * idx.shape[0]
+            loss_sum += batch_loss * x.shape[1]
         final_epoch_loss = loss_sum / n
-    return values, float(final_epoch_loss)
+    return values, final_epoch_loss
 
 
 def local_update(
@@ -70,7 +89,7 @@ def local_update(
     round_index: int,
     client_id: str,
 ) -> ClientUpdate:
-    """One client's contribution for one round.
+    """One client's contribution for one round: the kernel on a stack of one.
 
     local_epochs = 0 returns the broadcast params bit-identical, with the
     train loss evaluated at those params. When DP is active the update delta
@@ -78,28 +97,25 @@ def local_update(
     """
     if train.n_samples < 1:
         raise InsufficientDataError(f"client {client_id} has no training samples")
-    if config.local_epochs == 0:
-        train_loss = loss(broadcast, train.inputs, train.targets)
-        new_params = broadcast
-    else:
-        values, train_loss = run_epochs(
-            broadcast.values.copy(),
-            train.inputs,
-            train.targets,
-            broadcast.spec,
-            config,
-            (client_id, round_index),
-        )
-        new_params = ModelParams(broadcast.spec, values)
-    if config.dp is not None and config.dp.active:
+    spec = broadcast.spec
+    values, train_loss = run_epochs(
+        broadcast.values[None],
+        train.inputs[None],
+        train.targets[None],
+        spec,
+        config,
+        [(client_id, round_index)],
+    )
+    new_params = ModelParams(spec, values[0])
+    if config.dp is not None:
         delta = new_params.values - broadcast.values
         delta = privatize_delta(delta, config.dp, config.seed, round_index, client_id)
-        new_params = ModelParams(broadcast.spec, broadcast.values + delta)
+        new_params = ModelParams(spec, broadcast.values + delta)
     return ClientUpdate(
         client_id=client_id,
         new_params=new_params,
         n_samples=train.n_samples,
-        train_loss=train_loss,
+        train_loss=float(train_loss[0]),
     )
 
 
@@ -206,21 +222,93 @@ class LocalTrace:
 
 
 def train_local(
-    client: FederatedClient, init: ModelParams, config: FLConfig
-) -> tuple[ModelParams, LocalTrace]:
-    """Isolated local training: the same per-round schedule as federation,
-    minus any communication. Early stopping is the engine's EarlyStop rule."""
-    params = init
-    stopper = EarlyStop(
-        config.early_stop_patience, f"client {client.client_id} validation loss"
-    )
-    trace: list[float] = []
+    clients, init: ModelParams, config: FLConfig
+) -> tuple[dict[str, ModelParams], dict[str, LocalTrace]]:
+    """Isolated local training of every client: the same per-round schedule
+    as federation, minus any communication, each client under its own
+    EarlyStop rule. Returns each client's final params and trace by id.
+
+    Clients with equal (train, validation) sample counts train in lockstep
+    as one stack through the kernel; a client leaves the stack when it
+    stops. Results are bitwise those of training each client alone. A
+    client that diverges is dropped, and after training the error of the
+    first such client in ``clients`` order is raised, as training them one
+    after another would raise it.
+    """
+    buckets: dict[tuple[int, int], list[FederatedClient]] = {}
+    for client in clients:
+        buckets.setdefault((client.n_train_samples, client.n_val_samples), []).append(client)
+    models: dict[str, ModelParams] = {}
+    traces: dict[str, LocalTrace] = {}
+    errors: dict[str, NumericError] = {}
+    for bucket in buckets.values():
+        _train_lockstep(bucket, init, config, models, traces, errors)
+    ids = [client.client_id for client in clients]
+    for cid in ids:
+        if cid in errors:
+            raise errors[cid]
+    return {cid: models[cid] for cid in ids}, {cid: traces[cid] for cid in ids}
+
+
+def _train_lockstep(bucket, init, config, models, traces, errors) -> None:
+    """train_local of clients with equal sample counts, as one stack."""
+    spec = init.spec
+    ids = [c.client_id for c in bucket]
+    x = np.stack([c._train.inputs for c in bucket])
+    y = np.stack([c._train.targets for c in bucket])
+    val_x = np.stack([c._val.inputs for c in bucket])
+    val_y = np.stack([c._val.targets for c in bucket])
+    values = np.tile(init.values, (len(ids), 1))
+    stoppers = [EarlyStop(config.early_stop_patience, f"client {cid} validation loss") for cid in ids]
+    trace: dict[str, list[float]] = {cid: [] for cid in ids}
     for round_index in range(1, config.rounds + 1):
-        params = client.local_update(params, config, round_index).new_params
-        val, _ = client.val_loss(params)
-        stop = stopper.update(round_index, val)
-        trace.append(val)
-        if stop:
-            break
-    best_round = int(np.argmin(np.asarray(trace))) + 1
-    return params, LocalTrace(tuple(trace), best_round)
+        new, _ = run_epochs(values, x, y, spec, config, [(cid, round_index) for cid in ids])
+        failed: dict[int, NumericError] = {}
+        # A row that fails a check goes through the one-client code, which
+        # raises the error local_update would raise for it.
+        _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
+        if config.dp is not None:
+            delta = new - values
+            _reject(
+                ~np.all(np.isfinite(delta), axis=1),
+                failed,
+                lambda i: privatize_delta(delta[i], config.dp, config.seed, round_index, ids[i]),
+            )
+            new = values + privatize_rows(delta, config.dp, config.seed, round_index, ids)
+            _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
+        val = stack_loss(spec, new, val_x, val_y).tolist()
+        keep = []
+        for i, cid in enumerate(ids):
+            if i in failed:
+                errors[cid] = failed[i]
+                continue
+            try:
+                stop = stoppers[i].update(round_index, val[i])
+            except NumericError as exc:
+                errors[cid] = exc
+                continue
+            trace[cid].append(val[i])
+            if stop or round_index == config.rounds:
+                models[cid] = ModelParams(spec, new[i].copy())
+                best_round = int(np.argmin(np.asarray(trace[cid]))) + 1
+                traces[cid] = LocalTrace(tuple(trace[cid]), best_round)
+            else:
+                keep.append(i)
+        if not keep:
+            return
+        if len(keep) < len(ids):
+            x, y, val_x, val_y, new = x[keep], y[keep], val_x[keep], val_y[keep], new[keep]
+            ids = [ids[i] for i in keep]
+            stoppers = [stoppers[i] for i in keep]
+        values = new
+
+
+def _reject(bad: np.ndarray, failed: dict, check) -> None:
+    """Record, for each flagged row i not yet failed, the NumericError
+    ``check(i)`` raises."""
+    for i in np.flatnonzero(bad).tolist():
+        if i not in failed:
+            try:
+                check(i)
+            except NumericError as exc:
+                failed[i] = exc

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, ShapeError
-from .model import ModelParams, loss
+from .model import ModelParams, loss, row_norms
 
 
 def hc_partition(deltas: Mapping[str, np.ndarray], tau: float) -> dict[str, int]:
@@ -52,11 +52,7 @@ def hc_partition(deltas: Mapping[str, np.ndarray], tau: float) -> dict[str, int]
             )
         vectors.append(vec)
     n = len(ids)
-    point_dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(vectors[i] - vectors[j]))
-            point_dist[i, j] = point_dist[j, i] = d
+    point_dist = _point_distances(np.array(vectors))
 
     # A cluster lives at its smallest member's index, so the upper triangle of
     # ``avg`` in row-major order is the scan order; other entries are inf.
@@ -91,6 +87,19 @@ def hc_partition(deltas: Mapping[str, np.ndarray], tau: float) -> dict[str, int]
         for idx in members[rep]:
             assignment[ids[idx]] = label
     return assignment
+
+
+def _point_distances(vectors: np.ndarray) -> np.ndarray:
+    """Symmetric n x n Euclidean distances between the rows of ``vectors``.
+
+    Row i's differences to every later row are taken at once, and every
+    entry is bitwise ``np.linalg.norm(v_i - v_j)``.
+    """
+    n = vectors.shape[0]
+    dist = np.zeros((n, n))
+    for i in range(n - 1):
+        dist[i, i + 1 :] = dist[i + 1 :, i] = row_norms(vectors[i] - vectors[i + 1 :])
+    return dist
 
 
 def ifca_assign(train, models: Sequence[ModelParams]) -> int:

@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GapError,
@@ -191,12 +192,10 @@ def build_supervised(
     names = sorted(covariates)
     cov_scalers = covariate_scalers or {}
     scaled = scaler.transform(values)
+    windows = sliding_window_view(scaled, lag + horizon)
     inputs = np.empty((n, lag + len(names)), dtype=np.float64)
-    targets = np.empty((n, horizon), dtype=np.float64)
-    for s in range(n):
-        t = lag + s
-        inputs[s, :lag] = scaled[t - lag : t]
-        targets[s] = scaled[t : t + horizon]
+    inputs[:, :lag] = windows[:, :lag]
+    targets = windows[:, lag:].copy()
     for j, name in enumerate(names):
         cov = np.asarray(covariates[name], dtype=np.float64)
         if cov.shape != (len(series),):

@@ -322,13 +322,7 @@ class _Harness:
     def local_models(self):
         if self._local_models is None:
             init = init_params(self.spec, derive_seed(self.fl.seed, "init", 0))
-            models, traces = {}, {}
-            for client in self.clients:
-                params, trace = train_local(client, init, self.fl)
-                models[client.client_id] = params
-                traces[client.client_id] = trace
-            self._local_models = models
-            self._local_traces = traces
+            self._local_models, self._local_traces = train_local(self.clients, init, self.fl)
         return self._local_models, self._local_traces
 
     def _pooled_material(self):
@@ -370,20 +364,21 @@ class _Harness:
             train_y = np.concatenate([s.train.targets for s in splits])
             val_x = np.concatenate([s.val.inputs for s in splits])
             val_y = np.concatenate([s.val.targets for s in splits])
-            values = init_params(self.spec, derive_seed(self.fl.seed, "init", 0)).values.copy()
+            # A stack of one model over the pooled samples.
+            values = init_params(self.spec, derive_seed(self.fl.seed, "init", 0)).values[None]
             trace: list[float] = []
             stopper = EarlyStop(self.fl.early_stop_patience, "centralized validation loss")
             for round_index in range(1, self.fl.rounds + 1):
                 values, _ = run_epochs(
-                    values, train_x, train_y, self.spec, self.fl,
-                    ("centralized", round_index),
+                    values, train_x[None], train_y[None], self.spec, self.fl,
+                    [("centralized", round_index)],
                 )
-                val = loss(ModelParams(self.spec, values), val_x, val_y)
+                val = loss(ModelParams(self.spec, values[0]), val_x, val_y)
                 stop = stopper.update(round_index, val)
                 trace.append(val)
                 if stop:
                     break
-            self._centralized = (ModelParams(self.spec, values), trace)
+            self._centralized = (ModelParams(self.spec, values[0]), trace)
         return self._centralized
 
     def models_for(self, method: str) -> dict[str, ModelParams]:

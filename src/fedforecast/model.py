@@ -15,6 +15,10 @@ The loss is the mean squared error over samples AND horizon steps, so client
 sample counts are the only scale carrier in federated weighting. Gradients
 are analytic, exact, and match the layout above.
 
+The arithmetic works on stacks of C models (C x P values, C x n x d inputs,
+C x n x h targets), so training can step many clients at once; ``loss``,
+``loss_and_grad`` and ``predict_batch`` are its one-model views.
+
 Vectors serialize to a little-endian binary blob: a 16-byte header
 (kind code, input_dim, hidden_dim, horizon as uint32) followed by the raw
 float64 values. The communication meter counts exactly these blob sizes.
@@ -87,20 +91,22 @@ class ModelParams:
 
 
 def _unflatten(spec: ModelSpec, values: np.ndarray):
-    """Views of the flat vector as weight matrices/bias vectors (no copy)."""
+    """Views of a C x P stack of flat vectors as C-stacked weight matrices
+    and bias vectors (no copy)."""
     d, h, m = spec.input_dim, spec.horizon, spec.hidden_dim
+    c = values.shape[0]
     if spec.kind == "linear":
-        w = values[: h * d].reshape(h, d)
-        b = values[h * d :]
+        w = values[:, : h * d].reshape(c, h, d)
+        b = values[:, h * d :]
         return w, b
     o = 0
-    w1 = values[o : o + m * d].reshape(m, d)
+    w1 = values[:, o : o + m * d].reshape(c, m, d)
     o += m * d
-    b1 = values[o : o + m]
+    b1 = values[:, o : o + m]
     o += m
-    w2 = values[o : o + h * m].reshape(h, m)
+    w2 = values[:, o : o + h * m].reshape(c, h, m)
     o += h * m
-    b2 = values[o:]
+    b2 = values[:, o:]
     return w1, b1, w2, b2
 
 
@@ -126,6 +132,15 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
     return ModelParams(spec, _flatten(spec, w1, np.zeros(m), w2, np.zeros(h)))
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of a C x P stack, each bitwise
+    ``np.linalg.norm(row)``: the row times itself as a 1 x P @ P x 1 matmul
+    reaches the BLAS dot product that ``np.linalg.norm`` takes. Overflow to
+    inf is silent, as it is there."""
+    with np.errstate(over="ignore"):
+        return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 def _check_input_matrix(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
@@ -133,14 +148,28 @@ def _check_input_matrix(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _forward(spec: ModelSpec, values: np.ndarray, x: np.ndarray):
+    """Stacked forward pass: values C x P, inputs C x n x d; returns the
+    C x n x h predictions, the mlp hidden activations and W2 (both None for
+    linear). Slice c is bitwise the unstacked computation of model c on x[c]."""
+    if spec.kind == "linear":
+        w, b = _unflatten(spec, values)
+        return x @ w.transpose(0, 2, 1) + b[:, None, :], None, None
+    w1, b1, w2, b2 = _unflatten(spec, values)
+    a = np.tanh(x @ w1.transpose(0, 2, 1) + b1[:, None, :])
+    return a @ w2.transpose(0, 2, 1) + b2[:, None, :], a, w2
+
+
+def _mse(r: np.ndarray) -> np.ndarray:
+    """Per-slice mean of r*r over a C x n x h residual stack, summed and
+    divided as np.mean sums and divides one n x h matrix."""
+    return np.add.reduce(r * r, axis=(1, 2)) / (r.shape[1] * r.shape[2])
+
+
 def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Predictions for an n x d input matrix; returns n x h."""
     x = _check_input_matrix(params.spec, inputs)
-    if params.spec.kind == "linear":
-        w, b = _unflatten(params.spec, params.values)
-        return x @ w.T + b
-    w1, b1, w2, b2 = _unflatten(params.spec, params.values)
-    return np.tanh(x @ w1.T + b1) @ w2.T + b2
+    return _forward(params.spec, params.values[None], x[None])[0][0]
 
 
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -166,46 +195,63 @@ def _check_batch(spec: ModelSpec, inputs: np.ndarray, targets: np.ndarray):
     return x, y
 
 
-def loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean squared error over samples and horizon steps.
+def stack_loss(
+    spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Per-model mean squared error of a C x P stack of parameter vectors,
+    model c on inputs[c] (n x d) against targets[c] (n x h); returns C losses.
 
     Overflow to inf is deliberate and silent: divergence is detected from
     non-finite values by the training loop, which reports the round.
     """
-    x, y = _check_batch(params.spec, inputs, targets)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = predict_batch(params, x) - y
-        return float(np.mean(r * r))
+        return _mse(_forward(spec, values, inputs)[0] - targets)
+
+
+def stack_loss_and_grad(
+    spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """C losses plus the C x P exact analytic gradients, flattened in
+    parameter layout, of a stack of models (shapes as in ``stack_loss``).
+
+    Per model, with n samples, horizon h, residual R = pred - Y and
+    G = 2R/(n*h):
+
+    * linear: dW = G^T X, db = column sums of G
+    * mlp:    dW2 = G^T A, db2 = colsum G, dZ1 = (G W2) * (1 - A^2),
+              dW1 = dZ1^T X, db1 = colsum dZ1   (A = tanh(X W1^T + b1))
+
+    Inputs are not validated: this is the training kernel's inner step.
+    """
+    c, n, h = targets.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred, a, w2 = _forward(spec, values, inputs)
+        r = pred - targets
+        g = (2.0 / (n * h)) * r
+        gt = g.transpose(0, 2, 1)
+        if spec.kind == "linear":
+            parts = (gt @ inputs, g.sum(axis=1))
+        else:
+            dz1 = (g @ w2) * (1.0 - a * a)
+            parts = (dz1.transpose(0, 2, 1) @ inputs, dz1.sum(axis=1), gt @ a, g.sum(axis=1))
+        grad = np.concatenate([part.reshape(c, -1) for part in parts], axis=1)
+        return _mse(r), grad
+
+
+def loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean squared error over samples and horizon steps (may be inf)."""
+    x, y = _check_batch(params.spec, inputs, targets)
+    return float(stack_loss(params.spec, params.values[None], x[None], y[None])[0])
 
 
 def loss_and_grad(
     params: ModelParams, inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Loss plus the exact analytic gradient, flattened in parameter layout.
-
-    With n samples, horizon h, residual R = pred - Y, and G = 2R/(n*h):
-
-    * linear: dW = G^T X, db = column sums of G
-    * mlp:    dW2 = G^T A, db2 = colsum G, dZ1 = (G W2) * (1 - A^2),
-              dW1 = dZ1^T X, db1 = colsum dZ1   (A = tanh(X W1^T + b1))
-    """
-    spec = params.spec
-    x, y = _check_batch(spec, inputs, targets)
-    n, h = y.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == "linear":
-            w, b = _unflatten(spec, params.values)
-            r = x @ w.T + b - y
-            g = (2.0 / (n * h)) * r
-            grad = _flatten(spec, g.T @ x, g.sum(axis=0))
-            return float(np.mean(r * r)), grad
-        w1, b1, w2, b2 = _unflatten(spec, params.values)
-        a = np.tanh(x @ w1.T + b1)
-        r = a @ w2.T + b2 - y
-        g = (2.0 / (n * h)) * r
-        dz1 = (g @ w2) * (1.0 - a * a)
-        grad = _flatten(spec, dz1.T @ x, dz1.sum(axis=0), g.T @ a, g.sum(axis=0))
-        return float(np.mean(r * r)), grad
+    """Loss plus the exact analytic gradient of one model on an n x d batch:
+    the stack-of-one view of ``stack_loss_and_grad``."""
+    x, y = _check_batch(params.spec, inputs, targets)
+    losses, grads = stack_loss_and_grad(params.spec, params.values[None], x[None], y[None])
+    return float(losses[0]), grads[0]
 
 
 _KIND_CODES = {"linear": 0, "mlp": 1}

@@ -2,12 +2,13 @@
 
 Plain SGD and classical heavy-ball momentum. Steps are pure functions of
 (state, params, grad); velocity is zero-initialized per FL round because
-clients keep no state between rounds.
+clients keep no state between rounds. Steps are elementwise, so params may
+be one vector or a C x P stack of vectors stepped together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +42,10 @@ class OptimizerState:
     velocity: np.ndarray | None = field(default=None, repr=False)
 
 
-def make_state(config: OptimizerConfig, n_params: int) -> OptimizerState:
+def make_state(config: OptimizerConfig, shape) -> OptimizerState:
+    """Fresh state for params of ``shape`` (a length or a stack shape)."""
     if config.kind == "momentum":
-        return OptimizerState(config, np.zeros(n_params))
+        return OptimizerState(config, np.zeros(shape))
     return OptimizerState(config)
 
 
@@ -71,7 +73,7 @@ def momentum_step(
     velocity = state.velocity if state.velocity is not None else np.zeros_like(params)
     _check_lengths(velocity, grad)
     velocity = state.config.beta * velocity + grad
-    return params - state.config.lr * velocity, replace(state, velocity=velocity)
+    return params - state.config.lr * velocity, OptimizerState(state.config, velocity)
 
 
 def step(state: OptimizerState, params: np.ndarray, grad: np.ndarray):

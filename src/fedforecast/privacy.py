@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .model import row_norms
 from .seeds import rng_for
 
 
@@ -44,6 +45,18 @@ class DpConfig:
         return math.isfinite(self.clip_norm) or self.sigma > 0
 
 
+def clip_rows(deltas: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale each row of a C x P stack of finite deltas to L2 norm clip_norm
+    when it exceeds it; rows within the bound are multiplied by exactly 1.
+
+    A row clips bitwise as it does alone; an overflowing (inf) norm clips
+    the row to zero.
+    """
+    if not math.isfinite(clip_norm):
+        return deltas
+    return deltas * (clip_norm / np.maximum(row_norms(deltas), clip_norm))[:, None]
+
+
 def clip_update(delta: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale delta to L2 norm clip_norm when it exceeds it; else return as-is."""
     delta = np.asarray(delta, dtype=np.float64)
@@ -51,12 +64,7 @@ def clip_update(delta: np.ndarray, clip_norm: float) -> np.ndarray:
         raise ConfigError(f"clip_norm must be > 0, got {clip_norm}")
     if not np.all(np.isfinite(delta)):
         raise NumericError("cannot clip a non-finite update")
-    if not math.isfinite(clip_norm):
-        return delta
-    norm = float(np.linalg.norm(delta))
-    if norm <= clip_norm:
-        return delta
-    return delta * (clip_norm / norm)
+    return clip_rows(delta[None], clip_norm)[0]
 
 
 def add_gaussian_noise(
@@ -101,3 +109,24 @@ def privatize_delta(
             config.seed_label,
         )
     return delta
+
+
+def privatize_rows(
+    deltas: np.ndarray,
+    config: DpConfig,
+    master_seed: int,
+    round_index: int,
+    client_ids,
+) -> np.ndarray:
+    """``privatize_delta`` of each row of a C x P stack of finite deltas,
+    row c being client_ids[c]'s update, noised from that client's stream."""
+    deltas = clip_rows(deltas, config.clip_norm)
+    if config.sigma > 0:
+        std = config.sigma * config.clip_norm
+        deltas = np.stack(
+            [
+                add_gaussian_noise(row, std, master_seed, round_index, cid, config.seed_label)
+                for row, cid in zip(deltas, client_ids)
+            ]
+        )
+    return deltas

@@ -1,14 +1,25 @@
-"""Shared fixtures for the engine-level tests."""
+"""Shared fixtures for the engine-level tests, and the one-at-a-time
+reference implementations that faster code is tested against."""
 
 from typing import Mapping
 
 import numpy as np
 
-from fedforecast.clients import FederatedClient
-from fedforecast.data import ClientDataset, TimeSeries, prepare_client
+from fedforecast.clients import FederatedClient, LocalTrace
+from fedforecast.data import (
+    IDENTITY_SCALER,
+    ClientDataset,
+    SupervisedSet,
+    TimeSeries,
+    prepare_client,
+)
 from fedforecast.errors import InsufficientDataError, ShapeError
-from fedforecast.model import ModelSpec
+from fedforecast.fedcore import ClientUpdate, EarlyStop
+from fedforecast.model import ModelParams, ModelSpec, loss, loss_and_grad
+from fedforecast.optim import make_state, step
 from fedforecast.population import PopulationSpec, generate_population
+from fedforecast.privacy import privatize_delta
+from fedforecast.seeds import rng_for
 
 # Generated populations always carry irradiance and temperature covariates.
 POPULATION_COVARIATES = 2
@@ -89,11 +100,7 @@ def reference_hc_partition(deltas: Mapping[str, np.ndarray], tau: float) -> dict
             )
         vectors.append(vec)
     n = len(ids)
-    point_dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(vectors[i] - vectors[j]))
-            point_dist[i, j] = point_dist[j, i] = d
+    point_dist = reference_pairwise_distances(vectors)
 
     clusters: list[list[int]] = [[i] for i in range(n)]
     while len(clusters) > 1:
@@ -118,3 +125,110 @@ def reference_hc_partition(deltas: Mapping[str, np.ndarray], tau: float) -> dict
         for idx in members:
             assignment[ids[idx]] = label
     return assignment
+
+
+def reference_pairwise_distances(vectors) -> np.ndarray:
+    """The n(n-1)/2 ``np.linalg.norm`` calls hc_partition used to make."""
+    n = len(vectors)
+    point_dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(np.linalg.norm(vectors[i] - vectors[j]))
+            point_dist[i, j] = point_dist[j, i] = d
+    return point_dist
+
+
+def reference_build_supervised(series, covariates, lag, horizon, scaler, covariate_scalers=None):
+    """The per-row windowing loop ``data.build_supervised`` replaced."""
+    values = series.values
+    n = len(series) - lag - horizon + 1
+    names = sorted(covariates)
+    cov_scalers = covariate_scalers or {}
+    scaled = scaler.transform(values)
+    inputs = np.empty((n, lag + len(names)), dtype=np.float64)
+    targets = np.empty((n, horizon), dtype=np.float64)
+    for s in range(n):
+        t = lag + s
+        inputs[s, :lag] = scaled[t - lag : t]
+        targets[s] = scaled[t : t + horizon]
+    for j, name in enumerate(names):
+        col = cov_scalers.get(name, IDENTITY_SCALER).transform(covariates[name])
+        inputs[:, lag + j] = col[lag : lag + n]
+    stamps = series.timestamps()[lag : lag + n]
+    return SupervisedSet(inputs, targets, stamps)
+
+
+def reference_run_epochs(values, inputs, targets, spec, config, stream_labels):
+    """One model's local epochs, one (mini-)batch gather and validated
+    ModelParams per step: the loop the stacked kernel replaced."""
+    n = inputs.shape[0]
+    epochs = config.local_epochs
+    if epochs == 0:
+        return values, loss(ModelParams(spec, values), inputs, targets)
+    batch = config.batch_size
+    full_batch = batch == 0 or batch >= n
+    rng = None if full_batch else rng_for(config.seed, "batches", *stream_labels)
+    opt_state = make_state(config.optimizer, values.shape[0])
+    final_epoch_loss = np.nan
+    for _ in range(epochs):
+        if full_batch:
+            order = [np.arange(n)]
+        else:
+            perm = rng.permutation(n)
+            order = [perm[i : i + batch] for i in range(0, n, batch)]
+        loss_sum = 0.0
+        for idx in order:
+            batch_loss, grad = loss_and_grad(
+                ModelParams(spec, values), inputs[idx], targets[idx]
+            )
+            values, opt_state = step(opt_state, values, grad)
+            loss_sum += batch_loss * idx.shape[0]
+        final_epoch_loss = loss_sum / n
+    return values, float(final_epoch_loss)
+
+
+def reference_local_update(train, broadcast, config, round_index, client_id) -> ClientUpdate:
+    """One client's round through ``reference_run_epochs``."""
+    if config.local_epochs == 0:
+        train_loss = loss(broadcast, train.inputs, train.targets)
+        new_params = broadcast
+    else:
+        values, train_loss = reference_run_epochs(
+            broadcast.values.copy(),
+            train.inputs,
+            train.targets,
+            broadcast.spec,
+            config,
+            (client_id, round_index),
+        )
+        new_params = ModelParams(broadcast.spec, values)
+    if config.dp is not None and config.dp.active:
+        delta = new_params.values - broadcast.values
+        delta = privatize_delta(delta, config.dp, config.seed, round_index, client_id)
+        new_params = ModelParams(broadcast.spec, broadcast.values + delta)
+    return ClientUpdate(
+        client_id=client_id,
+        new_params=new_params,
+        n_samples=train.n_samples,
+        train_loss=train_loss,
+    )
+
+
+def reference_train_local(client, init, config):
+    """Isolated local training of one client, round after round."""
+    params = init
+    stopper = EarlyStop(
+        config.early_stop_patience, f"client {client.client_id} validation loss"
+    )
+    trace: list[float] = []
+    for round_index in range(1, config.rounds + 1):
+        params = reference_local_update(
+            client._train, params, config, round_index, client.client_id
+        ).new_params
+        val, _ = client.val_loss(params)
+        stop = stopper.update(round_index, val)
+        trace.append(val)
+        if stop:
+            break
+    best_round = int(np.argmin(np.asarray(trace))) + 1
+    return params, LocalTrace(tuple(trace), best_round)

@@ -3,12 +3,27 @@
 import numpy as np
 import pytest
 
-from helpers import population_clients, population_spec
-from fedforecast.clients import fine_tune, train_local
+from helpers import (
+    population_clients,
+    population_spec,
+    reference_local_update,
+    reference_run_epochs,
+    reference_train_local,
+)
+from fedforecast.clients import FederatedClient, fine_tune, run_epochs, train_local
+from fedforecast.data import (
+    ClientDataset,
+    CsvSchema,
+    TimeSeries,
+    load_csv,
+    prepare_client,
+    save_csv,
+)
 from fedforecast.errors import InsufficientDataError, NumericError
 from fedforecast.fedcore import FLConfig
-from fedforecast.model import init_params, loss, loss_and_grad
+from fedforecast.model import ModelSpec, init_params, loss, loss_and_grad
 from fedforecast.optim import OptimizerConfig
+from fedforecast.population import PopulationSpec, generate_population
 from fedforecast.privacy import DpConfig
 
 
@@ -163,7 +178,8 @@ def test_train_local_trace_and_best_round():
     client = one_client()
     cfg = config(rounds=6)
     init = init_params(population_spec(), 0)
-    params, trace = train_local(client, init, cfg)
+    models, traces = train_local([client], init, cfg)
+    params, trace = models[client.client_id], traces[client.client_id]
     assert len(trace.val_losses) == 6
     assert trace.best_round == int(np.argmin(trace.val_losses)) + 1
     assert not np.array_equal(params.values, init.values)
@@ -172,12 +188,200 @@ def test_train_local_trace_and_best_round():
 def test_train_local_early_stops():
     client = one_client()
     cfg = config(rounds=50, local_epochs=0, early_stop_patience=2)
-    _, trace = train_local(client, init_params(population_spec(), 0), cfg)
-    assert len(trace.val_losses) == 3
+    _, traces = train_local([client], init_params(population_spec(), 0), cfg)
+    assert len(traces[client.client_id].val_losses) == 3
 
 
 def test_train_local_divergence_names_client_and_round():
     client = one_client()
     cfg = config(rounds=50, optimizer=OptimizerConfig(kind="sgd", lr=1e4))
     with pytest.raises(NumericError, match=rf"round \d+: client {client.client_id} "):
-        train_local(client, init_params(population_spec(), 0), cfg)
+        train_local([client], init_params(population_spec(), 0), cfg)
+
+
+# ------------------------------------- the stacked kernel against its oracle
+#
+# The references in helpers.py train one client at a time, one validated
+# ModelParams and one gathered batch per step. The kernel must reproduce
+# them bitwise, on stacks, in lockstep and as a stack of one.
+
+LAG, HORIZON = 6, 2
+MODELS = {"linear": 0, "mlp": 4}
+OPTIMIZERS = {
+    # Step sizes large enough that validation losses wobble, so clients
+    # under patience 2 stop at different rounds, stack mates included.
+    "sgd": OptimizerConfig(kind="sgd", lr=0.5),
+    "momentum": OptimizerConfig(kind="momentum", lr=0.2, beta=0.9),
+}
+DPS = {
+    "dp-off": None,
+    "clip": DpConfig(clip_norm=0.1),
+    "clip-noise": DpConfig(clip_norm=0.1, sigma=0.5),
+}
+
+
+@pytest.fixture(scope="module")
+def staggered(tmp_path_factory):
+    """Ingested clients whose meters start at different hours: their
+    (train, validation) sample counts form two stacks of two and two of one."""
+    datasets = generate_population(PopulationSpec(n_clients=6, archetypes=3, days=8, seed=2))
+    cut = []
+    for ds, start in zip(datasets, (0, 0, 24, 24, 48, 5)):
+        series = TimeSeries(ds.series.start_epoch_hours + start, ds.series.values[start:])
+        covariates = {name: cov[start:] for name, cov in ds.covariates.items()}
+        cut.append(ClientDataset(ds.client_id, series, covariates))
+    path = str(tmp_path_factory.mktemp("staggered") / "meters.csv")
+    save_csv(cut, path)
+    schema = CsvSchema(covariates={name: name for name in datasets[0].covariates})
+    return [FederatedClient(prepare_client(ds, LAG, HORIZON)) for ds in load_csv(path, schema)]
+
+
+def matrix_config(optimizer, batch_size, dp, local_epochs, patience=0):
+    return FLConfig(
+        rounds=6,
+        local_epochs=local_epochs,
+        batch_size=batch_size,
+        optimizer=OPTIMIZERS[optimizer],
+        dp=DPS[dp],
+        early_stop_patience=patience,
+        seed=4,
+    )
+
+
+def matrix_spec(kind):
+    return population_spec(lag=LAG, horizon=HORIZON, kind=kind, hidden=MODELS[kind])
+
+
+kinds = pytest.mark.parametrize("kind", list(MODELS))
+batches = pytest.mark.parametrize("batch_size", [0, 16], ids=["full", "minibatch"])
+optimizers = pytest.mark.parametrize("optimizer", list(OPTIMIZERS))
+dps = pytest.mark.parametrize("dp", list(DPS))
+epochs = pytest.mark.parametrize("local_epochs", [0, 1, 2], ids=lambda e: f"E{e}")
+
+
+@kinds
+@batches
+@optimizers
+@pytest.mark.parametrize("local_epochs", [1, 2], ids=lambda e: f"E{e}")
+def test_kernel_stack_equals_each_model_alone(staggered, kind, batch_size, optimizer, local_epochs):
+    spec = matrix_spec(kind)
+    cfg = matrix_config(optimizer, batch_size, "dp-off", local_epochs)
+    pair = staggered[:2]
+    assert pair[0].n_train_samples == pair[1].n_train_samples
+    values = np.stack([init_params(spec, seed).values for seed in (1, 2)])
+    streams = [(c.client_id, 3) for c in pair]
+    out, losses = run_epochs(
+        values,
+        np.stack([c._train.inputs for c in pair]),
+        np.stack([c._train.targets for c in pair]),
+        spec,
+        cfg,
+        streams,
+    )
+    for i, client in enumerate(pair):
+        want, want_loss = reference_run_epochs(
+            values[i], client._train.inputs, client._train.targets, spec, cfg, streams[i]
+        )
+        assert np.array_equal(out[i], want)
+        assert losses[i] == want_loss
+
+
+@kinds
+@batches
+@optimizers
+@dps
+@epochs
+def test_local_update_equals_reference(staggered, kind, batch_size, optimizer, dp, local_epochs):
+    spec = matrix_spec(kind)
+    cfg = matrix_config(optimizer, batch_size, dp, local_epochs)
+    broadcast = init_params(spec, 5)
+    for client in staggered:
+        got = client.local_update(broadcast, cfg, round_index=2)
+        want = reference_local_update(client._train, broadcast, cfg, 2, client.client_id)
+        assert np.array_equal(got.new_params.values, want.new_params.values)
+        assert got.train_loss == want.train_loss
+        assert got.n_samples == want.n_samples
+
+
+@kinds
+@batches
+@optimizers
+@dps
+@epochs
+@pytest.mark.parametrize("patience", [0, 2], ids=lambda p: f"patience{p}")
+def test_lockstep_train_local_equals_one_client_at_a_time(
+    staggered, kind, batch_size, optimizer, dp, local_epochs, patience
+):
+    spec = matrix_spec(kind)
+    cfg = matrix_config(optimizer, batch_size, dp, local_epochs, patience)
+    init = init_params(spec, 1)
+    models, traces = train_local(staggered, init, cfg)
+    assert list(models) == list(traces) == [c.client_id for c in staggered]
+    for client in staggered:
+        want_params, want_trace = reference_train_local(client, init, cfg)
+        assert np.array_equal(models[client.client_id].values, want_params.values)
+        assert traces[client.client_id] == want_trace
+
+
+def test_oracle_matrix_has_buckets_and_staggered_stops(staggered):
+    counts = [(c.n_train_samples, c.n_val_samples) for c in staggered]
+    stacks = [counts.count(key) for key in dict.fromkeys(counts)]
+    assert sum(size > 1 for size in stacks) >= 2
+    cfg = matrix_config("momentum", 16, "dp-off", 1, patience=2)
+    _, traces = train_local(staggered, init_params(matrix_spec("mlp"), 1), cfg)
+    lengths = [len(t.val_losses) for t in traces.values()]
+    # Both two-client stacks lose one client before the other.
+    assert lengths[0] != lengths[1] and lengths[2] != lengths[3]
+
+
+def _diverging_clients():
+    """c002's smooth series diverges before c001's at a large step size;
+    c000's white noise does not diverge within the run."""
+    rng = np.random.default_rng(0)
+    t = np.arange(200.0)
+    series = {
+        "c000": rng.normal(size=200),
+        "c001": np.sin(t / 6) + 0.3 * rng.normal(size=200),
+        "c002": np.sin(t / 24) + 0.01 * rng.normal(size=200),
+    }
+    return [
+        FederatedClient(prepare_client(ClientDataset(cid, TimeSeries(0, v)), LAG, 1))
+        for cid, v in series.items()
+    ]
+
+
+def _raised(fn, *args):
+    with pytest.raises(NumericError) as info:
+        fn(*args)
+    return info.value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "lr, local_epochs, first",
+    [(10.0, 1, "round 78: client c001 validation loss"), (1e308, 2, "parameter vector")],
+    ids=["val-loss", "params"],
+)
+def test_lockstep_divergence_raises_the_sequential_error(lr, local_epochs, first):
+    clients = _diverging_clients()
+    spec = ModelSpec("linear", LAG, 1)
+    cfg = FLConfig(
+        rounds=80,
+        local_epochs=local_epochs,
+        optimizer=OptimizerConfig(kind="sgd", lr=lr),
+        seed=1,
+    )
+    init = init_params(spec, 0)
+    if lr == 10.0:
+        # The later client diverges in an earlier round than c001.
+        late = _raised(reference_train_local, clients[2], init, cfg)
+        assert str(late).startswith("round 74: client c002 ")
+
+    def one_after_another():
+        for client in clients:
+            reference_train_local(client, init, cfg)
+
+    want = _raised(one_after_another)
+    got = _raised(train_local, clients, init, cfg)
+    assert str(want).startswith(first)
+    assert (type(got), str(got)) == (type(want), str(want))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 
-from helpers import assignments_match, reference_hc_partition
-from fedforecast.cluster import hc_partition, ifca_assign
+from helpers import assignments_match, reference_hc_partition, reference_pairwise_distances
+from fedforecast.cluster import _point_distances, hc_partition, ifca_assign
 from fedforecast.data import SupervisedSet
 from fedforecast.errors import InsufficientDataError, ShapeError
 from fedforecast.model import ModelParams, ModelSpec
@@ -114,6 +114,22 @@ def test_matches_rescanning_reference_exactly(kind):
         for tau in (realised[int(rng.integers(len(realised)))], 1.2, 1e12):
             expected = reference_hc_partition(deltas, tau)
             assert hc_partition(deltas, tau) == expected, f"trial {trial}, tau {tau}"
+
+
+@pytest.mark.parametrize("kind", ["grid", "jittered", "duplicates", "gaussian", "wide"])
+def test_point_distances_equal_pairwise_norms_bitwise(kind):
+    if kind == "wide":  # model-sized deltas over many magnitudes
+        rng = np.random.default_rng(7)
+        inputs = (
+            rng.normal(size=(int(rng.integers(2, 30)), int(rng.integers(20, 400))))
+            * 10.0 ** int(rng.integers(-8, 8))
+            for _ in range(20)
+        )
+    else:
+        inputs = tie_heavy_inputs(kind)
+    for trial, points in enumerate(inputs):
+        want = reference_pairwise_distances(list(points))
+        assert np.array_equal(_point_distances(points), want), f"trial {trial}"
 
 
 _A, _B = [1.0, 1.0, 1.0], [0.0, 2.0, 2.0]

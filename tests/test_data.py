@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import reference_build_supervised
 from fedforecast.data import (
     ClientDataset,
     CsvSchema,
@@ -313,3 +314,26 @@ def test_save_load_round_trip(tmp_path):
         np.testing.assert_array_equal(
             loaded.covariates["temperature"], orig.covariates["temperature"]
         )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_windows_equal_the_per_row_loop_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        lag, horizon = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        n_values = lag + horizon + int(rng.integers(0, 200))
+        names = [f"cov{j}" for j in range(int(rng.integers(0, 4)))]
+        covs = {name: rng.normal(size=n_values) * 5 for name in names}
+        cov_scalers = {name: Scaler(float(rng.normal()), 0.5) for name in names[:1]}
+        args = (
+            series(rng.normal(3.0, 2.0, size=n_values), start=int(rng.integers(0, 99))),
+            covs,
+            lag,
+            horizon,
+            Scaler(float(rng.normal()), float(rng.uniform(0.1, 3.0))),
+            cov_scalers,
+        )
+        got, want = build_supervised(*args), reference_build_supervised(*args)
+        assert np.array_equal(got.inputs, want.inputs)
+        assert np.array_equal(got.targets, want.targets)
+        assert np.array_equal(got.sample_timestamps, want.sample_timestamps)

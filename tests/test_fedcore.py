@@ -305,7 +305,7 @@ def test_single_client_federation_equals_local_training():
     config = sgd_config(rounds=8, local_epochs=2, batch_size=16, seed=3)
     fed = run_training(clients, spec, config)
     init = init_params(spec, derive_seed(config.seed, "init", 0))
-    local_params, _ = train_local(clients[0], init, config)
+    local_params = train_local(clients, init, config)[0][clients[0].client_id]
     fed_values = fed.models[0].values
     rel = np.linalg.norm(fed_values - local_params.values) / max(
         1.0, np.linalg.norm(local_params.values)
