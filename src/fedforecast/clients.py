@@ -2,13 +2,20 @@
 
 Everything that touches raw samples lives here (or in the pure model/data
 modules); the server engine only ever sees ClientUpdate values, losses, and
-sample counts through the FederatedClient handle. local_update runs the
+sample counts through the FederatedClient handle. A local update runs the
 configured epochs of (mini-)batch optimization from the broadcast params,
 applies update-level DP when enabled, and ships back new params.
 
 run_epochs is the one training kernel. It steps a stack of models, each on
-its own samples: local_update and the centralized baseline run it on a
-stack of one, train_local on every client of equal sample counts at once.
+its own samples, and _train_stack wraps it with the finiteness checks and
+DP that make one round of local updates. Its callers:
+
+* FederatedClient.local_update_batch, which the engine calls once per
+  round: participants of equal train sample counts train as stacks of at
+  most STACK_BYTES of samples;
+* local_update, the per-handle hook, on a stack of one;
+* train_local, every client of equal sample counts in lockstep;
+* the centralized baseline, run_epochs alone on a stack of one.
 
 Batch order is shuffled deterministically from (config seed, client id,
 round index); with batch_size 0 the full batch is used and no shuffling
@@ -37,6 +44,11 @@ from .privacy import privatize_delta, privatize_rows
 from .seeds import rng_for
 from . import cluster as _cluster
 
+# Bytes of train samples (inputs plus targets) one stack of the engine's
+# round may hold. A larger bucket trains as several stacks, which bounds the
+# copies, minibatches and activations a round allocates at once.
+STACK_BYTES = 1 << 20
+
 
 def run_epochs(
     values: np.ndarray,
@@ -53,9 +65,10 @@ def run_epochs(
     on its own samples only, so every slice equals training that model
     alone. Minibatch order comes from model c's batch-shuffle stream,
     labelled ("batches", *streams[c]); full-batch steps use the arrays as
-    given, without copying. Returns the new C x P values and each model's
-    mean train loss of its final epoch (losses measured pre-step); with
-    zero epochs, the values unchanged and their loss.
+    given, without copying, and each minibatch is gathered on its own.
+    Returns the new C x P values and each model's mean train loss of its
+    final epoch (losses measured pre-step); with zero epochs, the values
+    unchanged and their loss.
     """
     c, n = inputs.shape[:2]
     if config.local_epochs == 0:
@@ -69,10 +82,9 @@ def run_epochs(
         if full_batch:
             batches = [(inputs, targets)]
         else:
-            # One gather per epoch; each minibatch is a slice of it.
             perm = np.stack([rng.permutation(n) for rng in rngs])
-            xs, ys = inputs[rows, perm], targets[rows, perm]
-            batches = [(xs[:, i : i + batch], ys[:, i : i + batch]) for i in range(0, n, batch)]
+            idxs = (perm[:, i : i + batch] for i in range(0, n, batch))
+            batches = ((inputs[rows, idx], targets[rows, idx]) for idx in idxs)
         loss_sum = 0.0
         for x, y in batches:
             batch_loss, grad = stack_loss_and_grad(spec, values, x, y)
@@ -82,6 +94,40 @@ def run_epochs(
     return values, final_epoch_loss
 
 
+def _train_stack(values, inputs, targets, spec, config: FLConfig, round_index, ids):
+    """One round of local updates of a stack of clients, row c being client
+    ids[c] from values[c] on inputs[c] and targets[c]: the kernel, the
+    finiteness checks and update-level DP of each row's delta.
+
+    Returns the new C x P params, the C train losses, and, for each row
+    that fails a check, the NumericError the one-client code raises for it.
+    """
+    new, losses = run_epochs(values, inputs, targets, spec, config, [(cid, round_index) for cid in ids])
+    failed: dict[int, NumericError] = {}
+    _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
+    if config.dp is not None:
+        delta = new - values
+        _reject(
+            ~np.all(np.isfinite(delta), axis=1),
+            failed,
+            lambda i: privatize_delta(delta[i], config.dp, config.seed, round_index, ids[i]),
+        )
+        new = values + privatize_rows(delta, config.dp, config.seed, round_index, ids)
+        _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
+    return new, losses, failed
+
+
+def _reject(bad: np.ndarray, failed: dict, check) -> None:
+    """Record, for each flagged row i not yet failed, the NumericError
+    ``check(i)`` raises."""
+    for i in np.flatnonzero(bad).tolist():
+        if i not in failed:
+            try:
+                check(i)
+            except NumericError as exc:
+                failed[i] = exc
+
+
 def local_update(
     train: SupervisedSet,
     broadcast: ModelParams,
@@ -89,7 +135,8 @@ def local_update(
     round_index: int,
     client_id: str,
 ) -> ClientUpdate:
-    """One client's contribution for one round: the kernel on a stack of one.
+    """One client's contribution for one round: _train_stack on a stack of
+    one. This is the per-handle hook behind FederatedClient.local_update.
 
     local_epochs = 0 returns the broadcast params bit-identical, with the
     train loss evaluated at those params. When DP is active the update delta
@@ -98,24 +145,22 @@ def local_update(
     if train.n_samples < 1:
         raise InsufficientDataError(f"client {client_id} has no training samples")
     spec = broadcast.spec
-    values, train_loss = run_epochs(
+    new, losses, failed = _train_stack(
         broadcast.values[None],
         train.inputs[None],
         train.targets[None],
         spec,
         config,
-        [(client_id, round_index)],
+        round_index,
+        [client_id],
     )
-    new_params = ModelParams(spec, values[0])
-    if config.dp is not None:
-        delta = new_params.values - broadcast.values
-        delta = privatize_delta(delta, config.dp, config.seed, round_index, client_id)
-        new_params = ModelParams(spec, broadcast.values + delta)
+    if failed:
+        raise failed[0]
     return ClientUpdate(
         client_id=client_id,
-        new_params=new_params,
+        new_params=ModelParams(spec, new[0]),
         n_samples=train.n_samples,
-        train_loss=float(train_loss[0]),
+        train_loss=float(losses[0]),
     )
 
 
@@ -188,6 +233,50 @@ class FederatedClient:
         self, broadcast: ModelParams, config: FLConfig, round_index: int
     ) -> ClientUpdate:
         return local_update(self._train, broadcast, config, round_index, self.client_id)
+
+    @staticmethod
+    def local_update_batch(
+        handles, broadcasts, config: FLConfig, round_index: int
+    ) -> dict[str, ClientUpdate]:
+        """local_update of every handle, handles[i] from broadcasts[i],
+        keyed by client id in id order.
+
+        Handles of equal train sample counts train as stacks of at most
+        STACK_BYTES of samples through _train_stack, bitwise equal to
+        calling each one alone. When some fail, the error local_update
+        raises for the first of them in id order is raised.
+        """
+        order = sorted(range(len(handles)), key=lambda i: handles[i].client_id)
+        buckets: dict[int, list[int]] = {}
+        for i in order:
+            buckets.setdefault(handles[i].n_train_samples, []).append(i)
+        updates: dict[str, ClientUpdate] = {}
+        errors: dict[str, NumericError] = {}
+        for n, bucket in buckets.items():
+            train = handles[bucket[0]]._train
+            size = max(1, STACK_BYTES // (train.inputs.nbytes + train.targets.nbytes))
+            for start in range(0, len(bucket), size):
+                rows = bucket[start : start + size]
+                stack = [handles[i] for i in rows]
+                ids = [h.client_id for h in stack]
+                spec = broadcasts[rows[0]].spec
+                new, losses, failed = _train_stack(
+                    np.stack([broadcasts[i].values for i in rows]),
+                    np.stack([h._train.inputs for h in stack]),
+                    np.stack([h._train.targets for h in stack]),
+                    spec,
+                    config,
+                    round_index,
+                    ids,
+                )
+                for c, cid in enumerate(ids):
+                    if c in failed:
+                        errors[cid] = failed[c]
+                    else:
+                        updates[cid] = ClientUpdate(cid, ModelParams(spec, new[c]), n, float(losses[c]))
+        if errors:
+            raise errors[min(errors)]
+        return dict(sorted(updates.items()))
 
     def train_loss(self, params: ModelParams) -> float:
         return loss(params, self._train.inputs, self._train.targets)
@@ -262,20 +351,7 @@ def _train_lockstep(bucket, init, config, models, traces, errors) -> None:
     stoppers = [EarlyStop(config.early_stop_patience, f"client {cid} validation loss") for cid in ids]
     trace: dict[str, list[float]] = {cid: [] for cid in ids}
     for round_index in range(1, config.rounds + 1):
-        new, _ = run_epochs(values, x, y, spec, config, [(cid, round_index) for cid in ids])
-        failed: dict[int, NumericError] = {}
-        # A row that fails a check goes through the one-client code, which
-        # raises the error local_update would raise for it.
-        _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
-        if config.dp is not None:
-            delta = new - values
-            _reject(
-                ~np.all(np.isfinite(delta), axis=1),
-                failed,
-                lambda i: privatize_delta(delta[i], config.dp, config.seed, round_index, ids[i]),
-            )
-            new = values + privatize_rows(delta, config.dp, config.seed, round_index, ids)
-            _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
+        new, _, failed = _train_stack(values, x, y, spec, config, round_index, ids)
         val = stack_loss(spec, new, val_x, val_y).tolist()
         keep = []
         for i, cid in enumerate(ids):
@@ -301,14 +377,3 @@ def _train_lockstep(bucket, init, config, models, traces, errors) -> None:
             ids = [ids[i] for i in keep]
             stoppers = [stoppers[i] for i in keep]
         values = new
-
-
-def _reject(bad: np.ndarray, failed: dict, check) -> None:
-    """Record, for each flagged row i not yet failed, the NumericError
-    ``check(i)`` raises."""
-    for i in np.flatnonzero(bad).tolist():
-        if i not in failed:
-            try:
-                check(i)
-            except NumericError as exc:
-                failed[i] = exc

@@ -23,7 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, ShapeError
-from .model import ModelParams, loss, row_norms
+from .model import ModelParams, _check_batch, row_norms, stack_loss
+from .model import loss  # noqa: F401  (perfbench/tracer.py wraps cluster.loss)
 
 
 def hc_partition(deltas: Mapping[str, np.ndarray], tau: float) -> dict[str, int]:
@@ -105,16 +106,25 @@ def _point_distances(vectors: np.ndarray) -> np.ndarray:
 def ifca_assign(train, models: Sequence[ModelParams]) -> int:
     """Index of the cluster model with the lowest mean loss on ``train``.
 
-    Ties break toward the lowest index.
+    The models share one spec. Their k losses are one stack_loss over the
+    stacked models, each on the same samples (broadcast, not copied); each
+    equals ``loss`` of that model. Ties break toward the lowest index.
     """
     if len(models) < 1:
         raise InsufficientDataError("ifca_assign needs at least one model")
     if train.n_samples < 1:
         raise InsufficientDataError("ifca_assign needs training samples")
-    losses = [loss(m, train.inputs, train.targets) for m in models]
+    spec = models[0].spec
+    x, y = _check_batch(spec, train.inputs, train.targets)
+    k = len(models)
+    losses = stack_loss(
+        spec,
+        np.stack([m.values for m in models]),
+        np.broadcast_to(x, (k, *x.shape)),
+        np.broadcast_to(y, (k, *y.shape)),
+    ).tolist()
     best = 0
-    for j in range(1, len(losses)):
+    for j in range(1, k):
         if losses[j] < losses[best]:
             best = j
     return best
-

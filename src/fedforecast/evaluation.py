@@ -1,5 +1,5 @@
-"""Forecast metrics, feeder aggregation, flexibility bands, and the
-multi-method comparison harness.
+"""Forecast metrics, feeder aggregation, and the multi-method comparison
+harness.
 
 The harness trains each requested method on identical chronological splits
 and evaluates on denormalized kW test values:
@@ -29,7 +29,6 @@ from .errors import (
     AlignmentError,
     ConfigError,
     InsufficientDataError,
-    NumericError,
     ShapeError,
 )
 from .fedcore import (
@@ -108,29 +107,6 @@ def aggregate_forecast(
             total += series.values
         out[feeder] = TimeSeries(head.start_epoch_hours, total, head.step_hours)
     return out
-
-
-def flexibility_band(
-    forecast: TimeSeries, flex_class: str, alpha: float
-) -> tuple[TimeSeries, TimeSeries]:
-    """Feasible [p_min, p_max] envelope implied by the flexibility class."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0,1], got {alpha}")
-    if np.any(forecast.values < 0):
-        raise NumericError("flexibility bands need a nonnegative forecast")
-    values = forecast.values
-    if flex_class == "non_interruptible":
-        lo, hi = values, values
-    elif flex_class == "curtailable":
-        lo, hi = (1.0 - alpha) * values, values
-    elif flex_class == "shiftable":
-        lo, hi = (1.0 - alpha) * values, (1.0 + alpha) * values
-    else:
-        raise ConfigError(f"unknown flex_class {flex_class!r}")
-    def as_series(v: np.ndarray) -> TimeSeries:
-        return TimeSeries(forecast.start_epoch_hours, v, forecast.step_hours)
-
-    return as_series(lo), as_series(hi)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,11 @@ participants by that assignment, so each cluster trains independently.
 
 Privacy boundary: nothing in this module touches raw samples. Server
 functions consume client handles only through their narrow methods
-(local_update, val_loss, choose_cluster, n_*_samples) and operate on
-ClientUpdate values; an API-surface test enforces this.
+(local_update, local_update_batch, val_loss, choose_cluster, n_*_samples)
+and operate on ClientUpdate values; an API-surface test enforces this.
+local_update_batch, a static method of the handle class, trains many
+handles in one call; it too takes handles and params and returns
+ClientUpdate values.
 
 Byte meters are closed-form and exact:
 
@@ -305,10 +308,7 @@ def _routed_round(
     update routes to keeps its params), validate each participant under its
     routed model, and meter the bytes."""
     participants = list(route)
-    updates = {
-        cid: by_id[cid].local_update(state.models[route[cid]], config, round_index)
-        for cid in participants
-    }
+    updates = _local_updates(by_id, route, state.models, config, round_index)
     n_models = len(state.models)
     assignment = route if state.mode == "ifca" else state.assignment
     if regroup_tau is not None:
@@ -341,6 +341,45 @@ def _routed_round(
         n_clusters=n_models,
     )
     return replace(state, models=models, assignment=assignment), report
+
+
+def _local_updates(by_id, route, models, config: FLConfig, round_index: int):
+    """Each participant's update from its routed model, by id in route order.
+
+    Handles whose local_update is defined by a class that also defines
+    local_update_batch train in one call of that method; the others (say,
+    a subclass that overrides local_update) are called one at a time, after
+    the batch, whose failure is raised before any of them runs.
+    """
+    batches: dict[type, list[str]] = {}
+    for cid in route:
+        owner = _batch_owner(type(by_id[cid]))
+        if owner is not None:
+            batches.setdefault(owner, []).append(cid)
+    updates: dict[str, ClientUpdate] = {}
+    for owner, ids in batches.items():
+        updates.update(
+            owner.local_update_batch(
+                [by_id[cid] for cid in ids],
+                [models[route[cid]] for cid in ids],
+                config,
+                round_index,
+            )
+        )
+    for cid in route:
+        if cid not in updates:
+            updates[cid] = by_id[cid].local_update(models[route[cid]], config, round_index)
+    return {cid: updates[cid] for cid in route}
+
+
+def _batch_owner(cls: type) -> type | None:
+    """The class whose local_update_batch trains handles of ``cls``: the
+    nearest class in its MRO that defines local_update, if that class
+    also defines local_update_batch; else None."""
+    for base in cls.__mro__:
+        if "local_update" in vars(base):
+            return base if "local_update_batch" in vars(base) else None
+    return None
 
 
 def _total_route(state: ServerState, clients) -> dict[str, int]:

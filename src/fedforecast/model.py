@@ -151,13 +151,22 @@ def _check_input_matrix(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
 def _forward(spec: ModelSpec, values: np.ndarray, x: np.ndarray):
     """Stacked forward pass: values C x P, inputs C x n x d; returns the
     C x n x h predictions, the mlp hidden activations and W2 (both None for
-    linear). Slice c is bitwise the unstacked computation of model c on x[c]."""
+    linear). Slice c is bitwise the unstacked computation of model c on x[c].
+    Biases and tanh apply in place, so a forward pass allocates one array
+    per layer: on a stack these arrays are large, and each fresh one costs
+    page faults once the allocator hands their memory back to the system."""
     if spec.kind == "linear":
         w, b = _unflatten(spec, values)
-        return x @ w.transpose(0, 2, 1) + b[:, None, :], None, None
+        pred = x @ w.transpose(0, 2, 1)
+        pred += b[:, None, :]
+        return pred, None, None
     w1, b1, w2, b2 = _unflatten(spec, values)
-    a = np.tanh(x @ w1.transpose(0, 2, 1) + b1[:, None, :])
-    return a @ w2.transpose(0, 2, 1) + b2[:, None, :], a, w2
+    a = x @ w1.transpose(0, 2, 1)
+    a += b1[:, None, :]
+    np.tanh(a, out=a)
+    pred = a @ w2.transpose(0, 2, 1)
+    pred += b2[:, None, :]
+    return pred, a, w2
 
 
 def _mse(r: np.ndarray) -> np.ndarray:
@@ -170,14 +179,6 @@ def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Predictions for an n x d input matrix; returns n x h."""
     x = _check_input_matrix(params.spec, inputs)
     return _forward(params.spec, params.values[None], x[None])[0][0]
-
-
-def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Prediction for a single input row; returns h floats."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != params.spec.input_dim:
-        raise ShapeError(f"input has shape {x.shape}, expected ({params.spec.input_dim},)")
-    return predict_batch(params, x[None, :])[0]
 
 
 def _check_batch(spec: ModelSpec, inputs: np.ndarray, targets: np.ndarray):
@@ -205,7 +206,9 @@ def stack_loss(
     non-finite values by the training loop, which reports the round.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _mse(_forward(spec, values, inputs)[0] - targets)
+        r = _forward(spec, values, inputs)[0]
+        r -= targets
+        return _mse(r)
 
 
 def stack_loss_and_grad(
@@ -225,15 +228,20 @@ def stack_loss_and_grad(
     """
     c, n, h = targets.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        pred, a, w2 = _forward(spec, values, inputs)
-        r = pred - targets
+        r, a, w2 = _forward(spec, values, inputs)
+        r -= targets
         g = (2.0 / (n * h)) * r
         gt = g.transpose(0, 2, 1)
         if spec.kind == "linear":
             parts = (gt @ inputs, g.sum(axis=1))
         else:
-            dz1 = (g @ w2) * (1.0 - a * a)
-            parts = (dz1.transpose(0, 2, 1) @ inputs, dz1.sum(axis=1), gt @ a, g.sum(axis=1))
+            dw2 = gt @ a
+            # 1 - A^2 overwrites A, for the reason _forward works in place.
+            dz1 = g @ w2
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            dz1 *= a
+            parts = (dz1.transpose(0, 2, 1) @ inputs, dz1.sum(axis=1), dw2, g.sum(axis=1))
         grad = np.concatenate([part.reshape(c, -1) for part in parts], axis=1)
         return _mse(r), grad
 
@@ -255,7 +263,6 @@ def loss_and_grad(
 
 
 _KIND_CODES = {"linear": 0, "mlp": 1}
-_KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 
 
 def to_bytes(params: ModelParams) -> bytes:
@@ -265,21 +272,6 @@ def to_bytes(params: ModelParams) -> bytes:
         _KIND_CODES[spec.kind], spec.input_dim, spec.hidden_dim, spec.horizon
     )
     return header + params.values.astype("<f8").tobytes()
-
-
-def from_bytes(blob: bytes) -> ModelParams:
-    if len(blob) < PARAM_HEADER_BYTES:
-        raise ShapeError(f"parameter blob too short ({len(blob)} bytes)")
-    code, d, m, h = PARAM_HEADER.unpack_from(blob)
-    if code not in _KIND_NAMES:
-        raise ShapeError(f"unknown model kind code {code}")
-    spec = ModelSpec(_KIND_NAMES[code], d, h, m)
-    values = np.frombuffer(blob, dtype="<f8", offset=PARAM_HEADER_BYTES)
-    if values.shape[0] != spec.param_count:
-        raise ShapeError(
-            f"blob carries {values.shape[0]} values, spec requires {spec.param_count}"
-        )
-    return ModelParams(spec, values.astype(np.float64))
 
 
 def param_message_bytes(spec: ModelSpec) -> int:

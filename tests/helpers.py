@@ -1,10 +1,12 @@
 """Shared fixtures for the engine-level tests, and the one-at-a-time
 reference implementations that faster code is tested against."""
 
+from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
 
+from fedforecast import fedcore
 from fedforecast.clients import FederatedClient, LocalTrace
 from fedforecast.data import (
     IDENTITY_SCALER,
@@ -14,8 +16,9 @@ from fedforecast.data import (
     prepare_client,
 )
 from fedforecast.errors import InsufficientDataError, ShapeError
-from fedforecast.fedcore import ClientUpdate, EarlyStop
-from fedforecast.model import ModelParams, ModelSpec, loss, loss_and_grad
+from fedforecast.cluster import hc_partition
+from fedforecast.fedcore import ClientUpdate, EarlyStop, RoundReport, fedavg_aggregate
+from fedforecast.model import ModelParams, ModelSpec, loss, loss_and_grad, param_message_bytes
 from fedforecast.optim import make_state, step
 from fedforecast.population import PopulationSpec, generate_population
 from fedforecast.privacy import privatize_delta
@@ -232,3 +235,75 @@ def reference_train_local(client, init, config):
             break
     best_round = int(np.argmin(np.asarray(trace))) + 1
     return params, LocalTrace(tuple(trace), best_round)
+
+
+def reference_routed_round(state, by_id, route, config, round_index, regroup_tau=None):
+    """The routed round with every participant's ``local_update`` called on
+    its handle, one at a time in id order: the body ``fedcore._routed_round``
+    had before it trained plain handles as stacks."""
+    participants = list(route)
+    updates = {
+        cid: by_id[cid].local_update(state.models[route[cid]], config, round_index)
+        for cid in participants
+    }
+    n_models = len(state.models)
+    assignment = route if state.mode == "ifca" else state.assignment
+    if regroup_tau is not None:
+        deltas = {
+            cid: u.new_params.values - state.models[route[cid]].values
+            for cid, u in updates.items()
+        }
+        route = assignment = dict(sorted(hc_partition(deltas, regroup_tau).items()))
+        n_models = max(route.values()) + 1
+    groups: dict[int, list[ClientUpdate]] = {}
+    for cid in participants:
+        groups.setdefault(route[cid], []).append(updates[cid])
+    models = tuple(
+        fedavg_aggregate(groups[j]) if j in groups else state.models[j]
+        for j in range(n_models)
+    )
+    val = fedcore._weighted_val_loss(
+        [by_id[cid].val_loss(models[route[cid]]) for cid in participants]
+    )
+    pb = param_message_bytes(state.models[0].spec)
+    fanout = len(state.models) if state.mode == "ifca" else 1
+    report = RoundReport(
+        round_index=round_index,
+        participants=tuple(participants),
+        train_losses={cid: updates[cid].train_loss for cid in participants},
+        val_loss=val,
+        bytes_up=len(participants) * pb,
+        bytes_down=len(participants) * fanout * pb,
+        assignment=dict(assignment),
+        n_clusters=n_models,
+    )
+    return replace(state, models=models, assignment=assignment), report
+
+
+def check_rounds_against_reference(monkeypatch) -> list[int]:
+    """Make every ``fedcore._routed_round`` also run ``reference_routed_round``
+    on the same inputs and assert both give bitwise equal states and
+    reports. Returns the list the checked rounds' indices are appended to."""
+    batched = fedcore._routed_round
+    checked: list[int] = []
+
+    def both(state, by_id, route, config, round_index, regroup_tau=None):
+        got = batched(state, by_id, route, config, round_index, regroup_tau)
+        want = reference_routed_round(state, by_id, route, config, round_index, regroup_tau)
+        assert same_round(got, want), f"round {round_index} differs from the reference"
+        checked.append(round_index)
+        return got
+
+    monkeypatch.setattr(fedcore, "_routed_round", both)
+    return checked
+
+
+def same_round(a, b) -> bool:
+    """Bitwise equality of two (ServerState, RoundReport) round results;
+    repr prints each float exactly, and -0.0 apart from 0.0."""
+    (state_a, report_a), (state_b, report_b) = a, b
+    return (
+        [m.values.tobytes() for m in state_a.models] == [m.values.tobytes() for m in state_b.models]
+        and (state_a.mode, dict(state_a.assignment)) == (state_b.mode, dict(state_b.assignment))
+        and repr(report_a) == repr(report_b)
+    )

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import (
+    check_rounds_against_reference,
     population_clients,
     population_spec,
     reference_local_update,
+    reference_routed_round,
     reference_run_epochs,
     reference_train_local,
 )
+from fedforecast import clients as clients_module
+from fedforecast import fedcore
 from fedforecast.clients import FederatedClient, fine_tune, run_epochs, train_local
 from fedforecast.data import (
     ClientDataset,
@@ -20,8 +24,8 @@ from fedforecast.data import (
     save_csv,
 )
 from fedforecast.errors import InsufficientDataError, NumericError
-from fedforecast.fedcore import FLConfig
-from fedforecast.model import ModelSpec, init_params, loss, loss_and_grad
+from fedforecast.fedcore import ClusterConfig, FLConfig, ServerState, run_training
+from fedforecast.model import ModelParams, ModelSpec, init_params, loss, loss_and_grad
 from fedforecast.optim import OptimizerConfig
 from fedforecast.population import PopulationSpec, generate_population
 from fedforecast.privacy import DpConfig
@@ -384,4 +388,81 @@ def test_lockstep_divergence_raises_the_sequential_error(lr, local_epochs, first
     want = _raised(one_after_another)
     got = _raised(train_local, clients, init, cfg)
     assert str(want).startswith(first)
+    assert (type(got), str(got)) == (type(want), str(want))
+
+
+# ------------------------------- batched engine rounds against the reference
+#
+# fedcore trains plain handles through FederatedClient.local_update_batch;
+# helpers.reference_routed_round calls local_update on each handle instead.
+
+
+@pytest.mark.parametrize("mode", ["global", "hc", "ifca"])
+def test_engine_rounds_on_staggered_clients_equal_the_reference(staggered, monkeypatch, mode):
+    counts = [c.n_train_samples for c in staggered]
+    # Several buckets, two of them with more than one client.
+    assert sum(counts.count(n) > 1 for n in set(counts)) >= 2
+    checked = check_rounds_against_reference(monkeypatch)
+    cfg = matrix_config("momentum", 16, "clip-noise", 2)
+    cluster = ClusterConfig(mode=mode, tau=0.05, warmup=2, k=2, recluster_every=2)
+    result = run_training(staggered, matrix_spec("mlp"), cfg, mode, cluster)
+    assert checked == [r.round_index for r in result.reports] == list(range(1, 7))
+
+
+def test_bucket_over_the_byte_budget_trains_as_several_stacks(monkeypatch):
+    clients = population_clients(n_clients=5, days=7, seed=3)
+    train = clients[0]._train
+    monkeypatch.setattr(
+        clients_module, "STACK_BYTES", 2 * (train.inputs.nbytes + train.targets.nbytes)
+    )
+    stack_sizes = []
+    kernel = clients_module.run_epochs
+
+    def counted(values, *args):
+        stack_sizes.append(values.shape[0])
+        return kernel(values, *args)
+
+    monkeypatch.setattr(clients_module, "run_epochs", counted)
+    checked = check_rounds_against_reference(monkeypatch)
+    cfg = config(rounds=2, batch_size=8, local_epochs=2, dp=DpConfig(clip_norm=0.1, sigma=0.5))
+    run_training(clients, population_spec(), cfg)
+    assert checked == [1, 2]
+    # Per round: the batched round's stacks, then the reference's five calls.
+    assert stack_sizes == [2, 2, 1, 1, 1, 1, 1, 1] * 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("first, second", [("params", "delta"), ("delta", "params")])
+def test_batched_round_raises_the_first_failing_participants_error(monkeypatch, first, second):
+    # A kernel that makes c001 and c003 fail the given checks: "params"
+    # returns non-finite params, "delta" params whose delta from the 1e308
+    # broadcast overflows. Each check's text names no client, so the two
+    # participants fail different checks, in both orders.
+    clients = population_clients(n_clients=4, days=7, seed=0)
+    failing = {"c001": first, "c003": second}
+    kernel = clients_module.run_epochs
+
+    def diverging(values, inputs, targets, spec, cfg, streams):
+        new, losses = kernel(values, inputs, targets, spec, cfg, streams)
+        new = new.copy()
+        for c, (cid, _) in enumerate(streams):
+            if failing.get(cid) == "params":
+                new[c] = np.inf
+            elif failing.get(cid) == "delta":
+                new[c] = -values[c]
+        return new, losses
+
+    monkeypatch.setattr(clients_module, "run_epochs", diverging)
+    spec = population_spec()
+    state = ServerState(
+        "ifca", (init_params(spec, 0), ModelParams(spec, np.full(spec.param_count, 1e308))), {}
+    )
+    by_id = {c.client_id: c for c in clients}
+    route = {cid: int(cid in failing) for cid in sorted(by_id)}
+    cfg = config(dp=DpConfig(clip_norm=1.0))
+    args = (state, by_id, route, cfg, 1)
+    want = _raised(reference_routed_round, *args)
+    got = _raised(fedcore._routed_round, *args)
+    texts = {"params": "parameter vector contains", "delta": "cannot clip a non-finite"}
+    assert str(want).startswith(texts[first])
     assert (type(got), str(got)) == (type(want), str(want))

@@ -1,4 +1,4 @@
-"""Metrics, feeder aggregation, flexibility bands, comparison harness."""
+"""Metrics, feeder aggregation, comparison harness."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from fedforecast.evaluation import (
     COMPARISON_CSV_HEADER,
     aggregate_forecast,
     compute_metrics,
-    flexibility_band,
     run_comparison,
     run_methods,
 )
@@ -131,48 +130,6 @@ def test_aggregate_triangle_inequality():
     feeder_err = np.abs(agg_pred - agg_actual)
     member_err = sum(np.abs(pred[c].values - actual[c].values) for c in pred)
     assert np.all(feeder_err <= member_err + 1e-12)
-
-
-# ----------------------------------------------------------------- bands
-
-
-def test_non_interruptible_band_is_the_forecast():
-    lo, hi = flexibility_band(series([10.0]), "non_interruptible", 0.3)
-    np.testing.assert_array_equal(lo.values, [10.0])
-    np.testing.assert_array_equal(hi.values, [10.0])
-
-
-def test_curtailable_band():
-    lo, hi = flexibility_band(series([10.0]), "curtailable", 0.1)
-    np.testing.assert_allclose(lo.values, [9.0])
-    np.testing.assert_allclose(hi.values, [10.0])
-
-
-def test_shiftable_band():
-    lo, hi = flexibility_band(series([10.0]), "shiftable", 0.2)
-    np.testing.assert_allclose(lo.values, [8.0])
-    np.testing.assert_allclose(hi.values, [12.0])
-
-
-def test_band_alpha_range_checked():
-    with pytest.raises(ConfigError):
-        flexibility_band(series([1.0]), "shiftable", 1.5)
-    with pytest.raises(ConfigError):
-        flexibility_band(series([1.0]), "shiftable", -0.1)
-
-
-def test_band_rejects_negative_forecast():
-    with pytest.raises(NumericError):
-        flexibility_band(series([-1.0]), "curtailable", 0.1)
-
-
-def test_band_encloses_forecast_pointwise():
-    rng = np.random.default_rng(2)
-    forecast = series(rng.uniform(0, 8, size=50))
-    for flex in ("non_interruptible", "curtailable", "shiftable"):
-        lo, hi = flexibility_band(forecast, flex, 0.25)
-        assert np.all(lo.values <= forecast.values + 1e-12)
-        assert np.all(forecast.values <= hi.values + 1e-12)
 
 
 # ---------------------------------------------------------------- harness

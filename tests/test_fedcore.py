@@ -39,6 +39,7 @@ from fedforecast.model import (
     param_message_bytes,
 )
 from fedforecast.optim import OptimizerConfig
+from fedforecast.population import PopulationSpec, generate_population
 from fedforecast.privacy import DpConfig
 from fedforecast.seeds import derive_seed
 from fedforecast.serialize import to_json_text
@@ -425,6 +426,7 @@ def test_server_api_never_accepts_raw_samples():
         fedcore.hc_clustering_round,
         fedcore.hc_cluster_round,
         fedcore._routed_round,
+        fedcore._local_updates,
         fedcore.run_training,
         fedcore.select_participants,
     ]
@@ -458,6 +460,61 @@ def test_client_update_carries_only_params_and_scalars():
     assert isinstance(out.n_samples, int)
     assert isinstance(out.train_loss, float)
     assert isinstance(out.client_id, str)
+
+
+def test_local_update_batch_takes_handles_and_returns_only_updates():
+    params = inspect.signature(FederatedClient.local_update_batch).parameters
+    assert list(params) == ["handles", "broadcasts", "config", "round_index"]
+    for name, param in params.items():
+        annotation = str(param.annotation)
+        assert "SupervisedSet" not in annotation, name
+        assert "ndarray" not in annotation, name
+    clients = population_clients(n_clients=3, days=7)
+    spec = population_spec()
+    out = FederatedClient.local_update_batch(
+        clients[::-1], [init_params(spec, j) for j in range(3)], sgd_config(), 1
+    )
+    assert list(out) == sorted(c.client_id for c in clients)
+    for cid, update in out.items():
+        assert type(update) is ClientUpdate and update.client_id == cid
+        assert isinstance(update.new_params, ModelParams)
+        assert isinstance(update.n_samples, int)
+        assert isinstance(update.train_loss, float)
+
+
+# ------------------------------------------------------- mixed federations
+
+
+class RecordingClient(FederatedClient):
+    """Overrides local_update, so the engine calls it on its own handle."""
+
+    def __init__(self, splits):
+        super().__init__(splits)
+        self.rounds = []
+
+    def local_update(self, broadcast, config, round_index):
+        update = super().local_update(broadcast, config, round_index)
+        self.rounds.append(round_index)
+        return update
+
+
+@pytest.mark.parametrize("mode", ["global", "hc", "ifca"])
+def test_mixed_federation_equals_all_plain(mode):
+    datasets = generate_population(PopulationSpec(n_clients=6, archetypes=2, days=10, seed=1))
+    splits = [prepare_client(ds, 6, 1) for ds in datasets]
+    plain = [FederatedClient(s) for s in splits]
+    mixed = [RecordingClient(s) if i % 2 else FederatedClient(s) for i, s in enumerate(splits)]
+    assert fedcore._batch_owner(RecordingClient) is None
+    assert fedcore._batch_owner(FederatedClient) is FederatedClient
+    config = sgd_config(**IDENTITY_CONFIGS["sampled_dp"])
+    cluster = ClusterConfig(mode=mode, tau=0.05, warmup=2, k=2, recluster_every=2)
+    want = run_training(plain, population_spec(), config, mode, cluster)
+    got = run_training(mixed, population_spec(), config, mode, cluster)
+    assert_same_training(got, want)
+    assert to_json_text(run_result_json_obj(got)) == to_json_text(run_result_json_obj(want))
+    for client in mixed[1::2]:
+        joined = [r.round_index for r in got.reports if client.client_id in r.participants]
+        assert client.rounds == joined and joined
 
 
 # ----------------------------------------------------------- config checks

@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from helpers import check_rounds_against_reference
 from fedforecast.config import load_datasets, scenario_from_tree
 from fedforecast.evaluation import ComparisonTable, run_methods
 from fedforecast.fedcore import ROUND_CSV_HEADER, run_result_json_obj
@@ -70,9 +71,20 @@ SCENARIOS = {
 }
 
 
+# Not hashed: extra scenarios on which the batched engine round is checked
+# against the per-handle reference, round by round.
+REFERENCE_ONLY = {
+    "ifca_dp_sampled": {
+        "dp": {"clip_norm": 0.5, "sigma": 0.2},
+        "fl": {"participation": 0.5},
+        "cluster": {"k": 3},
+    },
+}
+
+
 def scenario_tree(name: str) -> dict:
     tree = copy.deepcopy(BASE)
-    for key, block in SCENARIOS[name].items():
+    for key, block in {**SCENARIOS, **REFERENCE_ONLY}[name].items():
         tree.setdefault(key, {}).update(block)
     return tree
 
@@ -120,6 +132,15 @@ def test_outputs_match_golden_hashes(runs, name):
         k for k in expected.keys() | actual.keys() if expected.get(k) != actual.get(k)
     )
     assert not changed, f"scenario {name}: artifacts changed: {changed}"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(REFERENCE_ONLY))
+def test_batched_rounds_equal_per_handle_reference(monkeypatch, name):
+    checked = check_rounds_against_reference(monkeypatch)
+    scenario, outcomes = run_scenario(name)
+    # Personalized methods share their base method's run.
+    fed = {id(o.run_result): o.run_result for o in outcomes.values() if o.run_result}
+    assert len(checked) == sum(len(run.reports) for run in fed.values()) > 0
 
 
 def test_scenarios_exercise_what_they_name(runs):

@@ -20,12 +20,10 @@ from fedforecast.model import (
     PARAM_HEADER_BYTES,
     ModelParams,
     ModelSpec,
-    from_bytes,
     init_params,
     loss,
     loss_and_grad,
     param_message_bytes,
-    predict,
     predict_batch,
     to_bytes,
 )
@@ -168,19 +166,18 @@ def test_init_biases_zero_and_weights_bounded():
 
 def test_linear_prediction_hand_value():
     p = params_from(linear_spec(1, 1), [2.0, 0.0])
-    assert predict(p, np.array([3.0])) == pytest.approx(6.0)
+    assert predict_batch(p, np.array([[3.0]]))[0] == pytest.approx(6.0)
 
 
 def test_mlp_zero_weights_pass_output_bias():
     p = params_from(mlp_spec(1, 2, 1), [0, 0, 0, 0, 0, 0, 0.5])
-    for x in ([0.0], [3.0], [-7.0]):
-        assert predict(p, np.array(x)) == pytest.approx(0.5)
+    np.testing.assert_allclose(predict_batch(p, np.array([[0.0], [3.0], [-7.0]])), 0.5)
 
 
 def test_linear_layout_row_major():
     # W = [[1,2],[3,4]], b = [5,6]; x = [1,1] -> [8, 13]
     p = params_from(linear_spec(2, 2), [1, 2, 3, 4, 5, 6])
-    np.testing.assert_allclose(predict(p, np.array([1.0, 1.0])), [8.0, 13.0])
+    np.testing.assert_allclose(predict_batch(p, np.array([[1.0, 1.0]])), [[8.0, 13.0]])
 
 
 def test_predictions_match_dense_oracle():
@@ -196,7 +193,7 @@ def test_predictions_match_dense_oracle():
 def test_predict_rejects_wrong_width():
     p = init_params(linear_spec(3, 1), 0)
     with pytest.raises(ShapeError):
-        predict(p, np.array([1.0, 2.0]))
+        predict_batch(p, np.array([[1.0, 2.0]]))
 
 
 # ---------------------------------------------------------------- gradients
@@ -255,16 +252,17 @@ def test_batch_width_mismatch_rejected():
 # ------------------------------------------------------------ serialization
 
 
-def test_byte_round_trip():
+def test_blob_is_header_then_little_endian_values():
     rng = np.random.default_rng(3)
-    for spec in (linear_spec(4, 2), mlp_spec(3, 5, 2)):
+    for code, spec in enumerate((linear_spec(4, 2), mlp_spec(3, 5, 2))):
         p = params_from(spec, rng.normal(size=spec.param_count))
         blob = to_bytes(p)
         assert len(blob) == param_message_bytes(spec)
         assert len(blob) == PARAM_HEADER_BYTES + 8 * spec.param_count
-        back = from_bytes(blob)
-        assert back.spec == spec
-        assert np.array_equal(back.values, p.values)
+        assert model.PARAM_HEADER.unpack_from(blob) == (
+            code, spec.input_dim, spec.hidden_dim, spec.horizon
+        )
+        assert blob[PARAM_HEADER_BYTES:] == p.values.astype("<f8").tobytes()
 
 
 def test_message_size_formula():
