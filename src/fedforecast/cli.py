@@ -43,7 +43,7 @@ from .evaluation import (
     row_json_obj,
 )
 from .fedcore import ROUND_CSV_HEADER, run_result_json_obj
-from .serialize import to_csv_text, to_json_text, write_text
+from .serialize import make_dirs, to_csv_text, to_json_text, write_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +78,7 @@ def _cmd_generate(args) -> int:
     datasets = load_datasets(scenario)
     out_dir = args.out or scenario.output_dir
     path = os.path.join(out_dir, "dataset.csv")
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     save_csv(datasets, path)
     print(f"wrote {path} ({len(datasets)} clients)")
     return 0
@@ -167,6 +167,15 @@ def _override_tree(tree: dict, dotted: str, value) -> dict:
     return tree
 
 
+def _point_dir(sweep_dir: str, literal: str) -> str:
+    """The directory of one sweep point's tables, strictly inside sweep_dir."""
+    point_dir = os.path.join(sweep_dir, literal)
+    rel = os.path.relpath(os.path.realpath(point_dir), os.path.realpath(sweep_dir))
+    if rel in (os.curdir, os.pardir) or rel.startswith(os.pardir + os.sep):
+        raise ConfigError(f"--values entry {literal!r} would write outside {sweep_dir}")
+    return point_dir
+
+
 def _cmd_sweep(args) -> int:
     base_tree = load_tree(args.config)
     base_scenario = scenario_from_tree(base_tree)
@@ -176,13 +185,13 @@ def _cmd_sweep(args) -> int:
     sweep_dir = os.path.join(
         base_scenario.output_dir, f"sweep_{args.param.replace('.', '_')}"
     )
+    point_dirs = [_point_dir(sweep_dir, literal) for literal in literals]
     tradeoff_rows: list[list] = []
-    for literal in literals:
+    for literal, point_dir in zip(literals, point_dirs):
         value = yaml.safe_load(literal)
         scenario = scenario_from_tree(_override_tree(base_tree, args.param, value))
         datasets = load_datasets(scenario)
         table = run_comparison(datasets, scenario)
-        point_dir = os.path.join(sweep_dir, literal)
         write_text(
             os.path.join(point_dir, "comparison.csv"),
             to_csv_text(COMPARISON_CSV_HEADER, table.csv_rows()),

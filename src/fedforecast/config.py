@@ -1,49 +1,29 @@
 """Scenario configuration: one YAML tree drives every CLI subcommand.
 
-Unknown keys are rejected at every level with the full dotted path (silent
-typos are the main failure mode of experiment configs), and invalid values
-are reported with their field path, e.g. ``fl.optimizer.lr``.
-
-Schema (defaults in parentheses; exactly one of population/ingest):
-
-    seed: 0                     master seed; every random stream derives from it
-    output_dir: out
-    population:                 synthetic data
-      n_clients, archetypes, heterogeneity (0.0), days (28), feeders (1),
-      der_mix ({fixed_load: 1.0}), ar_coeff (0.7), noise_scale (0.08),
-      seed (master; setting it pins the data across --seeds),
-      changepoint: {day, magnitude}
-    ingest:                     external smart-meter CSV
-      path, forward_fill (false),
-      columns: {timestamp, client_id, value_kw}, covariates: {name: column}
-    model:
-      kind (linear), lag (24), horizon (1), hidden (16; mlp only)
-    fl:
-      rounds (50), local_epochs (1), batch_size (0 = full), participation (1.0),
-      early_stop_patience (0 = off), eval_every (10),
-      optimizer: {kind (sgd), lr (0.1), beta (0.9; momentum only)}
-    dp:                         optional; absent = privacy disabled
-      clip_norm (.inf), sigma (0.0)
-    cluster:
-      mode (global), tau (0.0), warmup (5), k (0), recluster_every (0)
-    personalization:
-      epochs (5), lr_scale (0.1)
-    methods: [all eight]
+The schema, with every key and default, is the "Configuration" block of
+README.md. Each section is built from its dataclass by one builder: the
+section's keys are the dataclass's fields, its defaults the field defaults
+and its value types the field annotations. Value rules live only in each
+dataclass's ``__post_init__``, whose messages start with the field name, so
+the builder can report them with their dotted path, e.g.
+``fl.optimizer.lr: must be > 0, got -0.1``. Unknown keys are rejected at
+every level with the full dotted path (silent typos are the main failure
+mode of experiment configs).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+import collections.abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
 from .data import CsvSchema, load_csv
 from .errors import ConfigError, IoError
 from .fedcore import ClusterConfig, FLConfig
-from .optim import OptimizerConfig
-from .population import PopulationSpec, ShiftChangepoint, generate_population
+from .model import KINDS
+from .population import PopulationSpec, generate_population
 from .privacy import DpConfig
 
 # Every comparable method -> the engine mode it trains in (None: no engine).
@@ -59,6 +39,11 @@ METHODS = {
     "ifca_personalized": "ifca",
 }
 
+TOP_LEVEL_KEYS = (
+    "seed", "output_dir", "population", "ingest", "model", "fl",
+    "dp", "cluster", "personalization", "methods",
+)
+
 
 @dataclass(frozen=True)
 class ModelSettings:
@@ -66,6 +51,16 @@ class ModelSettings:
     lag: int = 24
     horizon: int = 1
     hidden: int = 16
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ConfigError(f"kind: must be one of {KINDS}, got {self.kind!r}")
+        if not self.lag >= 1:
+            raise ConfigError(f"lag: must be >= 1, got {self.lag}")
+        if not self.horizon >= 1:
+            raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
+        if self.kind == "mlp" and not self.hidden >= 1:
+            raise ConfigError(f"hidden: must be >= 1 for mlp, got {self.hidden}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +74,12 @@ class IngestSettings:
 class PersonalizationConfig:
     epochs: int = 5
     lr_scale: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not self.epochs >= 0:
+            raise ConfigError(f"epochs: must be >= 0, got {self.epochs}")
+        if not self.lr_scale > 0:
+            raise ConfigError(f"lr_scale: must be > 0, got {self.lr_scale}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,12 @@ class ScenarioConfig:
     methods: tuple[str, ...]
     population_seed_pinned: bool = False
 
-    def cluster_for(self, base_method: str) -> ClusterConfig:
+    def cluster_for(self, method: str) -> ClusterConfig:
         """ClusterConfig for one federated method (mode forced to match)."""
-        return replace(self.cluster, mode=METHODS[base_method])
+        try:
+            return replace(self.cluster, mode=METHODS[method])
+        except ConfigError as exc:
+            raise ConfigError(f"cluster.{exc}") from None
 
 
 def with_seed(scenario: ScenarioConfig, seed: int) -> ScenarioConfig:
@@ -126,7 +130,7 @@ def load_datasets(scenario: ScenarioConfig):
 # ---- strict tree walking ----------------------------------------------------
 
 
-def _check_mapping(raw, path: str) -> dict:
+def _mapping(raw, path: str) -> dict:
     if raw is None:
         return {}
     if not isinstance(raw, dict):
@@ -138,219 +142,67 @@ def _reject_unknown(raw: dict, path: str, allowed) -> None:
     for key in raw:
         if key not in allowed:
             where = f"{path}.{key}" if path else str(key)
-            raise ConfigError(f"unknown config key {where!r}")
+            raise ConfigError(
+                f"unknown config key {where!r}; expected one of {tuple(allowed)}"
+            )
 
 
-def _get_num(raw: dict, key: str, path: str, default, kind=float):
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    if kind is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-        return int(value)
-    return float(value)
-
-
-def _get_str(raw: dict, key: str, path: str, default):
-    value = raw.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
+def _value(value, hint, path: str):
+    """``value`` checked against the annotation ``hint``: a number (never a
+    bool; an int must be integral), a string, a bool, a mapping of such
+    values, or a nested dataclass; ``X | None`` also takes None."""
+    options = get_args(hint)
+    if type(None) in options:
+        if value is None:
+            return None
+        (hint,) = [option for option in options if option is not type(None)]
+    if is_dataclass(hint):
+        return _build(hint, value, path)
+    if get_origin(hint) is collections.abc.Mapping:
+        return {
+            key: _value(item, options[1], f"{path}.{key}")
+            for key, item in _mapping(value, path).items()
+        }
+    if hint in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if hint is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        return hint(value)
+    if not isinstance(value, hint):
+        raise ConfigError(f"{path}: expected a {hint.__name__}, got {value!r}")
     return value
 
 
-def _get_bool(raw: dict, key: str, path: str, default):
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a boolean, got {value!r}")
-    return value
+def _build(cls, raw, path: str, extra=(), **given):
+    """``cls`` from the YAML mapping ``raw`` found at ``path``.
 
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"{path}: {message}")
-
-
-def _parse_population(raw: dict, master_seed: int) -> tuple[PopulationSpec, bool]:
-    path = "population"
-    allowed = {
-        "n_clients", "archetypes", "heterogeneity", "days", "feeders",
-        "der_mix", "ar_coeff", "noise_scale", "seed", "changepoint",
-    }
-    _reject_unknown(raw, path, allowed)
-    pinned = "seed" in raw
-    changepoint = None
-    if raw.get("changepoint") is not None:
-        cp = _check_mapping(raw["changepoint"], f"{path}.changepoint")
-        _reject_unknown(cp, f"{path}.changepoint", {"day", "magnitude"})
-        changepoint = ShiftChangepoint(
-            day=_get_num(cp, "day", f"{path}.changepoint", 0, int),
-            magnitude=_get_num(cp, "magnitude", f"{path}.changepoint", 0.0),
-        )
-    der_mix = raw.get("der_mix", {"fixed_load": 1.0})
-    der_mix = _check_mapping(der_mix, f"{path}.der_mix")
-    _require("n_clients" in raw, f"{path}.n_clients", "required")
+    The accepted keys are cls's fields minus the ``given`` ones, which the
+    caller supplies, plus ``extra`` keys the caller reads itself. Absent keys
+    take the field default. A rule of cls failing reports its field's path.
+    """
+    raw = _mapping(raw, path)
+    keys = [f for f in fields(cls) if f.name not in given]
+    _reject_unknown(raw, path, [f.name for f in keys] + list(extra))
+    hints = get_type_hints(cls)
+    for f in keys:
+        if f.name in raw:
+            given[f.name] = _value(raw[f.name], hints[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required")
     try:
-        spec = PopulationSpec(
-            n_clients=_get_num(raw, "n_clients", path, None, int),
-            archetypes=_get_num(raw, "archetypes", path, 1, int),
-            heterogeneity=_get_num(raw, "heterogeneity", path, 0.0),
-            days=_get_num(raw, "days", path, 28, int),
-            der_mix=der_mix,
-            feeders=_get_num(raw, "feeders", path, 1, int),
-            changepoint=changepoint,
-            seed=_get_num(raw, "seed", path, master_seed, int),
-            ar_coeff=_get_num(raw, "ar_coeff", path, 0.7),
-            noise_scale=_get_num(raw, "noise_scale", path, 0.08),
-        )
+        return cls(**given)
     except ConfigError as exc:
-        if str(exc).startswith(path):
-            raise
-        raise ConfigError(f"{path}: {exc}") from None
-    return spec, pinned
+        raise ConfigError(f"{path}.{exc}") from None
 
 
-def _parse_ingest(raw: dict) -> IngestSettings:
-    path = "ingest"
-    _reject_unknown(raw, path, {"path", "forward_fill", "columns", "covariates"})
-    _require("path" in raw, f"{path}.path", "required")
-    columns = _check_mapping(raw.get("columns"), f"{path}.columns")
-    _reject_unknown(columns, f"{path}.columns", {"timestamp", "client_id", "value_kw"})
-    covariates = _check_mapping(raw.get("covariates"), f"{path}.covariates")
-    for name, column in covariates.items():
-        if not isinstance(column, str):
-            raise ConfigError(f"{path}.covariates.{name}: expected a column name")
-    schema = CsvSchema(
-        timestamp=_get_str(columns, "timestamp", f"{path}.columns", "timestamp"),
-        client_id=_get_str(columns, "client_id", f"{path}.columns", "client_id"),
-        value_kw=_get_str(columns, "value_kw", f"{path}.columns", "value_kw"),
-        covariates=dict(covariates),
+def _ingest(raw) -> IngestSettings:
+    raw = _mapping(raw, "ingest")
+    covariates = _value(
+        raw.get("covariates"), get_type_hints(CsvSchema)["covariates"], "ingest.covariates"
     )
-    return IngestSettings(
-        path=_get_str(raw, "path", path, None),
-        forward_fill=_get_bool(raw, "forward_fill", path, False),
-        schema=schema,
-    )
-
-
-def _parse_model(raw: dict) -> ModelSettings:
-    path = "model"
-    _reject_unknown(raw, path, {"kind", "lag", "horizon", "hidden"})
-    kind = _get_str(raw, "kind", path, "linear")
-    _require(kind in ("linear", "mlp"), f"{path}.kind", f"unknown kind {kind!r}")
-    lag = _get_num(raw, "lag", path, 24, int)
-    _require(lag >= 1, f"{path}.lag", "must be >= 1")
-    horizon = _get_num(raw, "horizon", path, 1, int)
-    _require(horizon >= 1, f"{path}.horizon", "must be >= 1")
-    hidden = _get_num(raw, "hidden", path, 16, int)
-    if kind == "mlp":
-        _require(hidden >= 1, f"{path}.hidden", "must be >= 1 for mlp")
-    return ModelSettings(kind=kind, lag=lag, horizon=horizon, hidden=hidden)
-
-
-def _parse_optimizer(raw: dict) -> OptimizerConfig:
-    path = "fl.optimizer"
-    _reject_unknown(raw, path, {"kind", "lr", "beta"})
-    kind = _get_str(raw, "kind", path, "sgd")
-    _require(kind in ("sgd", "momentum"), f"{path}.kind", f"unknown kind {kind!r}")
-    lr = _get_num(raw, "lr", path, 0.1)
-    _require(lr > 0, f"{path}.lr", "must be > 0")
-    beta = _get_num(raw, "beta", path, 0.9)
-    _require(0.0 <= beta < 1.0, f"{path}.beta", "must be in [0,1)")
-    return OptimizerConfig(kind=kind, lr=lr, beta=beta)
-
-
-def _parse_fl(raw: dict, master_seed: int, dp: DpConfig | None) -> FLConfig:
-    path = "fl"
-    allowed = {
-        "rounds", "local_epochs", "batch_size", "participation",
-        "early_stop_patience", "eval_every", "optimizer",
-    }
-    _reject_unknown(raw, path, allowed)
-    rounds = _get_num(raw, "rounds", path, 50, int)
-    _require(rounds >= 1, f"{path}.rounds", "must be >= 1")
-    local_epochs = _get_num(raw, "local_epochs", path, 1, int)
-    _require(local_epochs >= 0, f"{path}.local_epochs", "must be >= 0")
-    batch_size = _get_num(raw, "batch_size", path, 0, int)
-    _require(batch_size >= 0, f"{path}.batch_size", "must be >= 0")
-    participation = _get_num(raw, "participation", path, 1.0)
-    _require(0.0 < participation <= 1.0, f"{path}.participation", "must be in (0,1]")
-    patience = _get_num(raw, "early_stop_patience", path, 0, int)
-    _require(patience >= 0, f"{path}.early_stop_patience", "must be >= 0")
-    eval_every = _get_num(raw, "eval_every", path, 10, int)
-    _require(eval_every >= 0, f"{path}.eval_every", "must be >= 0")
-    optimizer = _parse_optimizer(_check_mapping(raw.get("optimizer"), "fl.optimizer"))
-    return FLConfig(
-        rounds=rounds,
-        local_epochs=local_epochs,
-        batch_size=batch_size,
-        participation=participation,
-        optimizer=optimizer,
-        early_stop_patience=patience,
-        seed=master_seed,
-        dp=dp,
-        eval_every=eval_every,
-    )
-
-
-def _parse_dp(raw: dict) -> DpConfig:
-    path = "dp"
-    _reject_unknown(raw, path, {"clip_norm", "sigma"})
-    clip_norm = _get_num(raw, "clip_norm", path, math.inf)
-    _require(clip_norm > 0, f"{path}.clip_norm", "must be > 0")
-    sigma = _get_num(raw, "sigma", path, 0.0)
-    _require(sigma >= 0, f"{path}.sigma", "must be >= 0")
-    _require(
-        sigma == 0 or math.isfinite(clip_norm),
-        f"{path}.clip_norm",
-        "must be finite when sigma > 0 (noise stddev is sigma * clip_norm)",
-    )
-    return DpConfig(clip_norm=clip_norm, sigma=sigma)
-
-
-def _parse_cluster(raw: dict, methods: tuple[str, ...]) -> ClusterConfig:
-    path = "cluster"
-    _reject_unknown(raw, path, {"mode", "tau", "warmup", "k", "recluster_every"})
-    mode = _get_str(raw, "mode", path, "global")
-    _require(mode in ("global", "hc", "ifca"), f"{path}.mode", f"unknown mode {mode!r}")
-    tau = _get_num(raw, "tau", path, 0.0)
-    warmup = _get_num(raw, "warmup", path, 5, int)
-    k = _get_num(raw, "k", path, 0, int)
-    recluster = _get_num(raw, "recluster_every", path, 0, int)
-    _require(recluster >= 0, f"{path}.recluster_every", "must be >= 0")
-    if mode == "hc":
-        _require(tau > 0, f"{path}.tau", "must be > 0 when hc is used")
-        _require(warmup >= 1, f"{path}.warmup", "must be >= 1 when hc is used")
-    if mode == "ifca":
-        _require(k >= 1, f"{path}.k", "must be >= 1 when ifca is used")
-    # Methods merely defaulted to the full set are validated when they run,
-    # so a minimal config stays valid; explicitly requested clustered
-    # methods go through require_cluster_settings before training starts.
-    _require(tau >= 0, f"{path}.tau", "must be >= 0")
-    _require(warmup >= 0, f"{path}.warmup", "must be >= 0")
-    _require(k >= 0, f"{path}.k", "must be >= 0")
-    return ClusterConfig(mode=mode, tau=tau, warmup=warmup, k=k, recluster_every=recluster)
-
-
-def require_cluster_settings(cluster: ClusterConfig, methods: Sequence[str]) -> None:
-    """Fail fast before training when requested methods lack cluster knobs."""
-    if any(m.startswith("hc") for m in methods):
-        if not cluster.tau > 0:
-            raise ConfigError("cluster.tau: must be > 0 when hc is used")
-        if cluster.warmup < 1:
-            raise ConfigError("cluster.warmup: must be >= 1 when hc is used")
-    if any(m.startswith("ifca") for m in methods) and cluster.k < 1:
-        raise ConfigError("cluster.k: must be >= 1 when ifca is used")
-
-
-def _parse_personalization(raw: dict) -> PersonalizationConfig:
-    path = "personalization"
-    _reject_unknown(raw, path, {"epochs", "lr_scale"})
-    epochs = _get_num(raw, "epochs", path, 5, int)
-    _require(epochs >= 0, f"{path}.epochs", "must be >= 0")
-    lr_scale = _get_num(raw, "lr_scale", path, 0.1)
-    _require(lr_scale > 0, f"{path}.lr_scale", "must be > 0")
-    return PersonalizationConfig(epochs=epochs, lr_scale=lr_scale)
+    schema = _build(CsvSchema, raw.get("columns"), "ingest.columns", covariates=covariates)
+    return _build(IngestSettings, raw, "ingest", extra=("columns", "covariates"), schema=schema)
 
 
 def _parse_methods(raw) -> tuple[str, ...]:
@@ -370,47 +222,39 @@ def _parse_methods(raw) -> tuple[str, ...]:
 
 def scenario_from_tree(tree: dict) -> ScenarioConfig:
     """Validate a parsed YAML tree into a ScenarioConfig."""
-    tree = _check_mapping(tree, "top level")
-    allowed = {
-        "seed", "output_dir", "population", "ingest", "model", "fl",
-        "dp", "cluster", "personalization", "methods",
-    }
-    _reject_unknown(tree, "", allowed)
-    seed = _get_num(tree, "seed", "top-level", 0, int)
-    _require(seed >= 0, "seed", "must be >= 0")
-    output_dir = _get_str(tree, "output_dir", "top-level", "out")
-    _require(bool(output_dir), "output_dir", "must be nonempty")
+    tree = _mapping(tree, "top level")
+    _reject_unknown(tree, "", TOP_LEVEL_KEYS)
+    seed = _value(tree.get("seed", 0), int, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    output_dir = _value(tree.get("output_dir", "out"), str, "output_dir")
+    if not output_dir:
+        raise ConfigError("output_dir: must be nonempty")
 
     has_population = tree.get("population") is not None
-    has_ingest = tree.get("ingest") is not None
-    if has_population == has_ingest:
+    if has_population == (tree.get("ingest") is not None):
         raise ConfigError("exactly one of 'population' or 'ingest' must be configured")
-    population, pinned = (None, False)
-    ingest = None
+    population, pinned, ingest = None, False, None
     if has_population:
-        population, pinned = _parse_population(
-            _check_mapping(tree["population"], "population"), seed
-        )
+        raw = _mapping(tree["population"], "population")
+        pinned = "seed" in raw
+        population = _build(PopulationSpec, {"seed": seed, **raw}, "population")
     else:
-        ingest = _parse_ingest(_check_mapping(tree["ingest"], "ingest"))
+        ingest = _ingest(tree["ingest"])
 
     methods = _parse_methods(tree.get("methods"))
-    dp = _parse_dp(_check_mapping(tree["dp"], "dp")) if tree.get("dp") is not None else None
-    model = _parse_model(_check_mapping(tree.get("model"), "model"))
-    fl = _parse_fl(_check_mapping(tree.get("fl"), "fl"), seed, dp)
-    cluster = _parse_cluster(_check_mapping(tree.get("cluster"), "cluster"), methods)
-    personalization = _parse_personalization(
-        _check_mapping(tree.get("personalization"), "personalization")
-    )
+    dp = _build(DpConfig, tree["dp"], "dp") if tree.get("dp") is not None else None
     return ScenarioConfig(
         seed=seed,
         output_dir=output_dir,
         population=population,
         ingest=ingest,
-        model=model,
-        fl=fl,
-        cluster=cluster,
-        personalization=personalization,
+        model=_build(ModelSettings, tree.get("model"), "model"),
+        fl=_build(FLConfig, tree.get("fl"), "fl", seed=seed, dp=dp),
+        cluster=_build(ClusterConfig, tree.get("cluster"), "cluster"),
+        personalization=_build(
+            PersonalizationConfig, tree.get("personalization"), "personalization"
+        ),
         methods=methods,
         population_seed_pinned=pinned,
     )

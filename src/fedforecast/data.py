@@ -206,19 +206,13 @@ def build_supervised(
     return SupervisedSet(inputs, targets, stamps)
 
 
-def split_dataset(
-    sset: SupervisedSet, train_frac: float = TRAIN_FRAC, val_frac: float = VAL_FRAC
-) -> tuple[SupervisedSet, SupervisedSet, SupervisedSet]:
+def split_dataset(sset: SupervisedSet) -> tuple[SupervisedSet, SupervisedSet, SupervisedSet]:
     """Chronological train/val/test split: floor(0.7n), floor(0.15n), rest."""
     n = sset.n_samples
     if n < 3:
         raise InsufficientDataError(f"need >= 3 samples to split, got {n}")
-    if not (0 < train_frac < 1 and 0 < val_frac < 1 and train_frac + val_frac < 1):
-        raise InsufficientDataError(
-            f"invalid split fractions {train_frac}/{val_frac}"
-        )
-    n_train = math.floor(train_frac * n)
-    n_val = math.floor(val_frac * n)
+    n_train = math.floor(TRAIN_FRAC * n)
+    n_val = math.floor(VAL_FRAC * n)
     if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
         raise InsufficientDataError(f"{n} samples leave an empty split")
 
@@ -246,14 +240,14 @@ class ClientSplits:
     flex_class: str
 
 
-def train_raw_length(n_values: int, lag: int, horizon: int, train_frac: float = TRAIN_FRAC) -> int:
+def train_raw_length(n_values: int, lag: int, horizon: int) -> int:
     """Raw-value prefix length covered by the training samples."""
     n = n_values - lag - horizon + 1
     if n < 3:
         raise InsufficientDataError(
             f"{n_values} values yield {n} samples; need >= 3 to split"
         )
-    n_train = math.floor(train_frac * n)
+    n_train = math.floor(TRAIN_FRAC * n)
     return lag + n_train + horizon - 1
 
 

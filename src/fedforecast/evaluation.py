@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clients import FederatedClient, run_epochs, train_local
-from .config import METHODS, ScenarioConfig, require_cluster_settings
-from .data import ClientDataset, TimeSeries, fit_scaler, prepare_client, train_raw_length
+from .config import METHODS, ScenarioConfig
+from .data import ClientDataset, fit_scaler, prepare_client, train_raw_length
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -78,35 +78,6 @@ def compute_metrics(pred, actual) -> Metrics:
     denom = float(np.mean(np.abs(actual)))
     nrmse = rmse / denom if denom >= NRMSE_MIN_DENOM else None
     return Metrics(mae=mae, rmse=rmse, mape=mape, nrmse=nrmse, excluded_points=excluded)
-
-
-def aggregate_forecast(
-    series_by_client: Mapping[str, TimeSeries], feeder_by_client: Mapping[str, str]
-) -> dict[str, TimeSeries]:
-    """Pointwise per-feeder sum of member series (predictions or actuals)."""
-    groups: dict[str, list[str]] = {}
-    for cid in sorted(series_by_client):
-        if cid not in feeder_by_client:
-            raise AlignmentError(f"client {cid} has no feeder assignment")
-        groups.setdefault(feeder_by_client[cid], []).append(cid)
-    out: dict[str, TimeSeries] = {}
-    for feeder in sorted(groups):
-        members = groups[feeder]
-        head = series_by_client[members[0]]
-        total = np.array(head.values, dtype=np.float64)
-        for cid in members[1:]:
-            series = series_by_client[cid]
-            if (
-                len(series) != len(head)
-                or series.start_epoch_hours != head.start_epoch_hours
-                or series.step_hours != head.step_hours
-            ):
-                raise AlignmentError(
-                    f"feeder {feeder}: series for {cid} is not aligned with {members[0]}"
-                )
-            total += series.values
-        out[feeder] = TimeSeries(head.start_epoch_hours, total, head.step_hours)
-    return out
 
 
 @dataclass(frozen=True)
@@ -223,26 +194,16 @@ def row_json_obj(row: MethodRow) -> dict:
     }
 
 
-def _mean_metrics(items: Sequence[Metrics]) -> Metrics:
+def _reduce_metrics(items: Sequence[Metrics], reduce) -> Metrics:
+    """Each metric reduced over ``items`` by ``reduce`` (np.mean or
+    np.median); absent mapes and nrmses are left out, excluded points summed."""
     mapes = [m.mape for m in items if m.mape is not None]
     nrmses = [m.nrmse for m in items if m.nrmse is not None]
     return Metrics(
-        mae=float(np.mean([m.mae for m in items])),
-        rmse=float(np.mean([m.rmse for m in items])),
-        mape=float(np.mean(mapes)) if mapes else None,
-        nrmse=float(np.mean(nrmses)) if nrmses else None,
-        excluded_points=int(sum(m.excluded_points for m in items)),
-    )
-
-
-def _median_metrics(items: Sequence[Metrics]) -> Metrics:
-    mapes = [m.mape for m in items if m.mape is not None]
-    nrmses = [m.nrmse for m in items if m.nrmse is not None]
-    return Metrics(
-        mae=float(np.median([m.mae for m in items])),
-        rmse=float(np.median([m.rmse for m in items])),
-        mape=float(np.median(mapes)) if mapes else None,
-        nrmse=float(np.median(nrmses)) if nrmses else None,
+        mae=float(reduce([m.mae for m in items])),
+        rmse=float(reduce([m.rmse for m in items])),
+        mape=float(reduce(mapes)) if mapes else None,
+        nrmse=float(reduce(nrmses)) if nrmses else None,
         excluded_points=int(sum(m.excluded_points for m in items)),
     )
 
@@ -424,9 +385,9 @@ class _Harness:
         client_metrics = [per_client[cid] for cid in sorted(per_client)]
         row = MethodRow(
             method=method,
-            mean=_mean_metrics(client_metrics),
-            median=_median_metrics(client_metrics),
-            feeder=_mean_metrics(feeder_metrics),
+            mean=_reduce_metrics(client_metrics, np.mean),
+            median=_reduce_metrics(client_metrics, np.median),
+            feeder=_reduce_metrics(feeder_metrics, np.mean),
             n_train_samples=self.n_train_total,
             bytes_up=self._bytes(method, "up"),
             bytes_down=self._bytes(method, "down"),
@@ -493,7 +454,8 @@ def run_methods(
             raise ConfigError(
                 f"unknown method {method!r}; expected one of {tuple(METHODS)}"
             )
-    require_cluster_settings(scenario.cluster, methods)
+        if METHODS[method] is not None:
+            scenario.cluster_for(method)  # fail before training, not midway
     harness = _Harness(datasets, scenario)
     return {method: harness.outcome(method) for method in sorted(set(methods))}
 

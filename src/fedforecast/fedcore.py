@@ -90,24 +90,13 @@ class FLConfig:
     eval_every: int = 10
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ConfigError(f"fl rounds must be >= 1, got {self.rounds}")
-        if self.local_epochs < 0:
-            raise ConfigError(f"fl local_epochs must be >= 0, got {self.local_epochs}")
-        if self.batch_size < 0:
-            raise ConfigError(f"fl batch_size must be >= 0, got {self.batch_size}")
+        for name in ("local_epochs", "batch_size", "early_stop_patience", "eval_every", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        if not self.rounds >= 1:
+            raise ConfigError(f"rounds: must be >= 1, got {self.rounds}")
         if not 0.0 < self.participation <= 1.0:
-            raise ConfigError(
-                f"fl participation must be in (0,1], got {self.participation}"
-            )
-        if self.early_stop_patience < 0:
-            raise ConfigError(
-                f"fl early_stop_patience must be >= 0, got {self.early_stop_patience}"
-            )
-        if self.eval_every < 0:
-            raise ConfigError(f"fl eval_every must be >= 0, got {self.eval_every}")
-        if self.seed < 0:
-            raise ConfigError(f"fl seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"participation: must be in (0,1], got {self.participation}")
         if self.dp is not None and not self.dp.active:
             # clip_norm=inf with sigma=0 is a no-op; normalize so runs with
             # and without the privacy block are indistinguishable end to end.
@@ -126,18 +115,16 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ConfigError(f"unknown cluster mode {self.mode!r}; expected one of {MODES}")
-        if self.recluster_every < 0:
-            raise ConfigError(
-                f"cluster recluster_every must be >= 0, got {self.recluster_every}"
-            )
-        if self.mode == "hc":
-            if not self.tau > 0:
-                raise ConfigError(f"cluster tau must be > 0 for hc mode, got {self.tau}")
-            if self.warmup < 1:
-                raise ConfigError(f"cluster warmup must be >= 1 for hc mode, got {self.warmup}")
-        if self.mode == "ifca" and self.k < 1:
-            raise ConfigError(f"cluster k must be >= 1 for ifca mode, got {self.k}")
+            raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
+        for name in ("tau", "warmup", "k", "recluster_every"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        if self.mode == "hc" and not self.tau > 0:
+            raise ConfigError(f"tau: must be > 0 when hc is used, got {self.tau}")
+        if self.mode == "hc" and not self.warmup >= 1:
+            raise ConfigError(f"warmup: must be >= 1 when hc is used, got {self.warmup}")
+        if self.mode == "ifca" and not self.k >= 1:
+            raise ConfigError(f"k: must be >= 1 when ifca is used, got {self.k}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,15 +401,9 @@ def run_training(
     EarlyStop rule. Raises NumericError naming the round when losses or
     parameters diverge to non-finite values.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown training mode {mode!r}; expected one of {MODES}")
     if len(clients) < 1:
         raise ConfigError("run_training needs at least one client")
-    cluster = cluster or ClusterConfig(mode=mode if mode != "ifca" else "global")
-    if mode == "ifca" and cluster.k < 1:
-        raise ConfigError("ifca mode requires cluster.k >= 1")
-    if mode == "hc" and not cluster.tau > 0:
-        raise ConfigError("hc mode requires cluster.tau > 0")
+    cluster = replace(cluster or ClusterConfig(), mode=mode)
 
     start = time.perf_counter()
     models = tuple(

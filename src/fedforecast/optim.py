@@ -25,13 +25,11 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
-            raise ConfigError(
-                f"unknown optimizer kind {self.kind!r}; expected one of {OPTIMIZER_KINDS}"
-            )
+            raise ConfigError(f"kind: must be one of {OPTIMIZER_KINDS}, got {self.kind!r}")
         if not self.lr > 0:
-            raise ConfigError(f"optimizer lr must be > 0, got {self.lr}")
+            raise ConfigError(f"lr: must be > 0, got {self.lr}")
         if not 0.0 <= self.beta < 1.0:
-            raise ConfigError(f"optimizer beta must be in [0,1), got {self.beta}")
+            raise ConfigError(f"beta: must be in [0,1), got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -56,22 +56,20 @@ _COMFORT_C = 19.0
 class ShiftChangepoint:
     """Level shift applied from ``day`` onward (drift scenarios)."""
 
-    day: int
-    magnitude: float
+    day: int = 0
+    magnitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.day < 0:
-            raise ConfigError(f"changepoint day must be >= 0, got {self.day}")
-        if self.magnitude <= -1.0:
-            raise ConfigError(
-                f"changepoint magnitude must be > -1, got {self.magnitude}"
-            )
+        if not self.day >= 0:
+            raise ConfigError(f"day: must be >= 0, got {self.day}")
+        if not self.magnitude > -1.0:
+            raise ConfigError(f"magnitude: must be > -1, got {self.magnitude}")
 
 
 @dataclass(frozen=True)
 class PopulationSpec:
     n_clients: int
-    archetypes: int
+    archetypes: int = 1
     heterogeneity: float = 0.0
     days: int = 28
     der_mix: Mapping[str, float] = field(default_factory=lambda: {"fixed_load": 1.0})
@@ -82,35 +80,27 @@ class PopulationSpec:
     noise_scale: float = 0.08
 
     def __post_init__(self) -> None:
-        if self.n_clients < 1:
-            raise ConfigError(f"n_clients must be >= 1, got {self.n_clients}")
+        for name in ("n_clients", "days", "feeders"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.archetypes <= self.n_clients:
-            raise ConfigError(
-                f"archetypes must be in [1, n_clients], got {self.archetypes}"
-            )
+            raise ConfigError(f"archetypes: must be in [1, n_clients], got {self.archetypes}")
         if not 0.0 <= self.heterogeneity <= 1.0:
-            raise ConfigError(
-                f"heterogeneity must be in [0,1], got {self.heterogeneity}"
-            )
-        if self.days < 1:
-            raise ConfigError(f"days must be >= 1, got {self.days}")
-        if self.feeders < 1:
-            raise ConfigError(f"feeders must be >= 1, got {self.feeders}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"heterogeneity: must be in [0,1], got {self.heterogeneity}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if not 0.0 <= self.ar_coeff < 1.0:
-            raise ConfigError(f"ar_coeff must be in [0,1), got {self.ar_coeff}")
-        if self.noise_scale < 0.0:
-            raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
-        total = 0.0
+            raise ConfigError(f"ar_coeff: must be in [0,1), got {self.ar_coeff}")
+        if not self.noise_scale >= 0.0:
+            raise ConfigError(f"noise_scale: must be >= 0, got {self.noise_scale}")
         for name, frac in self.der_mix.items():
             if name not in DER_CLASSES:
-                raise ConfigError(f"unknown der_mix class {name!r}")
-            if frac < 0:
-                raise ConfigError(f"der_mix fraction for {name!r} is negative")
-            total += frac
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"der_mix fractions sum to {total}, expected 1")
+                raise ConfigError(f"der_mix: unknown class {name!r}; expected from {DER_CLASSES}")
+            if not frac >= 0:
+                raise ConfigError(f"der_mix.{name}: must be >= 0, got {frac}")
+        total = sum(self.der_mix.values())
+        if not abs(total - 1.0) <= 1e-9:
+            raise ConfigError(f"der_mix: fractions sum to {total}, expected 1")
         object.__setattr__(self, "der_mix", dict(self.der_mix))
 
 

@@ -2,7 +2,7 @@
 
 Clients clip their update delta (new params minus broadcast params) to an L2
 norm bound C, then add i.i.d. Gaussian noise with stddev sigma*C drawn from
-a stream derived deterministically from (master seed, label, client, round).
+a stream derived deterministically from (master seed, "dp", client, round).
 The server reconstructs params as broadcast + noisy delta; by linearity of
 the weighted average this equals noising the params directly.
 
@@ -28,16 +28,15 @@ class DpConfig:
 
     clip_norm: float = math.inf
     sigma: float = 0.0
-    seed_label: str = "dp"
 
     def __post_init__(self) -> None:
         if not self.clip_norm > 0:
-            raise ConfigError(f"dp clip_norm must be > 0, got {self.clip_norm}")
-        if self.sigma < 0:
-            raise ConfigError(f"dp sigma must be >= 0, got {self.sigma}")
+            raise ConfigError(f"clip_norm: must be > 0, got {self.clip_norm}")
+        if not self.sigma >= 0:
+            raise ConfigError(f"sigma: must be >= 0, got {self.sigma}")
         if self.sigma > 0 and not math.isfinite(self.clip_norm):
             raise ConfigError(
-                "dp sigma > 0 requires a finite clip_norm (noise stddev is sigma*clip_norm)"
+                "clip_norm: must be finite when sigma > 0 (noise stddev is sigma * clip_norm)"
             )
 
     @property
@@ -73,18 +72,17 @@ def add_gaussian_noise(
     master_seed: int,
     round_index: int,
     client_id: str,
-    seed_label: str = "dp",
 ) -> np.ndarray:
     """Add zero-mean Gaussian noise from the (round, client) stream.
 
     noise_std = 0 is a bit-identical passthrough.
     """
     delta = np.asarray(delta, dtype=np.float64)
-    if noise_std < 0:
+    if not noise_std >= 0:
         raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
     if noise_std == 0:
         return delta
-    rng = rng_for(master_seed, seed_label, client_id, round_index)
+    rng = rng_for(master_seed, "dp", client_id, round_index)
     return delta + rng.normal(0.0, noise_std, size=delta.shape)
 
 
@@ -98,15 +96,8 @@ def privatize_delta(
     """Clip then noise one update delta per the config."""
     delta = clip_update(delta, config.clip_norm)
     if config.sigma > 0:
-        if not math.isfinite(config.clip_norm):
-            raise ConfigError("dp sigma > 0 requires a finite clip_norm")
         delta = add_gaussian_noise(
-            delta,
-            config.sigma * config.clip_norm,
-            master_seed,
-            round_index,
-            client_id,
-            config.seed_label,
+            delta, config.sigma * config.clip_norm, master_seed, round_index, client_id
         )
     return delta
 
@@ -125,7 +116,7 @@ def privatize_rows(
         std = config.sigma * config.clip_norm
         deltas = np.stack(
             [
-                add_gaussian_noise(row, std, master_seed, round_index, cid, config.seed_label)
+                add_gaussian_noise(row, std, master_seed, round_index, cid)
                 for row, cid in zip(deltas, client_ids)
             ]
         )

@@ -16,6 +16,8 @@ import os
 
 import numpy as np
 
+from .errors import IoError
+
 
 def fmt_float(value: float) -> str:
     return format(float(value), ".17g")
@@ -91,7 +93,18 @@ def to_csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def make_dirs(path: str) -> None:
+    """Create directory ``path`` and its parents; IoError if impossible."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None
+
+
 def write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    make_dirs(os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from None

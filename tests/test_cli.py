@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,3 +273,47 @@ def test_console_script_on_path():
         [shutil.which("fedforecast"), "--help"], capture_output=True, text=True
     )
     assert_help_lists_subcommands(proc)
+
+
+def edit_config(config, old, new):
+    path = Path(config)
+    path.write_text(path.read_text().replace(old, new))
+
+
+def test_output_dir_under_a_file_exits_one(tmp_path, capsys):
+    config, out_dir = write_config(tmp_path)
+    edit_config(config, f"output_dir: {out_dir}", f"output_dir: {config}/out")
+    for argv in (["compare", "--config", config], ["generate", "--config", config]):
+        assert execute(argv) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+
+
+def ingest_config(tmp_path):
+    """A config that reads meters from tmp_path/data/dataset.csv."""
+    config, out_dir = write_config(tmp_path, n_clients=2, rounds=2, methods="[local_only]")
+    assert execute(["generate", "--config", config, "--out", str(tmp_path / "data")]) == 0
+    edit_config(
+        config,
+        "population:\n  n_clients: 2\n  archetypes: 2\n  days: 10\n",
+        f"ingest:\n  path: {tmp_path / 'data' / 'dataset.csv'}\n",
+    )
+    return config, out_dir
+
+
+def test_sweep_rejects_values_that_escape_the_sweep_dir(tmp_path, capsys):
+    config, _ = ingest_config(tmp_path)
+    before = sorted(os.walk(tmp_path))
+    for literal in ("../../data/dataset.csv", "..", ".", str(tmp_path / "data" / "dataset.csv")):
+        argv = ["sweep", "--config", config, "--param", "ingest.path", "--values",
+                f"{tmp_path / 'data' / 'dataset.csv'},{literal}"]
+        assert execute(argv) == 1
+        assert "would write outside" in capsys.readouterr().err
+    assert sorted(os.walk(tmp_path)) == before  # rejected before anything was written
+
+
+def test_sweep_accepts_nested_value_paths(tmp_path, monkeypatch):
+    config, out_dir = ingest_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert execute(["sweep", "--config", config, "--param", "ingest.path",
+                    "--values", "data/dataset.csv"]) == 0
+    assert (out_dir / "sweep_ingest_path" / "data" / "dataset.csv" / "comparison.csv").exists()

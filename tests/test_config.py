@@ -1,6 +1,10 @@
 """Scenario parsing: strict keys, field-path diagnostics, defaults."""
 
+import ast
+from pathlib import Path
+
 import pytest
+import yaml
 
 from fedforecast.config import (
     load_datasets,
@@ -177,3 +181,146 @@ def test_parse_config_non_mapping(tmp_path):
     path.write_text("- just\n- a\n- list\n")
     with pytest.raises(ConfigError):
         parse_config(str(path))
+
+
+# One bad value per rule, with the dotted path its error must start with.
+# Each case overrides sections of minimal_tree(); population=None swaps the
+# population for an ingest block.
+INGEST = {"population": None}
+BAD_VALUES = [
+    ({"seed": -1}, "seed"),
+    ({"seed": "x"}, "seed"),
+    ({"output_dir": ""}, "output_dir"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"population": {"archetypes": 1}}, "population.n_clients"),
+    ({"population": {"n_clients": 0}}, "population.n_clients"),
+    ({"population": {"n_clients": 2.5}}, "population.n_clients"),
+    ({"population": {"n_clients": 3, "archetypes": 4}}, "population.archetypes"),
+    ({"population": {"n_clients": 3, "archetypes": 0}}, "population.archetypes"),
+    ({"population": {"n_clients": 3, "heterogeneity": 1.5}}, "population.heterogeneity"),
+    ({"population": {"n_clients": 3, "heterogeneity": float("nan")}}, "population.heterogeneity"),
+    ({"population": {"n_clients": 3, "days": 0}}, "population.days"),
+    ({"population": {"n_clients": 3, "feeders": 0}}, "population.feeders"),
+    ({"population": {"n_clients": 3, "seed": -1}}, "population.seed"),
+    ({"population": {"n_clients": 3, "ar_coeff": 1.0}}, "population.ar_coeff"),
+    ({"population": {"n_clients": 3, "ar_coeff": float("nan")}}, "population.ar_coeff"),
+    ({"population": {"n_clients": 3, "noise_scale": -0.1}}, "population.noise_scale"),
+    ({"population": {"n_clients": 3, "noise_scale": float("nan")}}, "population.noise_scale"),
+    ({"population": {"n_clients": 3, "der_mix": ["pv"]}}, "population.der_mix"),
+    ({"population": {"n_clients": 3, "der_mix": {"solar": 1.0}}}, "population.der_mix"),
+    ({"population": {"n_clients": 3, "der_mix": {"pv": 0.5}}}, "population.der_mix"),
+    ({"population": {"n_clients": 3, "der_mix": {"pv": -0.5, "hvac": 1.5}}}, "population.der_mix.pv"),
+    ({"population": {"n_clients": 3, "der_mix": {"pv": "half"}}}, "population.der_mix.pv"),
+    ({"population": {"n_clients": 3, "der_mix": {"pv": True}}}, "population.der_mix.pv"),
+    ({"population": {"n_clients": 3, "der_mix": {"pv": float("nan")}}}, "population.der_mix.pv"),
+    ({"population": {"n_clients": 3, "changepoint": 4}}, "population.changepoint"),
+    ({"population": {"n_clients": 3, "changepoint": {"day": -1}}}, "population.changepoint.day"),
+    (
+        {"population": {"n_clients": 3, "changepoint": {"day": 2, "magnitude": -1.0}}},
+        "population.changepoint.magnitude",
+    ),
+    (
+        {"population": {"n_clients": 3, "changepoint": {"magnitude": float("nan")}}},
+        "population.changepoint.magnitude",
+    ),
+    ({**INGEST, "ingest": {"forward_fill": True}}, "ingest.path"),
+    ({**INGEST, "ingest": {"path": 5}}, "ingest.path"),
+    ({**INGEST, "ingest": {"path": "x.csv", "forward_fill": "yes"}}, "ingest.forward_fill"),
+    ({**INGEST, "ingest": {"path": "x.csv", "columns": {"timestamp": 5}}}, "ingest.columns.timestamp"),
+    ({**INGEST, "ingest": {"path": "x.csv", "covariates": {"temp": 5}}}, "ingest.covariates.temp"),
+    ({**INGEST, "ingest": {"path": "x.csv", "covariates": ["temp"]}}, "ingest.covariates"),
+    ({"model": {"kind": "rnn"}}, "model.kind"),
+    ({"model": {"lag": 0}}, "model.lag"),
+    ({"model": {"horizon": 0}}, "model.horizon"),
+    ({"model": {"kind": "mlp", "hidden": 0}}, "model.hidden"),
+    ({"fl": {"rounds": 0}}, "fl.rounds"),
+    ({"fl": {"rounds": True}}, "fl.rounds"),
+    ({"fl": {"local_epochs": -1}}, "fl.local_epochs"),
+    ({"fl": {"batch_size": -1}}, "fl.batch_size"),
+    ({"fl": {"participation": 0.0}}, "fl.participation"),
+    ({"fl": {"participation": 1.5}}, "fl.participation"),
+    ({"fl": {"participation": float("nan")}}, "fl.participation"),
+    ({"fl": {"early_stop_patience": -1}}, "fl.early_stop_patience"),
+    ({"fl": {"eval_every": -1}}, "fl.eval_every"),
+    ({"fl": {"optimizer": [1]}}, "fl.optimizer"),
+    ({"fl": {"optimizer": {"kind": "adam"}}}, "fl.optimizer.kind"),
+    ({"fl": {"optimizer": {"lr": 0.0}}}, "fl.optimizer.lr"),
+    ({"fl": {"optimizer": {"lr": float("nan")}}}, "fl.optimizer.lr"),
+    ({"fl": {"optimizer": {"beta": 1.0}}}, "fl.optimizer.beta"),
+    ({"fl": {"optimizer": {"beta": float("nan")}}}, "fl.optimizer.beta"),
+    ({"dp": {"clip_norm": 0.0}}, "dp.clip_norm"),
+    ({"dp": {"clip_norm": float("nan")}}, "dp.clip_norm"),
+    ({"dp": {"clip_norm": 1.0, "sigma": -0.1}}, "dp.sigma"),
+    ({"dp": {"clip_norm": 1.0, "sigma": float("nan")}}, "dp.sigma"),
+    ({"dp": {"sigma": 0.5}}, "dp.clip_norm"),
+    ({"cluster": {"mode": "spiral"}}, "cluster.mode"),
+    ({"cluster": {"tau": -0.5}}, "cluster.tau"),
+    ({"cluster": {"tau": float("nan")}}, "cluster.tau"),
+    ({"cluster": {"warmup": -1}}, "cluster.warmup"),
+    ({"cluster": {"k": -1}}, "cluster.k"),
+    ({"cluster": {"recluster_every": -1}}, "cluster.recluster_every"),
+    ({"cluster": {"mode": "hc"}}, "cluster.tau"),
+    ({"cluster": {"mode": "hc", "tau": float("nan")}}, "cluster.tau"),
+    ({"cluster": {"mode": "hc", "tau": 0.5, "warmup": 0}}, "cluster.warmup"),
+    ({"cluster": {"mode": "ifca"}}, "cluster.k"),
+    ({"personalization": {"epochs": -1}}, "personalization.epochs"),
+    ({"personalization": {"lr_scale": 0.0}}, "personalization.lr_scale"),
+    ({"personalization": {"lr_scale": float("nan")}}, "personalization.lr_scale"),
+    ({"methods": []}, "methods"),
+    ({"methods": ["gossip"]}, "methods"),
+    ({"methods": ["fedavg", "fedavg"]}, "methods"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, path", BAD_VALUES, ids=[f"{p}-{i}" for i, (_, p) in enumerate(BAD_VALUES)]
+)
+def test_bad_value_names_its_dotted_path(overrides, path):
+    with pytest.raises(ConfigError) as err:
+        scenario_from_tree(minimal_tree(**overrides))
+    assert str(err.value).startswith(f"{path}: "), str(err.value)
+
+
+def test_accepted_values_keep_their_types():
+    tree = minimal_tree(
+        population={"n_clients": 3, "der_mix": {"pv": 1}, "changepoint": {}},
+        model={"lag": 6.0},
+        cluster={"tau": 1},
+    )
+    sc = scenario_from_tree(tree)
+    assert sc.population.der_mix == {"pv": 1.0}
+    assert isinstance(sc.population.der_mix["pv"], float)
+    assert sc.population.archetypes == 1
+    assert (sc.population.changepoint.day, sc.population.changepoint.magnitude) == (0, 0.0)
+    assert sc.model.lag == 6 and isinstance(sc.model.lag, int)
+    assert sc.cluster.tau == 1.0 and isinstance(sc.cluster.tau, float)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Every section the README's schema block lists keys for; ingest.covariates
+# and population.der_mix map free names, so they are not sections.
+SECTIONS = [
+    "", "population", "population.changepoint", "ingest", "ingest.columns",
+    "model", "fl", "fl.optimizer", "dp", "cluster", "personalization",
+]
+
+
+def readme_schema() -> dict:
+    text = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    return yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_readme_schema_lists_exactly_the_accepted_keys(section):
+    listed = readme_schema()
+    tree = minimal_tree() if not section.startswith("ingest") else {"ingest": {"path": "x.csv"}}
+    node = tree
+    for key in filter(None, section.split(".")):
+        listed = listed[key]
+        node = node.setdefault(key, {})
+    node["no_such_key"] = 1
+    with pytest.raises(ConfigError, match="unknown config key") as err:
+        scenario_from_tree(tree)
+    accepted = ast.literal_eval(str(err.value).split("expected one of ", 1)[1])
+    assert sorted(listed) == sorted(accepted)

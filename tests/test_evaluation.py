@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedforecast.config import load_datasets, scenario_from_tree
-from fedforecast.data import TimeSeries
+from fedforecast.data import ClientDataset, TimeSeries, save_csv
 from fedforecast.errors import (
     AlignmentError,
     ConfigError,
@@ -14,16 +14,12 @@ from fedforecast.errors import (
 )
 from fedforecast.evaluation import (
     COMPARISON_CSV_HEADER,
-    aggregate_forecast,
+    _Harness,
     compute_metrics,
     run_comparison,
     run_methods,
 )
 from fedforecast.serialize import to_csv_text
-
-
-def series(values, start=0):
-    return TimeSeries(start_epoch_hours=start, values=np.asarray(values, dtype=float))
 
 
 # ----------------------------------------------------------------- metrics
@@ -76,60 +72,6 @@ def test_metrics_shape_checks():
         compute_metrics([1.0], [1.0, 2.0])
     with pytest.raises(InsufficientDataError):
         compute_metrics([], [])
-
-
-# -------------------------------------------------------------- aggregation
-
-
-def test_feeder_sum():
-    out = aggregate_forecast(
-        {"a": series([1.0, 2.0]), "b": series([3.0, 4.0])},
-        {"a": "F0", "b": "F0"},
-    )
-    np.testing.assert_array_equal(out["F0"].values, [4.0, 6.0])
-
-
-def test_single_client_feeder_identity():
-    out = aggregate_forecast({"a": series([5.0, 6.0])}, {"a": "F1"})
-    np.testing.assert_array_equal(out["F1"].values, [5.0, 6.0])
-
-
-def test_feeders_kept_separate():
-    out = aggregate_forecast(
-        {"a": series([1.0]), "b": series([2.0]), "c": series([4.0])},
-        {"a": "F0", "b": "F1", "c": "F1"},
-    )
-    np.testing.assert_array_equal(out["F0"].values, [1.0])
-    np.testing.assert_array_equal(out["F1"].values, [6.0])
-
-
-def test_misaligned_lengths_rejected():
-    with pytest.raises(AlignmentError):
-        aggregate_forecast(
-            {"a": series([1.0, 2.0]), "b": series([1.0, 2.0, 3.0])},
-            {"a": "F0", "b": "F0"},
-        )
-
-
-def test_misaligned_starts_rejected():
-    with pytest.raises(AlignmentError):
-        aggregate_forecast(
-            {"a": series([1.0, 2.0], start=0), "b": series([1.0, 2.0], start=1)},
-            {"a": "F0", "b": "F0"},
-        )
-
-
-def test_aggregate_triangle_inequality():
-    # Feeder-level absolute error is never above the sum of member errors.
-    rng = np.random.default_rng(1)
-    pred = {f"c{i}": series(rng.uniform(0, 5, size=20)) for i in range(4)}
-    actual = {f"c{i}": series(rng.uniform(0, 5, size=20)) for i in range(4)}
-    feeders = {f"c{i}": "F0" for i in range(4)}
-    agg_pred = aggregate_forecast(pred, feeders)["F0"].values
-    agg_actual = aggregate_forecast(actual, feeders)["F0"].values
-    feeder_err = np.abs(agg_pred - agg_actual)
-    member_err = sum(np.abs(pred[c].values - actual[c].values) for c in pred)
-    assert np.all(feeder_err <= member_err + 1e-12)
 
 
 # ---------------------------------------------------------------- harness
@@ -231,4 +173,64 @@ def test_divergence_raises_naming_the_round(tmp_path, method):
     )
     who = r"client c\d+ " if method == "local_only" else ""
     with pytest.raises(NumericError, match=rf"round \d+: {who}"):
+        run_methods(load_datasets(sc), sc)
+
+
+# ------------------------------------------------------- feeder aggregation
+
+
+def feeder_oracle(harness, method):
+    """compute_metrics of each feeder's summed test forecasts (pred and
+    actual), in feeder order."""
+    models = harness.models_for(method)
+    sums = {}
+    for client in harness.eval_clients(method):
+        pred, actual, _ = client.test_forecast(models[client.client_id])
+        total = sums.setdefault(client.feeder_id, [0.0, 0.0])
+        total[0] = total[0] + pred
+        total[1] = total[1] + actual
+    return [compute_metrics(*sums[feeder]) for feeder in sorted(sums)]
+
+
+@pytest.mark.parametrize("method", ["local_only", "centralized", "fedavg"])
+def test_feeder_row_averages_summed_feeder_forecasts(tmp_path, method):
+    sc = scenario(
+        tmp_path,
+        population={"n_clients": 5, "archetypes": 2, "days": 10, "feeders": 2, "seed": 3},
+        methods=[method],
+    )
+    harness = _Harness(load_datasets(sc), sc)
+    row = harness.outcome(method).row
+    feeders = feeder_oracle(harness, method)
+    assert len(feeders) == 2
+    for name in ("mae", "rmse", "mape", "nrmse"):
+        want = np.mean([getattr(m, name) for m in feeders])
+        assert getattr(row.feeder, name) == pytest.approx(want, rel=1e-12)
+    assert row.feeder.excluded_points == sum(m.excluded_points for m in feeders)
+
+
+def test_one_member_feeders_equal_their_client(tmp_path):
+    sc = scenario(
+        tmp_path,
+        population={"n_clients": 4, "archetypes": 2, "days": 10, "feeders": 4, "seed": 3},
+    )
+    for outcome in run_methods(load_datasets(sc), sc).values():
+        assert outcome.row.feeder == outcome.row.mean
+
+
+def test_staggered_ingested_meters_fail_feeder_alignment(tmp_path):
+    # Every ingested client sits on feeder F0, and feeder metrics need equal
+    # test windows, so meters that start at different hours are rejected.
+    datasets = load_datasets(scenario(tmp_path))
+    cut = []
+    for ds, start in zip(datasets, (0, 0, 24, 5)):
+        series = TimeSeries(ds.series.start_epoch_hours + start, ds.series.values[start:])
+        cut.append(ClientDataset(ds.client_id, series))
+    path = str(tmp_path / "meters.csv")
+    save_csv(cut, path)
+    sc = scenario_from_tree(
+        {"output_dir": str(tmp_path), "ingest": {"path": path}, "model": {"lag": 8},
+         "fl": {"rounds": 2}, "methods": ["local_only"]}
+    )
+    with pytest.raises(AlignmentError, match="feeder F0: test windows of"):
         run_methods(load_datasets(sc), sc)
