@@ -14,8 +14,9 @@ DP that make one round of local updates. Its callers:
   round: participants of equal train sample counts train as stacks of at
   most STACK_BYTES of samples;
 * local_update, the per-handle hook, on a stack of one;
-* train_local, every client of equal sample counts in lockstep;
-* the centralized baseline, run_epochs alone on a stack of one.
+* train_lockstep, the one isolated-training loop: train_local runs it on
+  each stack of clients of equal sample counts, and the centralized
+  baseline on a stack of one model over the pooled samples.
 
 Batch order is shuffled deterministically from (config seed, client id,
 round index); with batch_size 0 the full batch is used and no shuffling
@@ -225,10 +226,6 @@ class FederatedClient:
     def n_val_samples(self) -> int:
         return self._val.n_samples
 
-    @property
-    def n_test_samples(self) -> int:
-        return self._test.n_samples
-
     def local_update(
         self, broadcast: ModelParams, config: FLConfig, round_index: int
     ) -> ClientUpdate:
@@ -318,11 +315,10 @@ def train_local(
     EarlyStop rule. Returns each client's final params and trace by id.
 
     Clients with equal (train, validation) sample counts train in lockstep
-    as one stack through the kernel; a client leaves the stack when it
-    stops. Results are bitwise those of training each client alone. A
-    client that diverges is dropped, and after training the error of the
-    first such client in ``clients`` order is raised, as training them one
-    after another would raise it.
+    as one stack through train_lockstep. Results are bitwise those of
+    training each client alone. A client that diverges is dropped, and
+    after training the error of the first such client in ``clients`` order
+    is raised, as training them one after another would raise it.
     """
     buckets: dict[tuple[int, int], list[FederatedClient]] = {}
     for client in clients:
@@ -331,7 +327,17 @@ def train_local(
     traces: dict[str, LocalTrace] = {}
     errors: dict[str, NumericError] = {}
     for bucket in buckets.values():
-        _train_lockstep(bucket, init, config, models, traces, errors)
+        got = train_lockstep(
+            [c.client_id for c in bucket],
+            np.stack([c._train.inputs for c in bucket]),
+            np.stack([c._train.targets for c in bucket]),
+            np.stack([c._val.inputs for c in bucket]),
+            np.stack([c._val.targets for c in bucket]),
+            init,
+            config,
+        )
+        for out, part in zip((models, traces, errors), got):
+            out.update(part)
     ids = [client.client_id for client in clients]
     for cid in ids:
         if cid in errors:
@@ -339,17 +345,22 @@ def train_local(
     return {cid: models[cid] for cid in ids}, {cid: traces[cid] for cid in ids}
 
 
-def _train_lockstep(bucket, init, config, models, traces, errors) -> None:
-    """train_local of clients with equal sample counts, as one stack."""
+def train_lockstep(ids, x, y, val_x, val_y, init: ModelParams, config: FLConfig):
+    """Isolated training of a stack of models, row c being model ids[c] on
+    train samples x[c], y[c] and validation samples val_x[c], val_y[c], each
+    from init under its own EarlyStop rule. A row leaves the stack when it
+    stops or fails.
+
+    Returns three dicts by id: the final params and LocalTrace of each row
+    that trained to its end, and the NumericError of each row that failed.
+    """
     spec = init.spec
-    ids = [c.client_id for c in bucket]
-    x = np.stack([c._train.inputs for c in bucket])
-    y = np.stack([c._train.targets for c in bucket])
-    val_x = np.stack([c._val.inputs for c in bucket])
-    val_y = np.stack([c._val.targets for c in bucket])
     values = np.tile(init.values, (len(ids), 1))
     stoppers = [EarlyStop(config.early_stop_patience, f"client {cid} validation loss") for cid in ids]
     trace: dict[str, list[float]] = {cid: [] for cid in ids}
+    models: dict[str, ModelParams] = {}
+    traces: dict[str, LocalTrace] = {}
+    errors: dict[str, NumericError] = {}
     for round_index in range(1, config.rounds + 1):
         new, _, failed = _train_stack(values, x, y, spec, config, round_index, ids)
         val = stack_loss(spec, new, val_x, val_y).tolist()
@@ -371,9 +382,10 @@ def _train_lockstep(bucket, init, config, models, traces, errors) -> None:
             else:
                 keep.append(i)
         if not keep:
-            return
+            break
         if len(keep) < len(ids):
             x, y, val_x, val_y, new = x[keep], y[keep], val_x[keep], val_y[keep], new[keep]
             ids = [ids[i] for i in keep]
             stoppers = [stoppers[i] for i in keep]
         values = new
+    return models, traces, errors

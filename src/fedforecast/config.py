@@ -14,6 +14,7 @@ mode of experiment configs).
 from __future__ import annotations
 
 import collections.abc
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -38,6 +39,9 @@ METHODS = {
     "ifca": "ifca",
     "ifca_personalized": "ifca",
 }
+
+# An exponent without a dot, such as 1e-3: YAML 1.1 reads it as a string.
+EXPONENT_NUMBER = re.compile(r"[-+]?[0-9]+[eE][-+]?[0-9]+")
 
 TOP_LEVEL_KEYS = (
     "seed", "output_dir", "population", "ingest", "model", "fl",
@@ -149,8 +153,9 @@ def _reject_unknown(raw: dict, path: str, allowed) -> None:
 
 def _value(value, hint, path: str):
     """``value`` checked against the annotation ``hint``: a number (never a
-    bool; an int must be integral), a string, a bool, a mapping of such
-    values, or a nested dataclass; ``X | None`` also takes None."""
+    bool; an int must be integral; a string matching EXPONENT_NUMBER is read
+    as one), a string, a bool, a mapping of such values, or a nested
+    dataclass; ``X | None`` also takes None."""
     options = get_args(hint)
     if type(None) in options:
         if value is None:
@@ -164,6 +169,8 @@ def _value(value, hint, path: str):
             for key, item in _mapping(value, path).items()
         }
     if hint in (int, float):
+        if isinstance(value, str) and EXPONENT_NUMBER.fullmatch(value):
+            value = float(value)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         if hint is int and isinstance(value, float) and not value.is_integer():

@@ -5,39 +5,33 @@ The harness trains each requested method on identical chronological splits
 and evaluates on denormalized kW test values:
 
 * ``local_only``: every client trains alone (same schedule, zero bytes);
-* ``centralized``: one model on the pooled samples under a pooled scaler;
+* ``centralized``: one model on the pooled samples under a pooled scaler,
+  trained as a stack of one by the same loop as ``local_only``, without DP;
 * ``fedavg`` / ``hc`` / ``ifca``: the federated engine in the matching mode;
-* ``*_personalized``: the federated result fine-tuned per client.
+* ``*_personalized``: the base method's models fine-tuned per client.
 
-Base federated runs are executed once and shared with their personalized
-variants, which is safe because runs are pure functions of (config, seed).
-Rows are byte-deterministic in the scenario seed.
+Each base method is trained once into one record (models, scored clients,
+trace rows, rounds to best validation, engine result), which its
+personalized variant shares; that is safe because runs are pure functions
+of (config, seed). Rows are byte-deterministic in the scenario seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clients import FederatedClient, run_epochs, train_local
+from .clients import FederatedClient, train_local, train_lockstep
+from .clients import run_epochs  # noqa: F401  (perfbench/tracer.py wraps evaluation.run_epochs)
 from .config import METHODS, ScenarioConfig
 from .data import ClientDataset, fit_scaler, prepare_client, train_raw_length
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    InsufficientDataError,
-    ShapeError,
-)
-from .fedcore import (
-    EarlyStop,
-    RunResult,
-    round_csv_rows,
-    run_training,
-)
-from .model import ModelParams, ModelSpec, init_params, loss
+from .errors import AlignmentError, ConfigError, InsufficientDataError, ShapeError
+from .fedcore import RunResult, round_csv_rows, run_training
+from .model import ModelParams, ModelSpec, init_params
+from .model import loss  # noqa: F401  (perfbench/tracer.py wraps evaluation.loss)
 from .seeds import derive_seed
 
 MAPE_EXCLUDE_BELOW = 1e-8
@@ -170,22 +164,12 @@ class ComparisonTable:
         }
 
 
-def _metrics_json_obj(m: Metrics) -> dict:
-    return {
-        "mae": m.mae,
-        "rmse": m.rmse,
-        "mape": m.mape,
-        "nrmse": m.nrmse,
-        "excluded_points": m.excluded_points,
-    }
-
-
 def row_json_obj(row: MethodRow) -> dict:
     return {
         "method": row.method,
-        "mean": _metrics_json_obj(row.mean),
-        "median": _metrics_json_obj(row.median),
-        "feeder": _metrics_json_obj(row.feeder),
+        "mean": asdict(row.mean),
+        "median": asdict(row.median),
+        "feeder": asdict(row.feeder),
         "n_train_samples": row.n_train_samples,
         "bytes_up": row.bytes_up,
         "bytes_down": row.bytes_down,
@@ -212,6 +196,17 @@ def _base_method(method: str) -> str:
     return method.removesuffix("_personalized")
 
 
+@dataclass(frozen=True, eq=False)
+class _Trained:
+    """One trained base method, which its personalized variant shares."""
+
+    models: Mapping[str, ModelParams]  # by client id
+    eval_clients: Sequence[FederatedClient]  # whose test forecasts are scored
+    trace_rows: list
+    rounds_to_best_val: float
+    result: RunResult | None  # the engine's run; None when no bytes were sent
+
+
 class _Harness:
     """Shared state for one comparison run over one dataset draw."""
 
@@ -230,108 +225,93 @@ class _Harness:
             m.kind, m.lag + len(names), m.horizon, m.hidden if m.kind == "mlp" else 0
         )
         self.fl = scenario.fl
-        self.splits = [
-            prepare_client(ds, m.lag, m.horizon) for ds in self.datasets
+        self.clients = [
+            FederatedClient(prepare_client(ds, m.lag, m.horizon)) for ds in self.datasets
         ]
-        self.clients = [FederatedClient(s) for s in self.splits]
         self.n_train_total = sum(c.n_train_samples for c in self.clients)
-        self._fl_runs: dict[str, RunResult] = {}
-        self._pooled: tuple[list, list[FederatedClient]] | None = None
-        self._local_models: dict[str, ModelParams] | None = None
-        self._local_traces = None
-        self._centralized = None
+        self._trained: dict[str, _Trained] = {}
 
     # ---- method execution -------------------------------------------------
 
-    def fl_run(self, base: str) -> RunResult:
-        if base not in self._fl_runs:
-            if len(self.clients) < 2:
-                raise ConfigError(f"method {base} needs at least 2 clients")
-            self._fl_runs[base] = run_training(
-                self.clients,
-                self.spec,
-                self.fl,
-                mode=METHODS[base],
-                cluster=self.scenario.cluster_for(base),
-            )
-        return self._fl_runs[base]
+    def trained(self, base: str) -> _Trained:
+        """The record of a base method, trained on first use."""
+        if base not in self._trained:
+            build = {"local_only": self._local_only, "centralized": self._centralized}
+            self._trained[base] = build.get(base, self._federated)(base)
+        return self._trained[base]
 
-    def local_models(self):
-        if self._local_models is None:
-            init = init_params(self.spec, derive_seed(self.fl.seed, "init", 0))
-            self._local_models, self._local_traces = train_local(self.clients, init, self.fl)
-        return self._local_models, self._local_traces
+    def _init(self) -> ModelParams:
+        return init_params(self.spec, derive_seed(self.fl.seed, "init", 0))
 
-    def _pooled_material(self):
-        """Per-client splits under the pooled scaler, plus eval handles."""
-        if self._pooled is None:
-            lag, horizon = self.scenario.model.lag, self.scenario.model.horizon
-            prefixes = [
-                train_raw_length(len(ds.series), lag, horizon) for ds in self.datasets
-            ]
-            value_scaler = fit_scaler(
-                np.concatenate(
-                    [ds.series.values[:p] for ds, p in zip(self.datasets, prefixes)]
-                )
-            )
-            names = sorted(self.datasets[0].covariates)
-            cov_scalers = {
-                name: fit_scaler(
-                    np.concatenate(
-                        [ds.covariates[name][:p] for ds, p in zip(self.datasets, prefixes)]
-                    )
-                )
-                for name in names
-            }
-            splits = [
-                prepare_client(ds, lag, horizon, value_scaler, cov_scalers)
-                for ds in self.datasets
-            ]
-            self._pooled = (splits, [FederatedClient(s) for s in splits])
-        return self._pooled
-
-    def pooled_clients(self) -> list[FederatedClient]:
-        return self._pooled_material()[1]
-
-    def centralized(self):
-        """(params, val trace) of one model trained on the pooled samples."""
-        if self._centralized is None:
-            splits, _ = self._pooled_material()
-            train_x = np.concatenate([s.train.inputs for s in splits])
-            train_y = np.concatenate([s.train.targets for s in splits])
-            val_x = np.concatenate([s.val.inputs for s in splits])
-            val_y = np.concatenate([s.val.targets for s in splits])
-            # A stack of one model over the pooled samples.
-            values = init_params(self.spec, derive_seed(self.fl.seed, "init", 0)).values[None]
-            trace: list[float] = []
-            stopper = EarlyStop(self.fl.early_stop_patience, "centralized validation loss")
-            for round_index in range(1, self.fl.rounds + 1):
-                values, _ = run_epochs(
-                    values, train_x[None], train_y[None], self.spec, self.fl,
-                    [("centralized", round_index)],
-                )
-                val = loss(ModelParams(self.spec, values[0]), val_x, val_y)
-                stop = stopper.update(round_index, val)
-                trace.append(val)
-                if stop:
-                    break
-            self._centralized = (ModelParams(self.spec, values[0]), trace)
-        return self._centralized
-
-    def models_for(self, method: str) -> dict[str, ModelParams]:
-        base = _base_method(method)
-        if base == "local_only":
-            return dict(self.local_models()[0])
-        if base == "centralized":
-            params, _ = self.centralized()
-            return {c.client_id: params for c in self.clients}
-        result = self.fl_run(base)
+    def _federated(self, base: str) -> _Trained:
+        if len(self.clients) < 2:
+            raise ConfigError(f"method {base} needs at least 2 clients")
+        result = run_training(
+            self.clients,
+            self.spec,
+            self.fl,
+            mode=METHODS[base],
+            cluster=self.scenario.cluster_for(base),
+        )
         if result.mode == "global":
             models = {c.client_id: result.models[0] for c in self.clients}
         else:
-            models = {
-                cid: result.models[j] for cid, j in result.assignment.items()
-            }
+            models = {cid: result.models[j] for cid, j in result.assignment.items()}
+        rows = round_csv_rows(result)
+        return _Trained(models, self.clients, rows, float(result.rounds_to_best_val), result)
+
+    def _local_only(self, base: str) -> _Trained:
+        models, traces = train_local(self.clients, self._init(), self.fl)
+        val_weights = {c.client_id: c.n_val_samples for c in self.clients}
+        rows = []
+        for r in range(max(len(t.val_losses) for t in traces.values())):
+            active = [cid for cid in sorted(traces) if r < len(traces[cid].val_losses)]
+            total = sum(val_weights[cid] for cid in active)
+            val = sum(traces[cid].val_losses[r] * val_weights[cid] for cid in active) / total
+            rows.append([r + 1, val, 0, 0, len(active), 0])
+        weights = {c.client_id: c.n_train_samples for c in self.clients}
+        best = sum(traces[cid].best_round * weights[cid] for cid in traces)
+        return _Trained(models, self.clients, rows, float(best / sum(weights.values())), None)
+
+    def _centralized(self, base: str) -> _Trained:
+        """One model on every client's samples, each client's split scaled
+        by scalers fit on the pooled train prefixes; DP is not applied."""
+        lag, horizon = self.scenario.model.lag, self.scenario.model.horizon
+        prefixes = [train_raw_length(len(ds.series), lag, horizon) for ds in self.datasets]
+
+        def pooled_scaler(columns):
+            return fit_scaler(np.concatenate([c[:p] for c, p in zip(columns, prefixes)]))
+
+        value_scaler = pooled_scaler([ds.series.values for ds in self.datasets])
+        cov_scalers = {
+            name: pooled_scaler([ds.covariates[name] for ds in self.datasets])
+            for name in sorted(self.datasets[0].covariates)
+        }
+        splits = [
+            prepare_client(ds, lag, horizon, value_scaler, cov_scalers) for ds in self.datasets
+        ]
+        train_x = np.concatenate([s.train.inputs for s in splits])
+        train_y = np.concatenate([s.train.targets for s in splits])
+        val_x = np.concatenate([s.val.inputs for s in splits])
+        val_y = np.concatenate([s.val.targets for s in splits])
+        # Stacks of one over the pooled samples: [None] views, no copies.
+        models, traces, errors = train_lockstep(
+            [base], train_x[None], train_y[None], val_x[None], val_y[None],
+            self._init(), replace(self.fl, dp=None),
+        )
+        if errors:
+            raise errors[base]
+        trace = traces[base]
+        return _Trained(
+            dict.fromkeys((ds.client_id for ds in self.datasets), models[base]),
+            [FederatedClient(s) for s in splits],
+            [[i + 1, v, 0, 0, 1, 0] for i, v in enumerate(trace.val_losses)],
+            float(trace.best_round),
+            None,
+        )
+
+    def models_for(self, method: str) -> dict[str, ModelParams]:
+        models = dict(self.trained(_base_method(method)).models)
         if method.endswith("_personalized"):
             pers = self.scenario.personalization
             lr = pers.lr_scale * self.fl.optimizer.lr
@@ -345,18 +325,18 @@ class _Harness:
 
     # ---- evaluation --------------------------------------------------------
 
-    def eval_clients(self, method: str) -> list[FederatedClient]:
-        return self.pooled_clients() if _base_method(method) == "centralized" else self.clients
+    def eval_clients(self, method: str) -> Sequence[FederatedClient]:
+        return self.trained(_base_method(method)).eval_clients
 
     def outcome(self, method: str) -> MethodOutcome:
         models = self.models_for(method)
-        eval_clients = self.eval_clients(method)
+        trained = self.trained(_base_method(method))
         per_client: dict[str, Metrics] = {}
         preds: dict[str, np.ndarray] = {}
         actuals: dict[str, np.ndarray] = {}
         stamps: dict[str, np.ndarray] = {}
         feeders: dict[str, str] = {}
-        for client in eval_clients:
+        for client in trained.eval_clients:
             pred, actual, ts = client.test_forecast(models[client.client_id])
             per_client[client.client_id] = compute_metrics(pred, actual)
             preds[client.client_id] = pred
@@ -383,64 +363,24 @@ class _Harness:
             feeder_metrics.append(compute_metrics(pred_sum, actual_sum))
 
         client_metrics = [per_client[cid] for cid in sorted(per_client)]
+        result = trained.result
         row = MethodRow(
             method=method,
             mean=_reduce_metrics(client_metrics, np.mean),
             median=_reduce_metrics(client_metrics, np.median),
             feeder=_reduce_metrics(feeder_metrics, np.mean),
             n_train_samples=self.n_train_total,
-            bytes_up=self._bytes(method, "up"),
-            bytes_down=self._bytes(method, "down"),
-            rounds_to_best_val=self._rounds_to_best(method),
+            bytes_up=result.bytes_up_total if result is not None else 0,
+            bytes_down=result.bytes_down_total if result is not None else 0,
+            rounds_to_best_val=trained.rounds_to_best_val,
         )
         return MethodOutcome(
             method=method,
             row=row,
             per_client=per_client,
-            trace_rows=self._trace_rows(method),
-            run_result=self._fl_runs.get(_base_method(method)),
+            trace_rows=trained.trace_rows,
+            run_result=result,
         )
-
-    def _bytes(self, method: str, direction: str) -> int:
-        base = _base_method(method)
-        if base in ("local_only", "centralized"):
-            return 0
-        result = self.fl_run(base)
-        return result.bytes_up_total if direction == "up" else result.bytes_down_total
-
-    def _rounds_to_best(self, method: str) -> float:
-        base = _base_method(method)
-        if base == "local_only":
-            _, traces = self.local_models()
-            weights = {c.client_id: c.n_train_samples for c in self.clients}
-            total = sum(weights.values())
-            return float(
-                sum(traces[cid].best_round * weights[cid] for cid in traces) / total
-            )
-        if base == "centralized":
-            _, trace = self.centralized()
-            return float(int(np.argmin(np.asarray(trace))) + 1)
-        return float(self.fl_run(base).rounds_to_best_val)
-
-    def _trace_rows(self, method: str) -> list:
-        base = _base_method(method)
-        if base == "centralized":
-            _, trace = self.centralized()
-            return [
-                [i + 1, v, 0, 0, 1, 0] for i, v in enumerate(trace)
-            ]
-        if base == "local_only":
-            _, traces = self.local_models()
-            weights = {c.client_id: c.n_val_samples for c in self.clients}
-            longest = max(len(t.val_losses) for t in traces.values())
-            rows = []
-            for r in range(longest):
-                active = [cid for cid in sorted(traces) if r < len(traces[cid].val_losses)]
-                total = sum(weights[cid] for cid in active)
-                val = sum(traces[cid].val_losses[r] * weights[cid] for cid in active) / total
-                rows.append([r + 1, val, 0, 0, len(active), 0])
-            return rows
-        return round_csv_rows(self.fl_run(base))
 
 
 def run_methods(

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -85,9 +85,9 @@ class FLConfig:
     participation: float = 1.0
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     early_stop_patience: int = 0
+    eval_every: int = 10
     seed: int = 0
     dp: DpConfig | None = None
-    eval_every: int = 10
 
     def __post_init__(self) -> None:
         for name in ("local_epochs", "batch_size", "early_stop_patience", "eval_every", "seed"):
@@ -470,41 +470,12 @@ def _hc_dispatch(state, clients, config, cluster: ClusterConfig, round_index: in
 def run_result_json_obj(result: RunResult) -> dict:
     """JSON-ready view of a run; wall time is excluded so reruns are
     byte-identical."""
-    cfg = result.config
-    dp = cfg.dp
     return {
         "mode": result.mode,
         "seed": result.seed,
-        "model_spec": {
-            "kind": result.model_spec.kind,
-            "input_dim": result.model_spec.input_dim,
-            "horizon": result.model_spec.horizon,
-            "hidden_dim": result.model_spec.hidden_dim,
-        },
-        "config": {
-            "rounds": cfg.rounds,
-            "local_epochs": cfg.local_epochs,
-            "batch_size": cfg.batch_size,
-            "participation": cfg.participation,
-            "optimizer": {
-                "kind": cfg.optimizer.kind,
-                "lr": cfg.optimizer.lr,
-                "beta": cfg.optimizer.beta,
-            },
-            "early_stop_patience": cfg.early_stop_patience,
-            "eval_every": cfg.eval_every,
-            "seed": cfg.seed,
-            "dp": None
-            if dp is None
-            else {"clip_norm": dp.clip_norm, "sigma": dp.sigma},
-        },
-        "cluster": {
-            "mode": result.cluster.mode,
-            "tau": result.cluster.tau,
-            "warmup": result.cluster.warmup,
-            "k": result.cluster.k,
-            "recluster_every": result.cluster.recluster_every,
-        },
+        "model_spec": asdict(result.model_spec),
+        "config": asdict(result.config),
+        "cluster": asdict(result.cluster),
         "n_models": len(result.models),
         "assignment": dict(sorted(result.assignment.items())),
         "rounds_to_best_val": result.rounds_to_best_val,

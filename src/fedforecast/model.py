@@ -86,9 +86,6 @@ class ModelParams:
             raise NumericError("parameter vector contains non-finite values")
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values: np.ndarray) -> "ModelParams":
-        return ModelParams(self.spec, values)
-
 
 def _unflatten(spec: ModelSpec, values: np.ndarray):
     """Views of a C x P stack of flat vectors as C-stacked weight matrices

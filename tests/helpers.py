@@ -7,7 +7,7 @@ from typing import Mapping
 import numpy as np
 
 from fedforecast import fedcore
-from fedforecast.clients import FederatedClient, LocalTrace
+from fedforecast.clients import FederatedClient, LocalTrace, run_epochs
 from fedforecast.data import (
     IDENTITY_SCALER,
     ClientDataset,
@@ -18,11 +18,18 @@ from fedforecast.data import (
 from fedforecast.errors import InsufficientDataError, ShapeError
 from fedforecast.cluster import hc_partition
 from fedforecast.fedcore import ClientUpdate, EarlyStop, RoundReport, fedavg_aggregate
-from fedforecast.model import ModelParams, ModelSpec, loss, loss_and_grad, param_message_bytes
+from fedforecast.model import (
+    ModelParams,
+    ModelSpec,
+    init_params,
+    loss,
+    loss_and_grad,
+    param_message_bytes,
+)
 from fedforecast.optim import make_state, step
 from fedforecast.population import PopulationSpec, generate_population
 from fedforecast.privacy import privatize_delta
-from fedforecast.seeds import rng_for
+from fedforecast.seeds import derive_seed, rng_for
 
 # Generated populations always carry irradiance and temperature covariates.
 POPULATION_COVARIATES = 2
@@ -235,6 +242,33 @@ def reference_train_local(client, init, config):
             break
     best_round = int(np.argmin(np.asarray(trace))) + 1
     return params, LocalTrace(tuple(trace), best_round)
+
+
+def reference_centralized(clients, spec, config):
+    """The centralized baseline's own round loop, which the harness ran
+    before centralized trained through ``clients.train_lockstep``: the
+    kernel on a stack of one over the samples of ``clients`` (the pooled
+    handles), validated with ``loss`` under an EarlyStop rule, without DP.
+    Returns (params, val trace)."""
+    train_x = np.concatenate([c._train.inputs for c in clients])
+    train_y = np.concatenate([c._train.targets for c in clients])
+    val_x = np.concatenate([c._val.inputs for c in clients])
+    val_y = np.concatenate([c._val.targets for c in clients])
+    # A stack of one model over the pooled samples.
+    values = init_params(spec, derive_seed(config.seed, "init", 0)).values[None]
+    trace: list[float] = []
+    stopper = EarlyStop(config.early_stop_patience, "centralized validation loss")
+    for round_index in range(1, config.rounds + 1):
+        values, _ = run_epochs(
+            values, train_x[None], train_y[None], spec, config,
+            [("centralized", round_index)],
+        )
+        val = loss(ModelParams(spec, values[0]), val_x, val_y)
+        stop = stopper.update(round_index, val)
+        trace.append(val)
+        if stop:
+            break
+    return ModelParams(spec, values[0]), trace
 
 
 def reference_routed_round(state, by_id, route, config, round_index, regroup_tau=None):

@@ -196,6 +196,18 @@ def test_sweep_can_introduce_missing_block(tmp_path):
     assert (out_dir / "sweep_personalization_epochs" / "tradeoff.csv").exists()
 
 
+def test_sweep_takes_exponent_values(tmp_path):
+    # YAML 1.1 reads 1e-3 as a string; the number field still takes it.
+    config, out_dir = write_config(tmp_path, methods="[local_only]")
+    assert execute(["sweep", "--config", config, "--param", "fl.optimizer.lr",
+                    "--values", "1e-3,2e-2"]) == 0
+    tradeoff = (out_dir / "sweep_fl_optimizer_lr" / "tradeoff.csv").read_text()
+    assert [line.split(",")[1] for line in tradeoff.strip().split("\n")[1:]] == ["1e-3", "2e-2"]
+    points = [(out_dir / "sweep_fl_optimizer_lr" / v / "comparison.csv").read_text()
+              for v in ("1e-3", "2e-2")]
+    assert points[0] != points[1]
+
+
 def test_sweep_invalid_value_exits_one(tmp_path, capsys):
     config, _ = write_config(tmp_path)
     assert execute(["sweep", "--config", config, "--param", "fl.rounds",

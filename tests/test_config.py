@@ -296,6 +296,36 @@ def test_accepted_values_keep_their_types():
     assert sc.cluster.tau == 1.0 and isinstance(sc.cluster.tau, float)
 
 
+def test_exponent_without_a_dot_is_a_number():
+    # YAML 1.1 reads 1e-3 as the string '1e-3'; number fields take it as one.
+    tree = yaml.safe_load(
+        "fl: {rounds: 2e1, optimizer: {lr: 1e-3}}\n"
+        "dp: {clip_norm: +5E-1, sigma: 0e0}\n"
+        "output_dir: 1e3\n"
+    )
+    assert tree["fl"]["optimizer"]["lr"] == "1e-3"
+    sc = scenario_from_tree(minimal_tree(**tree))
+    assert sc.fl.optimizer.lr == 1e-3
+    assert sc.fl.rounds == 20 and isinstance(sc.fl.rounds, int)
+    assert sc.fl.dp.clip_norm == 0.5
+    assert sc.output_dir == "1e3"  # a string field keeps the text
+
+
+@pytest.mark.parametrize(
+    "fl, message",
+    [
+        ({"rounds": "1e-1"}, "fl.rounds: expected an integer, got 0.1"),
+        ({"rounds": "1.5e1"}, "fl.rounds: expected a number, got '1.5e1'"),
+        ({"optimizer": {"lr": "1e-3x"}}, "fl.optimizer.lr: expected a number, got '1e-3x'"),
+        ({"optimizer": {"lr": "-1e-3"}}, "fl.optimizer.lr: must be > 0, got -0.001"),
+    ],
+)
+def test_exponent_strings_still_checked(fl, message):
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_tree(minimal_tree(fl=fl))
+    assert str(exc.value) == message
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Every section the README's schema block lists keys for; ingest.covariates

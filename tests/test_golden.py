@@ -17,11 +17,12 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from helpers import check_rounds_against_reference
+from helpers import check_rounds_against_reference, reference_centralized
 from fedforecast.config import load_datasets, scenario_from_tree
-from fedforecast.evaluation import ComparisonTable, run_methods
+from fedforecast.evaluation import ComparisonTable, _Harness, run_methods
 from fedforecast.fedcore import ROUND_CSV_HEADER, run_result_json_obj
 from fedforecast.serialize import to_csv_text, to_json_text
 
@@ -141,6 +142,19 @@ def test_batched_rounds_equal_per_handle_reference(monkeypatch, name):
     # Personalized methods share their base method's run.
     fed = {id(o.run_result): o.run_result for o in outcomes.values() if o.run_result}
     assert len(checked) == sum(len(run.reports) for run in fed.values()) > 0
+
+
+@pytest.mark.parametrize("name", ["dp", "minibatch", "early_stop"])
+def test_centralized_equals_its_own_round_loop(name):
+    # dp: the pooled model trains without DP, as the reference does.
+    scenario = scenario_from_tree(scenario_tree(name))
+    harness = _Harness(load_datasets(scenario), scenario)
+    trained = harness.trained("centralized")
+    params, trace = reference_centralized(trained.eval_clients, harness.spec, scenario.fl)
+    assert all(m.values.tobytes() == params.values.tobytes() for m in trained.models.values())
+    assert repr([row[1] for row in trained.trace_rows]) == repr(trace)
+    assert trained.rounds_to_best_val == float(np.argmin(trace) + 1)
+    assert trained.result is None
 
 
 def test_scenarios_exercise_what_they_name(runs):

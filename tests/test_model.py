@@ -84,8 +84,8 @@ def finite_diff_grad(params, inputs, targets, step=1e-6):
         dn = base.copy()
         up[i] += step
         dn[i] -= step
-        lu = loss(params.with_values(up), inputs, targets)
-        ld = loss(params.with_values(dn), inputs, targets)
+        lu = loss(ModelParams(params.spec, up), inputs, targets)
+        ld = loss(ModelParams(params.spec, dn), inputs, targets)
         grad[i] = (lu - ld) / (2.0 * step)
     return grad
 
