@@ -40,8 +40,9 @@ METHODS = {
     "ifca_personalized": "ifca",
 }
 
-# An exponent without a dot, such as 1e-3: YAML 1.1 reads it as a string.
-EXPONENT_NUMBER = re.compile(r"[-+]?[0-9]+[eE][-+]?[0-9]+")
+# A number with an exponent, such as 1e-3 or 1.5e1: YAML 1.1 reads these as
+# strings when the mantissa has no dot or the exponent no sign.
+EXPONENT_NUMBER = re.compile(r"[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+")
 
 TOP_LEVEL_KEYS = (
     "seed", "output_dir", "population", "ingest", "model", "fl",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping
@@ -264,17 +265,20 @@ def prepare_client(
     samples; passing explicit scalers is how the pooled/centralized path
     shares statistics. Validation/test values never influence the fit.
     """
-    prefix = train_raw_length(len(dataset.series), lag, horizon)
-    if value_scaler is None:
-        value_scaler = fit_scaler(dataset.series.values[:prefix])
-    if covariate_scalers is None:
-        covariate_scalers = {
-            name: fit_scaler(cov[:prefix]) for name, cov in dataset.covariates.items()
-        }
-    sset = build_supervised(
-        dataset.series, dataset.covariates, lag, horizon, value_scaler, covariate_scalers
-    )
-    train, val, test = split_dataset(sset)
+    try:
+        prefix = train_raw_length(len(dataset.series), lag, horizon)
+        if value_scaler is None:
+            value_scaler = fit_scaler(dataset.series.values[:prefix])
+        if covariate_scalers is None:
+            covariate_scalers = {
+                name: fit_scaler(cov[:prefix]) for name, cov in dataset.covariates.items()
+            }
+        sset = build_supervised(
+            dataset.series, dataset.covariates, lag, horizon, value_scaler, covariate_scalers
+        )
+        train, val, test = split_dataset(sset)
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"client {dataset.client_id}: {exc}") from None
     return ClientSplits(
         client_id=dataset.client_id,
         train=train,
@@ -304,7 +308,8 @@ class CsvSchema:
 
 def _parse_epoch_hour(text: str, line_no: int) -> int:
     try:
-        stamp = datetime.fromisoformat(text)
+        # Python 3.10's fromisoformat rejects a "Z" suffix that 3.11 reads as UTC.
+        stamp = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
     except ValueError as exc:
         raise ParseError(f"line {line_no}: bad timestamp {text!r}: {exc}") from None
     if stamp.tzinfo is None:
@@ -324,10 +329,90 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
     return value
 
 
+def _value_arrays(cells: list[list[str]], columns: list[str], lines) -> list[np.ndarray]:
+    """Each column of value cells as one float64 array.
+
+    numpy parses a str with float(), so it accepts exactly what _parse_float
+    does. If any cell fails or is non-finite, the cells are rechecked row by
+    row, in column order within a row, and the first bad one's ParseError is
+    raised.
+    """
+    arrays = []
+    try:
+        for col in cells:
+            arrays.append(np.array(col, dtype=np.float64))
+            if not np.isfinite(arrays[-1]).all():
+                raise ValueError
+    except ValueError:
+        for i, line_no in enumerate(lines):
+            for col, column in zip(cells, columns):
+                _parse_float(col[i], column, line_no)
+    return arrays
+
+
+def _read_columns(reader, header: list[str], schema: CsvSchema, value_columns: list[str]):
+    """Stream the data rows of ``reader`` into columns.
+
+    Returns the code of each (stripped) client id, and per data row its
+    client code, epoch hour and, as one float64 array per value column, its
+    values. Each distinct timestamp or client id text is parsed once. Errors
+    are those of the first bad cell in file order.
+    """
+    width = len(header)
+    ts_at, cid_at = header.index(schema.timestamp), header.index(schema.client_id)
+    cells: list[list[str]] = [[] for _ in value_columns]
+    sinks = [(col.append, header.index(c)) for col, c in zip(cells, value_columns)]
+    hour_of: dict[str, int] = {}  # timestamp text -> epoch hour
+    code_of_text: dict[str, int] = {}  # client id text -> client code
+    code_of: dict[str, int] = {}  # stripped client id -> client code
+    hours: list[int] = []
+    codes: list[int] = []
+    lines = array("q")  # file line of each data row
+    error: ParseError | None = None
+    for row in reader:
+        line_no = reader.line_num
+        if len(row) < width:
+            if not row:
+                continue
+            error = ParseError(f"line {line_no}: expected {width} columns, got {len(row)}")
+            break
+        code = code_of_text.get(row[cid_at])
+        if code is None:
+            cid = row[cid_at].strip()
+            if not cid:
+                error = ParseError(f"line {line_no}: empty client id")
+                break
+            code = code_of_text[row[cid_at]] = code_of.setdefault(cid, len(code_of))
+        hour = hour_of.get(row[ts_at])
+        if hour is None:
+            try:
+                hour = _parse_epoch_hour(row[ts_at].strip(), line_no)
+            except ParseError as exc:
+                error = exc
+                break
+            hour_of[row[ts_at]] = hour
+        codes.append(code)
+        hours.append(hour)
+        lines.append(line_no)
+        for append, at in sinks:
+            append(row[at])
+    # A bad value on a row before the one that stopped the stream comes first.
+    values = _value_arrays(cells, value_columns, lines)
+    if error is not None:
+        raise error
+    return code_of, np.array(codes, dtype=np.intp), np.array(hours, dtype=np.int64), values
+
+
 def load_csv(
     path: str, schema: CsvSchema | None = None, forward_fill: bool = False
 ) -> list[ClientDataset]:
     """Ingest a smart-meter CSV into per-client datasets.
+
+    Columns are found by header name, in any order; a column the schema
+    reads must appear exactly once. Blank lines are skipped, a row with
+    fewer cells than the header is rejected, and parse errors name the
+    file line (first bad cell in file order; within a row the client id,
+    then the timestamp, the value and the covariates).
 
     Per client, timestamps must be strictly increasing in file order and
     hourly-contiguous; a missing hour raises GapError naming the client and
@@ -336,68 +421,54 @@ def load_csv(
     archetype_id = -1 (ground truth unknown for ingested data).
     """
     schema = schema or CsvSchema()
+    names = sorted(schema.covariates)
+    value_columns = [schema.value_kw] + [schema.covariates[name] for name in names]
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        required = [schema.timestamp, schema.client_id, schema.value_kw]
-        required += [schema.covariates[name] for name in sorted(schema.covariates)]
-        for column in required:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        for column in [schema.timestamp, schema.client_id] + value_columns:
             if column not in header:
                 raise SchemaError(f"missing required column {column!r} in {path}")
-        rows: dict[str, list[tuple[int, float, tuple[float, ...]]]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            cid = (row.get(schema.client_id) or "").strip()
-            if not cid:
-                raise ParseError(f"line {line_no}: empty client id")
-            hour = _parse_epoch_hour((row.get(schema.timestamp) or "").strip(), line_no)
-            value = _parse_float(row.get(schema.value_kw), schema.value_kw, line_no)
-            covs = tuple(
-                _parse_float(row.get(schema.covariates[name]), schema.covariates[name], line_no)
-                for name in sorted(schema.covariates)
-            )
-            rows.setdefault(cid, []).append((hour, value, covs))
-    if not rows:
+            if header.count(column) > 1:
+                raise SchemaError(
+                    f"column {column!r} appears {header.count(column)} times in {path}"
+                )
+        code_of, codes, hours, values = _read_columns(reader, header, schema, value_columns)
+    if not code_of:
         raise InsufficientDataError(f"{path} contains no data rows")
 
-    names = sorted(schema.covariates)
+    order = np.argsort(codes, kind="stable")  # rows by client, in file order
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(codes))))
     datasets = []
-    for cid in sorted(rows):
-        entries = rows[cid]
-        filled: list[tuple[int, float, tuple[float, ...]]] = []
-        for i, entry in enumerate(entries):
-            if i > 0:
-                prev = filled[-1]
-                if entry[0] <= prev[0]:
-                    raise GapError(
-                        f"client {cid}: non-monotone timestamp at hour {entry[0]} "
-                        f"(after {prev[0]})"
-                    )
-                if entry[0] > prev[0] + 1:
-                    if not forward_fill:
-                        raise GapError(
-                            f"client {cid}: missing hour {prev[0] + 1} "
-                            f"(gap of {entry[0] - prev[0] - 1})"
-                        )
-                    for hole in range(prev[0] + 1, entry[0]):
-                        filled.append((hole, prev[1], prev[2]))
-            filled.append(entry)
-        series = TimeSeries(
-            start_epoch_hours=filled[0][0],
-            values=np.array([e[1] for e in filled], dtype=np.float64),
-        )
-        covariates = {
-            name: np.array([e[2][j] for e in filled], dtype=np.float64)
-            for j, name in enumerate(names)
-        }
+    for cid in sorted(code_of):
+        rows = order[bounds[code_of[cid]] : bounds[code_of[cid] + 1]]
+        stamps = hours[rows]
+        step = np.diff(stamps)
+        wrong = np.flatnonzero(step <= 0 if forward_fill else step != 1)
+        if wrong.size:
+            i = wrong[0]
+            if step[i] <= 0:
+                raise GapError(
+                    f"client {cid}: non-monotone timestamp at hour {stamps[i + 1]} "
+                    f"(after {stamps[i]})"
+                )
+            raise GapError(
+                f"client {cid}: missing hour {stamps[i] + 1} (gap of {step[i] - 1})"
+            )
+        if forward_fill:
+            # Every hour takes the last row at or before it.
+            latest = np.zeros(stamps[-1] - stamps[0] + 1, dtype=np.intp)
+            latest[stamps - stamps[0]] = np.arange(rows.size)
+            rows = rows[np.maximum.accumulate(latest)]
         datasets.append(
             ClientDataset(
                 client_id=cid,
-                series=series,
-                covariates=covariates,
+                series=TimeSeries(int(stamps[0]), values[0][rows]),
+                covariates={name: col[rows] for name, col in zip(names, values[1:])},
                 archetype_id=-1,
             )
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -192,6 +193,16 @@ def _reduce_metrics(items: Sequence[Metrics], reduce) -> Metrics:
     )
 
 
+def _shared_rows(windows: Sequence[np.ndarray]) -> list | None:
+    """For each window of test sample timestamps, the rows whose timestamps
+    every window has (all rows when the windows are equal); None when the
+    windows share none."""
+    if all(np.array_equal(w, windows[0]) for w in windows[1:]):
+        return [slice(None)] * len(windows)
+    shared = reduce(np.intersect1d, windows)
+    return [np.isin(w, shared) for w in windows] if shared.size else None
+
+
 def _base_method(method: str) -> str:
     return method.removesuffix("_personalized")
 
@@ -344,23 +355,25 @@ class _Harness:
             stamps[client.client_id] = ts
             feeders[client.client_id] = client.feeder_id
 
+        # A feeder whose members share no test hour is left out of the
+        # feeder mean.
         feeder_metrics = []
         groups: dict[str, list[str]] = {}
         for cid in sorted(preds):
             groups.setdefault(feeders[cid], []).append(cid)
         for feeder in sorted(groups):
             members = groups[feeder]
-            head = members[0]
-            for cid in members[1:]:
-                if preds[cid].shape != preds[head].shape or not np.array_equal(
-                    stamps[cid], stamps[head]
-                ):
-                    raise AlignmentError(
-                        f"feeder {feeder}: test windows of {cid} and {head} differ"
-                    )
-            pred_sum = np.sum([preds[cid] for cid in members], axis=0)
-            actual_sum = np.sum([actuals[cid] for cid in members], axis=0)
+            rows = _shared_rows([stamps[cid] for cid in members])
+            if rows is None:
+                continue
+            pred_sum = np.sum([preds[cid][r] for cid, r in zip(members, rows)], axis=0)
+            actual_sum = np.sum([actuals[cid][r] for cid, r in zip(members, rows)], axis=0)
             feeder_metrics.append(compute_metrics(pred_sum, actual_sum))
+        if not feeder_metrics:
+            raise AlignmentError(
+                f"no feeder has a test hour shared by all its members "
+                f"(feeders {', '.join(sorted(groups))})"
+            )
 
         client_metrics = [per_client[cid] for cid in sorted(per_client)]
         result = trained.result

@@ -1,6 +1,7 @@
 """Shared fixtures for the engine-level tests, and the one-at-a-time
 reference implementations that faster code is tested against."""
 
+import csv
 from dataclasses import replace
 from typing import Mapping
 
@@ -11,11 +12,21 @@ from fedforecast.clients import FederatedClient, LocalTrace, run_epochs
 from fedforecast.data import (
     IDENTITY_SCALER,
     ClientDataset,
+    CsvSchema,
     SupervisedSet,
     TimeSeries,
+    _parse_epoch_hour,
+    _parse_float,
     prepare_client,
 )
-from fedforecast.errors import InsufficientDataError, ShapeError
+from fedforecast.errors import (
+    GapError,
+    InsufficientDataError,
+    IoError,
+    ParseError,
+    SchemaError,
+    ShapeError,
+)
 from fedforecast.cluster import hc_partition
 from fedforecast.fedcore import ClientUpdate, EarlyStop, RoundReport, fedavg_aggregate
 from fedforecast.model import (
@@ -166,6 +177,85 @@ def reference_build_supervised(series, covariates, lag, horizon, scaler, covaria
         inputs[:, lag + j] = col[lag : lag + n]
     stamps = series.timestamps()[lag : lag + n]
     return SupervisedSet(inputs, targets, stamps)
+
+
+def reference_load_csv(path, schema=None, forward_fill=False):
+    """The row-at-a-time CSV loader ``data.load_csv`` replaced, with its two
+    declared message changes: errors name the file line (``line_num``, which
+    counts skipped blank lines), and a short row gets its own error. As in
+    ``csv.DictReader``, each row is read as a header-name -> cell dict."""
+    schema = schema or CsvSchema()
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+    with handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        required = [schema.timestamp, schema.client_id, schema.value_kw]
+        required += [schema.covariates[name] for name in sorted(schema.covariates)]
+        for column in required:
+            if column not in header:
+                raise SchemaError(f"missing required column {column!r} in {path}")
+            if header.count(column) > 1:
+                raise SchemaError(
+                    f"column {column!r} appears {header.count(column)} times in {path}"
+                )
+        rows: dict[str, list[tuple[int, float, tuple[float, ...]]]] = {}
+        for cells in reader:
+            if not cells:
+                continue
+            line_no = reader.line_num
+            if len(cells) < len(header):
+                raise ParseError(
+                    f"line {line_no}: expected {len(header)} columns, got {len(cells)}"
+                )
+            row = dict(zip(header, cells))
+            cid = row[schema.client_id].strip()
+            if not cid:
+                raise ParseError(f"line {line_no}: empty client id")
+            hour = _parse_epoch_hour(row[schema.timestamp].strip(), line_no)
+            value = _parse_float(row[schema.value_kw], schema.value_kw, line_no)
+            covs = tuple(
+                _parse_float(row[schema.covariates[name]], schema.covariates[name], line_no)
+                for name in sorted(schema.covariates)
+            )
+            rows.setdefault(cid, []).append((hour, value, covs))
+    if not rows:
+        raise InsufficientDataError(f"{path} contains no data rows")
+
+    names = sorted(schema.covariates)
+    datasets = []
+    for cid in sorted(rows):
+        entries = rows[cid]
+        filled: list[tuple[int, float, tuple[float, ...]]] = []
+        for i, entry in enumerate(entries):
+            if i > 0:
+                prev = filled[-1]
+                if entry[0] <= prev[0]:
+                    raise GapError(
+                        f"client {cid}: non-monotone timestamp at hour {entry[0]} "
+                        f"(after {prev[0]})"
+                    )
+                if entry[0] > prev[0] + 1:
+                    if not forward_fill:
+                        raise GapError(
+                            f"client {cid}: missing hour {prev[0] + 1} "
+                            f"(gap of {entry[0] - prev[0] - 1})"
+                        )
+                    for hole in range(prev[0] + 1, entry[0]):
+                        filled.append((hole, prev[1], prev[2]))
+            filled.append(entry)
+        series = TimeSeries(
+            start_epoch_hours=filled[0][0],
+            values=np.array([e[1] for e in filled], dtype=np.float64),
+        )
+        covariates = {
+            name: np.array([e[2][j] for e in filled], dtype=np.float64)
+            for j, name in enumerate(names)
+        }
+        datasets.append(ClientDataset(cid, series, covariates, archetype_id=-1))
+    return datasets
 
 
 def reference_run_epochs(values, inputs, targets, spec, config, stream_labels):

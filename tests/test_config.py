@@ -311,11 +311,22 @@ def test_exponent_without_a_dot_is_a_number():
     assert sc.output_dir == "1e3"  # a string field keeps the text
 
 
+def test_exponent_with_a_dot_but_no_sign_is_a_number():
+    # YAML 1.1 also reads 1.5e1 and 1.0e3 as strings (1.0e-3 is a float).
+    tree = yaml.safe_load("fl: {rounds: 1.5e1, optimizer: {lr: 1.0e3}}\ndp: {clip_norm: 2.E0}\n")
+    assert tree["fl"]["rounds"] == "1.5e1"
+    sc = scenario_from_tree(minimal_tree(**tree))
+    assert sc.fl.rounds == 15 and isinstance(sc.fl.rounds, int)
+    assert sc.fl.optimizer.lr == 1000.0
+    assert sc.fl.dp.clip_norm == 2.0
+
+
 @pytest.mark.parametrize(
     "fl, message",
     [
         ({"rounds": "1e-1"}, "fl.rounds: expected an integer, got 0.1"),
-        ({"rounds": "1.5e1"}, "fl.rounds: expected a number, got '1.5e1'"),
+        ({"rounds": "1.55e1"}, "fl.rounds: expected an integer, got 15.5"),
+        ({"rounds": ".5e1"}, "fl.rounds: expected a number, got '.5e1'"),
         ({"optimizer": {"lr": "1e-3x"}}, "fl.optimizer.lr: expected a number, got '1e-3x'"),
         ({"optimizer": {"lr": "-1e-3"}}, "fl.optimizer.lr: must be > 0, got -0.001"),
     ],

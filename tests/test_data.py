@@ -1,9 +1,17 @@
 """Data pipeline: scaling, windowing, splitting, CSV ingestion and export."""
 
+import csv
+import io
+from datetime import datetime, timedelta, timezone
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_build_supervised
+from helpers import reference_build_supervised, reference_load_csv
+from fedforecast.population import PopulationSpec, generate_population
 from fedforecast.data import (
     ClientDataset,
     CsvSchema,
@@ -19,6 +27,7 @@ from fedforecast.data import (
     train_raw_length,
 )
 from fedforecast.errors import (
+    FedForecastError,
     GapError,
     InsufficientDataError,
     IoError,
@@ -163,6 +172,13 @@ def test_prepare_client_scaler_sees_only_train_prefix():
     assert splits.value_scaler.std == 1.0
 
 
+def test_prepare_client_names_a_client_too_short_to_split():
+    ds = ClientDataset(client_id="m7", series=series(np.ones(20)))
+    with pytest.raises(InsufficientDataError) as err:
+        prepare_client(ds, lag=24, horizon=1)
+    assert str(err.value) == "client m7: 20 values yield -4 samples; need >= 3 to split"
+
+
 # --------------------------------------------------------------------- csv
 
 
@@ -256,6 +272,96 @@ def test_load_csv_bad_value_reports_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_load_csv_reports_file_lines_past_blank_lines(tmp_path):
+    path = write(
+        tmp_path,
+        "timestamp,client_id,value_kw\n"
+        "2024-01-01T00:00:00+00:00,c0,1.0\n"
+        "\n"
+        "\n"
+        "2024-01-01T01:00:00+00:00,c0,oops\n",
+    )
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert str(err.value) == "line 5: bad value_kw value 'oops'"
+
+
+def test_load_csv_short_row_names_the_column_counts(tmp_path):
+    path = write(
+        tmp_path,
+        "timestamp,client_id,value_kw\n"
+        "2024-01-01T00:00:00+00:00,c0,1.0\n"
+        "2024-01-01T01:00:00+00:00,c0\n",
+    )
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert str(err.value) == "line 3: expected 3 columns, got 2"
+
+
+def test_load_csv_earlier_bad_value_wins_over_later_bad_timestamp(tmp_path):
+    # Values are parsed after the rows are read; the error is still the
+    # first bad cell in file order.
+    path = write(
+        tmp_path,
+        "timestamp,client_id,value_kw\n"
+        "2024-01-01T00:00:00+00:00,c0,inf\n"
+        "not-a-date,c0,1.0\n",
+    )
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert str(err.value) == "line 2: non-finite value_kw value 'inf'"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("nan,oops, ,bad", "line 2: empty client id"),
+        ("nan,oops,c0,bad", "line 2: bad timestamp 'bad'"),
+        ("nan,oops,c0,2024-01-01T00:00:00", "line 2: bad value_kw value 'oops'"),
+        ("nan,1,c0,2024-01-01T00:00:00", "line 2: non-finite temp value 'nan'"),
+    ],
+)
+def test_load_csv_checks_a_row_by_role_not_position(tmp_path, row, message):
+    # Within a row: client id, timestamp, value, then covariates.
+    path = write(tmp_path, f"temp,value_kw,client_id,timestamp\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(path, CsvSchema(covariates={"temperature": "temp"}))
+    assert str(err.value).startswith(message)
+
+
+def test_load_csv_duplicate_read_column_rejected(tmp_path):
+    path = write(
+        tmp_path,
+        "timestamp,client_id,value_kw,value_kw\n2024-01-01T00:00:00+00:00,c0,1,2\n",
+    )
+    with pytest.raises(SchemaError) as err:
+        load_csv(path)
+    assert str(err.value) == f"column 'value_kw' appears 2 times in {path}"
+
+
+def test_load_csv_ignores_unread_columns_in_any_order(tmp_path):
+    path = write(
+        tmp_path,
+        "note,value_kw,note,client_id,timestamp,extra\n"
+        "a,1.5,b,c0,2024-01-01T00:00:00+00:00,x\n"
+        "a,2.5,b,c0,2024-01-01T01:00:00+00:00,x,surplus\n",
+    )
+    (ds,) = load_csv(path)
+    np.testing.assert_array_equal(ds.series.values, [1.5, 2.5])
+
+
+def test_load_csv_reads_a_z_suffix_as_utc(tmp_path):
+    path = write(
+        tmp_path,
+        "timestamp,client_id,value_kw\n"
+        "2024-01-01T00:00:00Z,c0,1\n"
+        "2024-01-01T01:00:00+00:00,c0,2\n",
+    )
+    (ds,) = load_csv(path)
+    assert ds.series.start_epoch_hours == int(np.datetime64("2024-01-01T00", "h").astype(int))
+    np.testing.assert_array_equal(ds.series.values, [1, 2])
+
+
 def test_load_csv_bad_timestamp_reports_line(tmp_path):
     path = write(tmp_path, "timestamp,client_id,value_kw\nnot-a-date,c0,1.0\n")
     with pytest.raises(ParseError) as err:
@@ -337,3 +443,111 @@ def test_windows_equal_the_per_row_loop_bitwise(seed):
         assert np.array_equal(got.inputs, want.inputs)
         assert np.array_equal(got.targets, want.targets)
         assert np.array_equal(got.sample_timestamps, want.sample_timestamps)
+
+
+# ------------------------------------------------- load_csv against its oracle
+
+
+def loaded(loader, path, schema, forward_fill):
+    """The datasets, or the (type, text) of the error raised."""
+    try:
+        return loader(path, schema, forward_fill=forward_fill)
+    except FedForecastError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_load(got, want):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert [ds.client_id for ds in got] == [ds.client_id for ds in want]
+    for a, b in zip(got, want):
+        assert type(a.series.start_epoch_hours) is int
+        assert a.series.start_epoch_hours == b.series.start_epoch_hours
+        assert a.series.values.tobytes() == b.series.values.tobytes()
+        assert list(a.covariates) == list(b.covariates)
+        for name in a.covariates:
+            assert a.covariates[name].tobytes() == b.covariates[name].tobytes()
+        assert (a.der_class, a.flex_class, a.feeder_id, a.archetype_id) == (
+            b.der_class, b.flex_class, b.feeder_id, b.archetype_id
+        )
+
+
+EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
+# Replacement cells by column role: bad, non-finite, and odd but valid forms.
+BAD_CELLS = {
+    "timestamp": ["not-a-date", "", "2024-01-01T00:30:00+00:00", "Z", " 2024-01-01T05:00:00 "],
+    "client_id": ["", "   ", " c0 ", "c9"],
+    "value": ["oops", "", "nan", "inf", "-Infinity", "1e999", " 2.5 ", "1_0", "1__0", "-0.0"],
+}
+
+
+@st.composite
+def meter_files(draw):
+    """A small meter CSV: permuted columns, interleaved clients, gaps and
+    reversals, blank lines, a few bad cells and maybe a short row."""
+    n_covs = draw(st.integers(0, 2))
+    columns = ["timestamp", "client_id", "value_kw"] + [f"cov{j}" for j in range(n_covs)]
+    columns += draw(st.sampled_from([[], ["note"]]))
+    header = draw(st.permutations(columns))
+    z_suffix = draw(st.booleans())
+    hours = []
+    for c in range(draw(st.integers(1, 3))):
+        steps = draw(st.lists(st.sampled_from([1, 1, 1, 1, 1, 2, 3]), max_size=10))
+        if steps and draw(st.sampled_from([False] * 3 + [True])):
+            steps[draw(st.integers(0, len(steps) - 1))] = draw(st.sampled_from([0, -1]))
+        hours.append(list(accumulate([draw(st.integers(0, 48))] + steps)))
+    turns = draw(st.permutations([c for c, hs in enumerate(hours) for _ in hs]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows, taken = [], [0] * len(hours)
+    for c in turns:
+        stamp = (EPOCH + timedelta(hours=hours[c][taken[c]])).isoformat()
+        taken[c] += 1
+        cell = {
+            "timestamp": stamp.replace("+00:00", "Z") if z_suffix else stamp,
+            "client_id": f"c{c}",
+            "note": "n",
+        }
+        for name in columns[2:2 + 1 + n_covs]:
+            cell[name] = repr(draw(finite))
+        rows.append([cell[name] for name in header])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+        role = header[j] if header[j] in ("timestamp", "client_id") else "value"
+        rows[i][j] = draw(st.sampled_from(BAD_CELLS[role]))
+    if rows and draw(st.sampled_from([False] * 7 + [True])):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][: draw(st.integers(1, len(header) - 1))]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in [header] + rows:
+        writer.writerow(row)
+        if draw(st.sampled_from([False] * 7 + [True])):
+            out.write("\n")
+    schema = CsvSchema(covariates={f"x{j}": f"cov{j}" for j in range(n_covs)})
+    return out.getvalue(), schema
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(meter_files(), st.booleans())
+def test_load_csv_equals_the_row_loop(tmp_path, meter_file, forward_fill):
+    text, schema = meter_file
+    path = write(tmp_path, text)
+    got = loaded(load_csv, path, schema, forward_fill)
+    assert_same_load(got, loaded(reference_load_csv, path, schema, forward_fill))
+
+
+@pytest.mark.parametrize("forward_fill", [False, True])
+def test_load_csv_equals_the_row_loop_on_a_generated_fleet(tmp_path, forward_fill):
+    datasets = generate_population(
+        PopulationSpec(
+            n_clients=12, archetypes=3, days=14, der_mix={"fixed_load": 0.5, "pv": 0.5}, seed=4
+        )
+    )
+    path = str(tmp_path / "fleet.csv")
+    save_csv(datasets, path)
+    schema = CsvSchema(covariates={name: name for name in datasets[0].covariates})
+    got = load_csv(path, schema, forward_fill=forward_fill)
+    assert_same_load(got, reference_load_csv(path, schema, forward_fill=forward_fill))
+    assert len(got) == 12

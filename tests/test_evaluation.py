@@ -1,5 +1,7 @@
 """Metrics, feeder aggregation, comparison harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -218,19 +220,113 @@ def test_one_member_feeders_equal_their_client(tmp_path):
         assert outcome.row.feeder == outcome.row.mean
 
 
-def test_staggered_ingested_meters_fail_feeder_alignment(tmp_path):
-    # Every ingested client sits on feeder F0, and feeder metrics need equal
-    # test windows, so meters that start at different hours are rejected.
-    datasets = load_datasets(scenario(tmp_path))
-    cut = []
-    for ds, start in zip(datasets, (0, 0, 24, 5)):
-        series = TimeSeries(ds.series.start_epoch_hours + start, ds.series.values[start:])
-        cut.append(ClientDataset(ds.client_id, series))
+def ingest(tmp_path, datasets, methods=("local_only", "fedavg")):
+    """The datasets written as a meter CSV and read back, with a small
+    scenario that ingests them (every client on feeder F0)."""
     path = str(tmp_path / "meters.csv")
-    save_csv(cut, path)
+    save_csv(datasets, path)
     sc = scenario_from_tree(
         {"output_dir": str(tmp_path), "ingest": {"path": path}, "model": {"lag": 8},
-         "fl": {"rounds": 2}, "methods": ["local_only"]}
+         "fl": {"rounds": 2}, "methods": list(methods)}
     )
-    with pytest.raises(AlignmentError, match="feeder F0: test windows of"):
-        run_methods(load_datasets(sc), sc)
+    return load_datasets(sc), sc
+
+
+def staggered(tmp_path, starts, ends=(0, 0, 0, 0)):
+    """The harness scenario's clients, each cut to begin ``starts[i]`` hours
+    later and end ``ends[i]`` hours earlier (values only, no covariates)."""
+    cut = []
+    for ds, start, end in zip(load_datasets(scenario(tmp_path)), starts, ends):
+        values = ds.series.values[start : len(ds.series) - end]
+        series = TimeSeries(ds.series.start_epoch_hours + start, values)
+        cut.append(ClientDataset(ds.client_id, series))
+    return cut
+
+
+def shared_feeder_oracle(harness, method):
+    """compute_metrics per feeder over the test samples whose timestamps
+    every member of the feeder has, in feeder order; None for a feeder whose
+    members share none."""
+    models = harness.models_for(method)
+    members = {}
+    for client in harness.eval_clients(method):
+        members.setdefault(client.feeder_id, []).append(
+            client.test_forecast(models[client.client_id])
+        )
+    out = []
+    for feeder in sorted(members):
+        forecasts = members[feeder]
+        shared = set(forecasts[0][2].tolist()).intersection(*(f[2].tolist() for f in forecasts))
+        if not shared:
+            out.append(None)
+            continue
+        pred = actual = 0.0
+        for p, a, stamps in forecasts:
+            rows = [i for i, t in enumerate(stamps.tolist()) if t in shared]
+            pred, actual = pred + p[rows], actual + a[rows]
+        out.append(compute_metrics(pred, actual))
+    return out
+
+
+@pytest.mark.parametrize("method", ["local_only", "centralized", "fedavg"])
+def test_staggered_ingested_meters_score_the_feeder_on_shared_hours(tmp_path, method):
+    meters = staggered(tmp_path, (0, 0, 24, 5), ends=(0, 7, 0, 3))
+    datasets, sc = ingest(tmp_path, meters, [method])
+    harness = _Harness(datasets, sc)
+    windows = [c.test_forecast(harness.models_for(method)[c.client_id])[2]
+               for c in harness.eval_clients(method)]
+    assert len({w.size for w in windows}) > 1  # the test windows differ
+    (feeder,) = shared_feeder_oracle(harness, method)
+    assert harness.outcome(method).row.feeder == feeder
+
+
+def test_feeder_whose_members_share_no_test_hour_is_left_out(tmp_path):
+    base = load_datasets(scenario(tmp_path))
+    moved = [replace(ds, feeder_id="F0") for ds in base[:2]]
+    moved += [replace(ds, feeder_id="F1") for ds in base[2:3]]
+    late = base[3].series
+    moved.append(replace(base[3], feeder_id="F1",
+                         series=TimeSeries(late.start_epoch_hours + 10_000, late.values)))
+    sc = scenario(tmp_path, methods=["local_only"])
+    harness = _Harness(moved, sc)
+    f0, f1 = shared_feeder_oracle(harness, "local_only")
+    assert f1 is None
+    assert harness.outcome("local_only").row.feeder == f0
+
+
+def test_no_feeder_sharing_a_test_hour_raises(tmp_path):
+    base = load_datasets(scenario(tmp_path))
+    apart = [
+        replace(ds, series=TimeSeries(ds.series.start_epoch_hours + 1000 * i, ds.series.values))
+        for i, ds in enumerate(base)
+    ]
+    with pytest.raises(AlignmentError) as err:
+        run_methods(apart, scenario(tmp_path, methods=["local_only"]))
+    assert str(err.value) == "no feeder has a test hour shared by all its members (feeders F0)"
+
+
+# ------------------------------------------------------ ingested edge cases
+
+
+def test_ingested_client_too_short_is_named(tmp_path):
+    meters = staggered(tmp_path, (0, 0, 0, 235))  # the last keeps 5 hours
+    datasets, sc = ingest(tmp_path, meters)
+    with pytest.raises(InsufficientDataError) as err:
+        run_methods(datasets, sc)
+    assert str(err.value) == (
+        f"client {meters[3].client_id}: 5 values yield -3 samples; need >= 3 to split"
+    )
+
+
+def test_ingested_constant_and_all_zero_meters_compare(tmp_path):
+    meters = staggered(tmp_path, (0, 0, 0, 0))[:2]
+    hours = len(meters[0].series)
+    meters.append(ClientDataset("flat", TimeSeries(0, np.full(hours, 2.5))))
+    meters.append(ClientDataset("pv", TimeSeries(0, np.zeros(hours))))
+    datasets, sc = ingest(tmp_path, meters, ["local_only", "centralized", "fedavg"])
+    for outcome in run_methods(datasets, sc).values():
+        pv, flat = outcome.per_client["pv"], outcome.per_client["flat"]
+        assert pv.mape is None and pv.nrmse is None
+        assert pv.excluded_points > 0
+        assert np.isfinite([pv.mae, flat.mae, flat.rmse, flat.mape]).all()
+        assert outcome.row.mean.mape is not None  # the other meters have one
