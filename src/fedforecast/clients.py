@@ -7,16 +7,17 @@ configured epochs of (mini-)batch optimization from the broadcast params,
 applies update-level DP when enabled, and ships back new params.
 
 run_epochs is the one training kernel. It steps a stack of models, each on
-its own samples, and _train_stack wraps it with the finiteness checks and
-DP that make one round of local updates. Its callers:
+its own samples. One round of local updates is two steps: _train_stack, the
+kernel and its finiteness check, on each stack of clients, then _privatize,
+update-level DP of every delta of the round in one call. Their callers:
 
 * FederatedClient.local_update_batch, which the engine calls once per
   round: participants of equal train sample counts train as stacks of at
-  most STACK_BYTES of samples;
+  most STACK_BYTES of samples, then all of them are privatized at once;
 * local_update, the per-handle hook, on a stack of one;
 * train_lockstep, the one isolated-training loop: train_local runs it on
-  each stack of clients of equal sample counts, and the centralized
-  baseline on a stack of one model over the pooled samples.
+  all stacks of clients of equal sample counts at once, and the
+  centralized baseline on a stack of one model over the pooled samples.
 
 Batch order is shuffled deterministically from (config seed, client id,
 round index); with batch_size 0 the full batch is used and no shuffling
@@ -96,26 +97,36 @@ def run_epochs(
 
 
 def _train_stack(values, inputs, targets, spec, config: FLConfig, round_index, ids):
-    """One round of local updates of a stack of clients, row c being client
-    ids[c] from values[c] on inputs[c] and targets[c]: the kernel, the
-    finiteness checks and update-level DP of each row's delta.
+    """The kernel's round of local epochs on a stack of clients, row c being
+    client ids[c] from values[c] on inputs[c] and targets[c], and its
+    finiteness check.
 
-    Returns the new C x P params, the C train losses, and, for each row
-    that fails a check, the NumericError the one-client code raises for it.
+    Returns the new C x P params, the C train losses, and, for each row whose
+    new params are not finite, the NumericError the one-client code raises.
     """
     new, losses = run_epochs(values, inputs, targets, spec, config, [(cid, round_index) for cid in ids])
     failed: dict[int, NumericError] = {}
     _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
-    if config.dp is not None:
-        delta = new - values
-        _reject(
-            ~np.all(np.isfinite(delta), axis=1),
-            failed,
-            lambda i: privatize_delta(delta[i], config.dp, config.seed, round_index, ids[i]),
-        )
-        new = values + privatize_rows(delta, config.dp, config.seed, round_index, ids)
-        _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
     return new, losses, failed
+
+
+def _privatize(values, new, spec, config: FLConfig, round_index, ids, failed: dict):
+    """Update-level DP of every row's delta new[c] - values[c], row c being
+    client ids[c], in one privatize_rows call. Records in ``failed`` the
+    NumericError of each row not yet failed whose delta or privatized params
+    are not finite. Returns the privatized params; without DP, ``new``.
+    """
+    if config.dp is None:
+        return new
+    delta = new - values
+    _reject(
+        ~np.all(np.isfinite(delta), axis=1),
+        failed,
+        lambda i: privatize_delta(delta[i], config.dp, config.seed, round_index, ids[i]),
+    )
+    new = values + privatize_rows(delta, config.dp, config.seed, round_index, ids)
+    _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
+    return new
 
 
 def _reject(bad: np.ndarray, failed: dict, check) -> None:
@@ -136,8 +147,9 @@ def local_update(
     round_index: int,
     client_id: str,
 ) -> ClientUpdate:
-    """One client's contribution for one round: _train_stack on a stack of
-    one. This is the per-handle hook behind FederatedClient.local_update.
+    """One client's contribution for one round: _train_stack and _privatize
+    on a stack of one. This is the per-handle hook behind
+    FederatedClient.local_update.
 
     local_epochs = 0 returns the broadcast params bit-identical, with the
     train loss evaluated at those params. When DP is active the update delta
@@ -146,15 +158,12 @@ def local_update(
     if train.n_samples < 1:
         raise InsufficientDataError(f"client {client_id} has no training samples")
     spec = broadcast.spec
+    values = broadcast.values[None]
+    ids = [client_id]
     new, losses, failed = _train_stack(
-        broadcast.values[None],
-        train.inputs[None],
-        train.targets[None],
-        spec,
-        config,
-        round_index,
-        [client_id],
+        values, train.inputs[None], train.targets[None], spec, config, round_index, ids
     )
+    new = _privatize(values, new, spec, config, round_index, ids, failed)
     if failed:
         raise failed[0]
     return ClientUpdate(
@@ -239,41 +248,47 @@ class FederatedClient:
         keyed by client id in id order.
 
         Handles of equal train sample counts train as stacks of at most
-        STACK_BYTES of samples through _train_stack, bitwise equal to
-        calling each one alone. When some fail, the error local_update
-        raises for the first of them in id order is raised.
+        STACK_BYTES of samples through _train_stack; then one _privatize
+        call applies DP to every update of the round, which sets up all of
+        the round's noise streams at once. Bitwise equal to calling each
+        handle alone. When some fail, the error local_update raises for the
+        first of them in id order is raised.
         """
+        if not handles:
+            return {}
         order = sorted(range(len(handles)), key=lambda i: handles[i].client_id)
+        handles = [handles[i] for i in order]
+        ids = [h.client_id for h in handles]
+        spec = broadcasts[order[0]].spec
+        values = np.stack([broadcasts[i].values for i in order])
+        new = np.empty_like(values)
+        losses = np.empty(len(ids))
+        failed: dict[int, NumericError] = {}
         buckets: dict[int, list[int]] = {}
-        for i in order:
-            buckets.setdefault(handles[i].n_train_samples, []).append(i)
-        updates: dict[str, ClientUpdate] = {}
-        errors: dict[str, NumericError] = {}
-        for n, bucket in buckets.items():
+        for i, handle in enumerate(handles):
+            buckets.setdefault(handle.n_train_samples, []).append(i)
+        for bucket in buckets.values():
             train = handles[bucket[0]]._train
             size = max(1, STACK_BYTES // (train.inputs.nbytes + train.targets.nbytes))
             for start in range(0, len(bucket), size):
                 rows = bucket[start : start + size]
-                stack = [handles[i] for i in rows]
-                ids = [h.client_id for h in stack]
-                spec = broadcasts[rows[0]].spec
-                new, losses, failed = _train_stack(
-                    np.stack([broadcasts[i].values for i in rows]),
-                    np.stack([h._train.inputs for h in stack]),
-                    np.stack([h._train.targets for h in stack]),
+                new[rows], losses[rows], stack_failed = _train_stack(
+                    values[rows],
+                    np.stack([handles[i]._train.inputs for i in rows]),
+                    np.stack([handles[i]._train.targets for i in rows]),
                     spec,
                     config,
                     round_index,
-                    ids,
+                    [ids[i] for i in rows],
                 )
-                for c, cid in enumerate(ids):
-                    if c in failed:
-                        errors[cid] = failed[c]
-                    else:
-                        updates[cid] = ClientUpdate(cid, ModelParams(spec, new[c]), n, float(losses[c]))
-        if errors:
-            raise errors[min(errors)]
-        return dict(sorted(updates.items()))
+                failed.update((rows[c], exc) for c, exc in stack_failed.items())
+        new = _privatize(values, new, spec, config, round_index, ids, failed)
+        if failed:
+            raise failed[min(failed)]
+        return {
+            cid: ClientUpdate(cid, ModelParams(spec, new[i]), handles[i].n_train_samples, float(losses[i]))
+            for i, cid in enumerate(ids)
+        }
 
     def train_loss(self, params: ModelParams) -> float:
         return loss(params, self._train.inputs, self._train.targets)
@@ -315,29 +330,29 @@ def train_local(
     EarlyStop rule. Returns each client's final params and trace by id.
 
     Clients with equal (train, validation) sample counts train in lockstep
-    as one stack through train_lockstep. Results are bitwise those of
-    training each client alone. A client that diverges is dropped, and
-    after training the error of the first such client in ``clients`` order
-    is raised, as training them one after another would raise it.
+    as one stack, and all stacks train together through train_lockstep.
+    Results are bitwise those of training each client alone. A client that
+    diverges is dropped, and after training the error of the first such
+    client in ``clients`` order is raised, as training them one after
+    another would raise it.
     """
     buckets: dict[tuple[int, int], list[FederatedClient]] = {}
     for client in clients:
         buckets.setdefault((client.n_train_samples, client.n_val_samples), []).append(client)
-    models: dict[str, ModelParams] = {}
-    traces: dict[str, LocalTrace] = {}
-    errors: dict[str, NumericError] = {}
-    for bucket in buckets.values():
-        got = train_lockstep(
-            [c.client_id for c in bucket],
-            np.stack([c._train.inputs for c in bucket]),
-            np.stack([c._train.targets for c in bucket]),
-            np.stack([c._val.inputs for c in bucket]),
-            np.stack([c._val.targets for c in bucket]),
-            init,
-            config,
-        )
-        for out, part in zip((models, traces, errors), got):
-            out.update(part)
+    models, traces, errors = train_lockstep(
+        [
+            (
+                [c.client_id for c in bucket],
+                np.stack([c._train.inputs for c in bucket]),
+                np.stack([c._train.targets for c in bucket]),
+                np.stack([c._val.inputs for c in bucket]),
+                np.stack([c._val.targets for c in bucket]),
+            )
+            for bucket in buckets.values()
+        ],
+        init,
+        config,
+    )
     ids = [client.client_id for client in clients]
     for cid in ids:
         if cid in errors:
@@ -345,47 +360,70 @@ def train_local(
     return {cid: models[cid] for cid in ids}, {cid: traces[cid] for cid in ids}
 
 
-def train_lockstep(ids, x, y, val_x, val_y, init: ModelParams, config: FLConfig):
-    """Isolated training of a stack of models, row c being model ids[c] on
-    train samples x[c], y[c] and validation samples val_x[c], val_y[c], each
-    from init under its own EarlyStop rule. A row leaves the stack when it
-    stops or fails.
+def train_lockstep(stacks, init: ModelParams, config: FLConfig):
+    """Isolated training of stacks of models, each model from init under its
+    own EarlyStop rule. A stack is (ids, x, y, val_x, val_y), row c being
+    model ids[c] on train samples x[c], y[c] and validation samples
+    val_x[c], val_y[c]. Each round trains every stack through _train_stack,
+    then privatizes the rows of all stacks in one _privatize call. A row
+    leaves its stack when it stops or fails.
 
     Returns three dicts by id: the final params and LocalTrace of each row
     that trained to its end, and the NumericError of each row that failed.
     """
     spec = init.spec
-    values = np.tile(init.values, (len(ids), 1))
-    stoppers = [EarlyStop(config.early_stop_patience, f"client {cid} validation loss") for cid in ids]
-    trace: dict[str, list[float]] = {cid: [] for cid in ids}
+    values = [np.tile(init.values, (len(stack[0]), 1)) for stack in stacks]
+    stoppers = {
+        cid: EarlyStop(config.early_stop_patience, f"client {cid} validation loss")
+        for stack in stacks
+        for cid in stack[0]
+    }
+    trace: dict[str, list[float]] = {cid: [] for cid in stoppers}
     models: dict[str, ModelParams] = {}
     traces: dict[str, LocalTrace] = {}
     errors: dict[str, NumericError] = {}
     for round_index in range(1, config.rounds + 1):
-        new, _, failed = _train_stack(values, x, y, spec, config, round_index, ids)
-        val = stack_loss(spec, new, val_x, val_y).tolist()
-        keep = []
-        for i, cid in enumerate(ids):
-            if i in failed:
-                errors[cid] = failed[i]
-                continue
-            try:
-                stop = stoppers[i].update(round_index, val[i])
-            except NumericError as exc:
-                errors[cid] = exc
-                continue
-            trace[cid].append(val[i])
-            if stop or round_index == config.rounds:
-                models[cid] = ModelParams(spec, new[i].copy())
-                best_round = int(np.argmin(np.asarray(trace[cid]))) + 1
-                traces[cid] = LocalTrace(tuple(trace[cid]), best_round)
-            else:
-                keep.append(i)
-        if not keep:
+        ids: list[str] = []
+        news = []
+        failed: dict[int, NumericError] = {}
+        for (stack_ids, x, y, _, _), stack_values in zip(stacks, values):
+            new, _, stack_failed = _train_stack(stack_values, x, y, spec, config, round_index, stack_ids)
+            for i, exc in stack_failed.items():
+                failed[len(ids) + i] = exc
+            ids += stack_ids
+            news.append(new)
+        new = _privatize(np.concatenate(values), np.concatenate(news), spec, config, round_index, ids, failed)
+        start = 0
+        kept_stacks, kept_values = [], []
+        for stack in stacks:
+            stack_ids, x, y, val_x, val_y = stack
+            rows = new[start : start + len(stack_ids)]
+            val = stack_loss(spec, rows, val_x, val_y).tolist()
+            keep = []
+            for i, cid in enumerate(stack_ids):
+                if start + i in failed:
+                    errors[cid] = failed[start + i]
+                    continue
+                try:
+                    stop = stoppers[cid].update(round_index, val[i])
+                except NumericError as exc:
+                    errors[cid] = exc
+                    continue
+                trace[cid].append(val[i])
+                if stop or round_index == config.rounds:
+                    models[cid] = ModelParams(spec, rows[i].copy())
+                    best_round = int(np.argmin(np.asarray(trace[cid]))) + 1
+                    traces[cid] = LocalTrace(tuple(trace[cid]), best_round)
+                else:
+                    keep.append(i)
+            start += len(stack_ids)
+            if len(keep) == len(stack_ids):
+                kept_stacks.append(stack)
+                kept_values.append(rows)
+            elif keep:
+                kept_stacks.append(([stack_ids[i] for i in keep], x[keep], y[keep], val_x[keep], val_y[keep]))
+                kept_values.append(rows[keep])
+        if not kept_stacks:
             break
-        if len(keep) < len(ids):
-            x, y, val_x, val_y, new = x[keep], y[keep], val_x[keep], val_y[keep], new[keep]
-            ids = [ids[i] for i in keep]
-            stoppers = [stoppers[i] for i in keep]
-        values = new
+        stacks, values = kept_stacks, kept_values
     return models, traces, errors

@@ -18,7 +18,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Mapping
 
 import numpy as np
@@ -306,6 +306,10 @@ class CsvSchema:
     covariates: Mapping[str, str] = field(default_factory=dict)
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_HOUR = timedelta(hours=1)
+
+
 def _parse_epoch_hour(text: str, line_no: int) -> int:
     try:
         # Python 3.10's fromisoformat rejects a "Z" suffix that 3.11 reads as UTC.
@@ -314,9 +318,11 @@ def _parse_epoch_hour(text: str, line_no: int) -> int:
         raise ParseError(f"line {line_no}: bad timestamp {text!r}: {exc}") from None
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    if stamp.minute or stamp.second or stamp.microsecond:
+    # Aligned on the UTC clock, so an offset such as +05:30 is not.
+    since = stamp - _EPOCH
+    if since % _HOUR:
         raise ParseError(f"line {line_no}: timestamp {text!r} is not hour-aligned")
-    return int(stamp.timestamp()) // 3600
+    return since // _HOUR
 
 
 def _parse_float(text: str, column: str, line_no: int) -> float:
@@ -369,38 +375,62 @@ def _read_columns(reader, header: list[str], schema: CsvSchema, value_columns: l
     codes: list[int] = []
     lines = array("q")  # file line of each data row
     error: ParseError | None = None
-    for row in reader:
-        line_no = reader.line_num
-        if len(row) < width:
-            if not row:
-                continue
-            error = ParseError(f"line {line_no}: expected {width} columns, got {len(row)}")
-            break
-        code = code_of_text.get(row[cid_at])
-        if code is None:
-            cid = row[cid_at].strip()
-            if not cid:
-                error = ParseError(f"line {line_no}: empty client id")
-                break
-            code = code_of_text[row[cid_at]] = code_of.setdefault(cid, len(code_of))
-        hour = hour_of.get(row[ts_at])
-        if hour is None:
-            try:
-                hour = _parse_epoch_hour(row[ts_at].strip(), line_no)
-            except ParseError as exc:
-                error = exc
-                break
-            hour_of[row[ts_at]] = hour
-        codes.append(code)
-        hours.append(hour)
-        lines.append(line_no)
-        for append, at in sinks:
-            append(row[at])
+    try:
+        for row in reader:
+            line_no = reader.line_num
+            if len(row) < width:
+                if not row:
+                    continue
+                raise ParseError(f"line {line_no}: expected {width} columns, got {len(row)}")
+            code = code_of_text.get(row[cid_at])
+            if code is None:
+                cid = row[cid_at].strip()
+                if not cid:
+                    raise ParseError(f"line {line_no}: empty client id")
+                code = code_of_text[row[cid_at]] = code_of.setdefault(cid, len(code_of))
+            hour = hour_of.get(row[ts_at])
+            if hour is None:
+                hour = hour_of[row[ts_at]] = _parse_epoch_hour(row[ts_at].strip(), line_no)
+            codes.append(code)
+            hours.append(hour)
+            lines.append(line_no)
+            for append, at in sinks:
+                append(row[at])
+    except csv.Error as exc:
+        error = ParseError(f"line {reader.line_num}: {exc}")
+    except ParseError as exc:
+        error = exc
     # A bad value on a row before the one that stopped the stream comes first.
     values = _value_arrays(cells, value_columns, lines)
     if error is not None:
         raise error
     return code_of, np.array(codes, dtype=np.intp), np.array(hours, dtype=np.int64), values
+
+
+def _read_table(lines, path: str, schema: CsvSchema, value_columns: list[str]):
+    """The header checks, then _read_columns, over an iterable of lines."""
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    for column in [schema.timestamp, schema.client_id] + value_columns:
+        if column not in header:
+            raise SchemaError(f"missing required column {column!r} in {path}")
+        if header.count(column) > 1:
+            raise SchemaError(f"column {column!r} appears {header.count(column)} times in {path}")
+    return _read_columns(reader, header, schema, value_columns)
+
+
+def _utf8_lines(raw):
+    """The lines of a binary file as text; a line that is not UTF-8 raises
+    ParseError naming it. No multi-byte UTF-8 sequence holds a newline byte,
+    so decoding line by line decodes as decoding the whole file does."""
+    for line_no, line in enumerate(raw, 1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line {line_no}: text is not UTF-8 ({exc.reason})") from None
 
 
 def load_csv(
@@ -412,7 +442,8 @@ def load_csv(
     reads must appear exactly once. Blank lines are skipped, a row with
     fewer cells than the header is rejected, and parse errors name the
     file line (first bad cell in file order; within a row the client id,
-    then the timestamp, the value and the covariates).
+    then the timestamp, the value and the covariates). Text that is not
+    UTF-8 and lines the csv module cannot read are parse errors too.
 
     Per client, timestamps must be strictly increasing in file order and
     hourly-contiguous; a missing hour raises GapError naming the client and
@@ -427,17 +458,16 @@ def load_csv(
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        for column in [schema.timestamp, schema.client_id] + value_columns:
-            if column not in header:
-                raise SchemaError(f"missing required column {column!r} in {path}")
-            if header.count(column) > 1:
-                raise SchemaError(
-                    f"column {column!r} appears {header.count(column)} times in {path}"
-                )
-        code_of, codes, hours, values = _read_columns(reader, header, schema, value_columns)
+    try:
+        with handle:
+            code_of, codes, hours, values = _read_table(handle, path, schema, value_columns)
+    except UnicodeDecodeError:
+        # Text is decoded ahead in blocks, so rows before the bad byte may
+        # not have been read: reading again line by line raises the first
+        # error in file order.
+        with open(path, "rb") as raw:
+            _read_table(_utf8_lines(raw), path, schema, value_columns)
+        raise ParseError(f"{path} is not UTF-8 text") from None
     if not code_of:
         raise InsufficientDataError(f"{path} contains no data rows")
 

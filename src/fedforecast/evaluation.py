@@ -305,9 +305,9 @@ class _Harness:
         train_y = np.concatenate([s.train.targets for s in splits])
         val_x = np.concatenate([s.val.inputs for s in splits])
         val_y = np.concatenate([s.val.targets for s in splits])
-        # Stacks of one over the pooled samples: [None] views, no copies.
+        # One stack of one model over the pooled samples: [None] views, no copies.
         models, traces, errors = train_lockstep(
-            [base], train_x[None], train_y[None], val_x[None], val_y[None],
+            [([base], train_x[None], train_y[None], val_x[None], val_y[None])],
             self._init(), replace(self.fl, dp=None),
         )
         if errors:

@@ -6,6 +6,11 @@ a stream derived deterministically from (master seed, "dp", client, round).
 The server reconstructs params as broadcast + noisy delta; by linearity of
 the weighted average this equals noising the params directly.
 
+``privatize_delta`` is the definition for one update. ``privatize_rows``
+privatizes a stack of updates bitwise as ``privatize_delta`` does each one;
+the client layer calls it once per round on every participant's delta, so
+the round's noise streams are set up together by ``seeds.streams``.
+
 No (epsilon, delta) accounting is performed; runs report the raw
 (C, sigma, rounds, participation) tuple instead.
 """
@@ -19,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .model import row_norms
-from .seeds import rng_for
+from .seeds import rng_for, streams
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,11 @@ def clip_update(delta: np.ndarray, clip_norm: float) -> np.ndarray:
     return clip_rows(delta[None], clip_norm)[0]
 
 
+def _noise_stream(client_id: str, round_index: int) -> tuple:
+    """The labels of a client's DP noise stream in a round."""
+    return ("dp", client_id, round_index)
+
+
 def add_gaussian_noise(
     delta: np.ndarray,
     noise_std: float,
@@ -82,7 +92,7 @@ def add_gaussian_noise(
         raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
     if noise_std == 0:
         return delta
-    rng = rng_for(master_seed, "dp", client_id, round_index)
+    rng = rng_for(master_seed, *_noise_stream(client_id, round_index))
     return delta + rng.normal(0.0, noise_std, size=delta.shape)
 
 
@@ -110,14 +120,14 @@ def privatize_rows(
     client_ids,
 ) -> np.ndarray:
     """``privatize_delta`` of each row of a C x P stack of finite deltas,
-    row c being client_ids[c]'s update, noised from that client's stream."""
+    row c being client_ids[c]'s update, noised from that client's stream.
+    The C noise streams are set up together by ``seeds.streams``."""
     deltas = clip_rows(deltas, config.clip_norm)
     if config.sigma > 0:
         std = config.sigma * config.clip_norm
-        deltas = np.stack(
-            [
-                add_gaussian_noise(row, std, master_seed, round_index, cid)
-                for row, cid in zip(deltas, client_ids)
-            ]
-        )
+        paths = [_noise_stream(cid, round_index) for cid in client_ids]
+        noise = np.empty_like(deltas)
+        for row, rng in zip(noise, streams(master_seed, paths)):
+            row[:] = rng.normal(0.0, std, size=row.shape)
+        deltas = deltas + noise
     return deltas

@@ -312,6 +312,16 @@ def ingest_config(tmp_path):
     return config, out_dir
 
 
+def test_non_utf8_csv_exits_two_naming_the_line(tmp_path, capsys):
+    config, _ = ingest_config(tmp_path)
+    data = tmp_path / "data" / "dataset.csv"
+    lines = data.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b",c", b",\xffc", 1)
+    data.write_bytes(b"".join(lines))
+    assert execute(["compare", "--config", config]) == 2
+    assert capsys.readouterr().err == "error: line 3: text is not UTF-8 (invalid start byte)\n"
+
+
 def test_sweep_rejects_values_that_escape_the_sweep_dir(tmp_path, capsys):
     config, _ = ingest_config(tmp_path)
     before = sorted(os.walk(tmp_path))

@@ -11,6 +11,7 @@ from helpers import (
     reference_routed_round,
     reference_run_epochs,
     reference_train_local,
+    same_round,
 )
 from fedforecast import clients as clients_module
 from fedforecast import fedcore
@@ -327,6 +328,21 @@ def test_lockstep_train_local_equals_one_client_at_a_time(
         assert traces[client.client_id] == want_trace
 
 
+def test_train_local_privatizes_all_stacks_of_a_round_in_one_call(staggered, monkeypatch):
+    privatized = []
+    privatize_rows = clients_module.privatize_rows
+
+    def counted(deltas, *args):
+        privatized.append(len(deltas))
+        return privatize_rows(deltas, *args)
+
+    monkeypatch.setattr(clients_module, "privatize_rows", counted)
+    cfg = matrix_config("sgd", 0, "clip-noise", 1)
+    train_local(staggered, init_params(matrix_spec("linear"), 1), cfg)
+    # Four stacks, one call per round over all six clients.
+    assert privatized == [len(staggered)] * cfg.rounds
+
+
 def test_oracle_matrix_has_buckets_and_staggered_stops(staggered):
     counts = [(c.n_train_samples, c.n_val_samples) for c in staggered]
     stacks = [counts.count(key) for key in dict.fromkeys(counts)]
@@ -466,3 +482,59 @@ def test_batched_round_raises_the_first_failing_participants_error(monkeypatch, 
     texts = {"params": "parameter vector contains", "delta": "cannot clip a non-finite"}
     assert str(want).startswith(texts[first])
     assert (type(got), str(got)) == (type(want), str(want))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("diverging", [None, "params", "delta"])
+def test_dp_round_over_several_stacks_privatizes_once_as_the_reference(monkeypatch, diverging):
+    # Seven participants in stacks of at most two; c004, in the third stack,
+    # fails the given check ("params": non-finite params, "delta": a delta
+    # from its 1e308 broadcast that overflows) or none.
+    clients = population_clients(n_clients=7, days=7, seed=3)
+    train = clients[0]._train
+    monkeypatch.setattr(
+        clients_module, "STACK_BYTES", 2 * (train.inputs.nbytes + train.targets.nbytes)
+    )
+    kernel = clients_module.run_epochs
+    stack_sizes = []
+
+    def kernel_with_divergence(values, inputs, targets, spec, cfg, streams):
+        new, losses = kernel(values, inputs, targets, spec, cfg, streams)
+        stack_sizes.append(len(streams))
+        new = new.copy()
+        for c, (cid, _) in enumerate(streams):
+            if cid == "c004" and diverging == "params":
+                new[c] = np.inf
+            elif cid == "c004" and diverging == "delta":
+                new[c] = -values[c]
+        return new, losses
+
+    monkeypatch.setattr(clients_module, "run_epochs", kernel_with_divergence)
+    privatized = []
+    privatize_rows = clients_module.privatize_rows
+
+    def counted(deltas, *args):
+        privatized.append(len(deltas))
+        return privatize_rows(deltas, *args)
+
+    monkeypatch.setattr(clients_module, "privatize_rows", counted)
+    spec = population_spec()
+    state = ServerState(
+        "ifca", (init_params(spec, 0), ModelParams(spec, np.full(spec.param_count, 1e308))), {}
+    )
+    by_id = {c.client_id: c for c in clients}
+    route = {cid: int(cid == "c004" and diverging == "delta") for cid in sorted(by_id)}
+    cfg = config(batch_size=8, local_epochs=2, dp=DpConfig(clip_norm=0.1, sigma=0.5))
+    args = (state, by_id, route, cfg, 1)
+    if diverging is None:
+        got = fedcore._routed_round(*args)
+    else:
+        got = _raised(fedcore._routed_round, *args)
+    assert stack_sizes == [2, 2, 2, 1] and privatized == [7]
+    if diverging is None:
+        assert same_round(got, reference_routed_round(*args))
+    else:
+        want = _raised(reference_routed_round, *args)
+        texts = {"params": "parameter vector contains", "delta": "cannot clip a non-finite"}
+        assert str(want).startswith(texts[diverging])
+        assert (type(got), str(got)) == (type(want), str(want))

@@ -377,6 +377,71 @@ def test_load_csv_sub_hour_timestamp_rejected(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_non_whole_hour_offset_rejected(tmp_path):
+    # 00:00+05:30 is 18:30 UTC: hour-aligned on its local clock only.
+    path = write(
+        tmp_path, "timestamp,client_id,value_kw\n2024-01-01T00:00:00+05:30,c0,1\n"
+    )
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert str(err.value) == (
+        "line 2: timestamp '2024-01-01T00:00:00+05:30' is not hour-aligned"
+    )
+
+
+def test_load_csv_whole_utc_hour_with_half_hour_offset_accepted(tmp_path):
+    path = write(
+        tmp_path,
+        "timestamp,client_id,value_kw\n"
+        "2024-01-01T05:30:00+05:30,c0,1\n"
+        "2024-01-01T01:00:00+00:00,c0,2\n",
+    )
+    (ds,) = load_csv(path)
+    assert ds.series.start_epoch_hours == int(np.datetime64("2024-01-01T00", "h").astype(int))
+
+
+def write_bytes(tmp_path, data: bytes) -> str:
+    path = tmp_path / "meters.csv"
+    path.write_bytes(data)
+    return str(path)
+
+
+def hourly_rows(hours, client_id="c0"):
+    """CSV rows of value 1 for the given epoch hours."""
+    stamps = (datetime.fromtimestamp(h * 3600, timezone.utc).isoformat() for h in hours)
+    return "".join(f"{stamp},{client_id},1\n" for stamp in stamps)
+
+
+@pytest.mark.parametrize("line", [2, 3, 2000])
+def test_load_csv_non_utf8_byte_names_its_line(tmp_path, line):
+    # Latin-1 encodes y-diaeresis as the byte 0xff, which UTF-8 never uses.
+    rows = hourly_rows(range(line - 2)) + hourly_rows([line - 2], "c\xff")
+    data = ("timestamp,client_id,value_kw\n" + rows + hourly_rows([line - 1])).encode("latin-1")
+    assert data.count(b"\xff") == 1 and data[: data.index(b"\xff")].count(b"\n") == line - 1
+    with pytest.raises(ParseError) as err:
+        load_csv(write_bytes(tmp_path, data))
+    assert str(err.value) == f"line {line}: text is not UTF-8 (invalid start byte)"
+
+
+def test_load_csv_bad_cell_before_a_non_utf8_byte_comes_first(tmp_path):
+    # Text is decoded in blocks of a few kB, so the block that holds the bad
+    # byte also holds the bad cell a few rows before it.
+    rows = hourly_rows(range(1000)) + "2024-01-01T00:30:00+00:00,c0,1\n" + hourly_rows([1001])
+    data = ("timestamp,client_id,value_kw\n" + rows).encode() + b"\xff,c0,1\n"
+    with pytest.raises(ParseError) as err:
+        load_csv(write_bytes(tmp_path, data))
+    assert str(err.value) == "line 1002: timestamp '2024-01-01T00:30:00+00:00' is not hour-aligned"
+
+
+def test_load_csv_unreadable_csv_line_names_it(tmp_path):
+    field = "c" * (csv.field_size_limit() + 1)
+    rows = hourly_rows([0]) + hourly_rows([1], field)
+    path = write(tmp_path, "timestamp,client_id,value_kw\n" + rows)
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert str(err.value).startswith("line 3: field larger than field limit")
+
+
 def test_load_csv_missing_file():
     with pytest.raises(IoError):
         load_csv("/nonexistent/meters.csv")

@@ -12,6 +12,7 @@ from fedforecast.privacy import (
     add_gaussian_noise,
     clip_update,
     privatize_delta,
+    privatize_rows,
 )
 from fedforecast.serialize import to_json_text
 
@@ -100,6 +101,28 @@ def test_privatize_clips_then_noises():
         np.zeros(2), 2.5, master_seed=0, round_index=0, client_id="c0"
     )
     np.testing.assert_allclose(noisy, expected)
+
+
+@pytest.mark.parametrize(
+    "dp",
+    [
+        DpConfig(),
+        DpConfig(clip_norm=1.0),
+        DpConfig(clip_norm=1.0, sigma=0.7),
+        DpConfig(clip_norm=50.0, sigma=2.0),
+    ],
+    ids=["inactive", "clip", "clip-noise", "noise-within-bound"],
+)
+def test_privatize_rows_is_privatize_delta_of_each_row(dp):
+    deltas = np.random.default_rng(3).normal(scale=2.0, size=(4, 37))
+    ids = ["c003", "c000", "c017", "c002"]
+    for c, cid in enumerate(ids):
+        want = privatize_delta(deltas[c], dp, master_seed=9, round_index=4, client_id=cid)
+        # A stack of one, and the row within the stack.
+        one = privatize_rows(deltas[c : c + 1], dp, 9, 4, [cid])
+        many = privatize_rows(deltas, dp, 9, 4, ids)
+        assert one.shape == (1, 37)
+        assert one[0].tobytes() == want.tobytes() == many[c].tobytes()
 
 
 def test_sigma_without_finite_clip_rejected():

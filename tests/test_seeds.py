@@ -1,8 +1,10 @@
 """Seed derivation: stable, label-sensitive, collision-free in practice."""
 
 import numpy as np
+import pytest
 
-from fedforecast.seeds import derive_seed, rng_for
+from fedforecast import seeds
+from fedforecast.seeds import derive_seed, rng_for, streams
 
 
 def test_same_labels_same_seed():
@@ -41,3 +43,38 @@ def test_rng_streams_reproducible_and_distinct():
     b = rng_for(7, "batches", "c002", 3).standard_normal(5)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+# ------------------------------------------- streams: rng_for, batched
+
+
+def assert_streams_equal_rng_for(master, paths):
+    n = 0
+    for path, got in zip(paths, streams(master, paths)):
+        want = rng_for(master, *path)
+        assert got.bit_generator.state == want.bit_generator.state, path
+        assert got.normal(size=27).tobytes() == want.normal(size=27).tobytes(), path
+        assert np.array_equal(got.permutation(50), want.permutation(50)), path
+        n += 1
+    assert n == len(paths)
+
+
+def test_streams_equal_rng_for_over_ten_thousand_paths():
+    paths = [("dp", f"c{i:03d}", r) for i in range(250) for r in range(10)]
+    paths += [(), ("init", 0), ("glorot", "mlp"), ("batches", "c001", 3), ("weather", "F7")]
+    for master in (0, 1, 2**31 + 5, 12345678901234567890):
+        assert_streams_equal_rng_for(master, paths)
+    assert 4 * len(paths) >= 10_000
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1])
+def test_streams_equal_default_rng_at_edge_seeds(monkeypatch, seed):
+    # Seeds below 2**32 hash one entropy word, larger ones two; label paths
+    # cannot pick a seed, so the path's one label is taken as the seed.
+    monkeypatch.setattr(seeds, "derive_seed", lambda master, value: value)
+    assert_streams_equal_rng_for(0, [(seed,)])
+    assert rng_for(0, seed).bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
+def test_streams_of_no_paths_yield_nothing():
+    assert list(streams(3, [])) == []
