@@ -6,18 +6,32 @@ sample counts through the FederatedClient handle. A local update runs the
 configured epochs of (mini-)batch optimization from the broadcast params,
 applies update-level DP when enabled, and ships back new params.
 
+Samples live in stores. FederatedClient.fleet windows the clients and
+copies those of equal series length, so of equal split sizes, into one
+store as they are made: C x n x d inputs and C x n x h targets per split.
+Each handle's splits are views of its row; a lone FederatedClient(splits)
+is a store of one. _stacks hands a batch of handles to the kernels as
+stacks of equal sample counts, at most STACK_BYTES of samples each: a view
+when the rows are consecutive rows of one store, one gather otherwise.
+pooled gives the centralized baseline all clients' samples the same way.
+
 run_epochs is the one training kernel. It steps a stack of models, each on
 its own samples. One round of local updates is two steps: _train_stack, the
 kernel and its finiteness check, on each stack of clients, then _privatize,
 update-level DP of every delta of the round in one call. Their callers:
 
 * FederatedClient.local_update_batch, which the engine calls once per
-  round: participants of equal train sample counts train as stacks of at
-  most STACK_BYTES of samples, then all of them are privatized at once;
+  round: participants train as stacks, then all of them are privatized at
+  once;
 * local_update, the per-handle hook, on a stack of one;
 * train_lockstep, the one isolated-training loop: train_local runs it on
   all stacks of clients of equal sample counts at once, and the
   centralized baseline on a stack of one model over the pooled samples.
+
+The other per-client computations have one stacked path each, whose
+per-handle method is its stack-of-one view: val_loss_batch (one stack_loss
+per stack, each row under its own model) and fine_tune_batch (personalization
+through _fine_tune_stack, the one backtracking loop).
 
 Batch order is shuffled deterministically from (config seed, client id,
 round index); with batch_size 0 the full batch is used and no shuffling
@@ -27,29 +41,37 @@ happens, so one epoch is exactly one full-batch gradient step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import ClientSplits, SupervisedSet
+from .data import ClientDataset, ClientSplits, Scaler, SupervisedSet, prepare_client
 from .errors import InsufficientDataError, NumericError
 from .fedcore import ClientUpdate, EarlyStop, FLConfig
 from .model import (
     ModelParams,
+    _check_batch,
     loss,
-    loss_and_grad,
     predict_batch,
     stack_loss,
     stack_loss_and_grad,
 )
+from .model import loss_and_grad  # noqa: F401  (perfbench/tracer.py wraps clients.loss_and_grad)
 from .optim import make_state, step
 from .privacy import privatize_delta, privatize_rows
-from .seeds import rng_for
+from .seeds import rng_for  # noqa: F401  (perfbench/tracer.py wraps clients.rng_for)
 from . import cluster as _cluster
+from . import seeds as _seeds
 
-# Bytes of train samples (inputs plus targets) one stack of the engine's
-# round may hold. A larger bucket trains as several stacks, which bounds the
-# copies, minibatches and activations a round allocates at once.
+# Bytes of samples (inputs plus targets) one stack may hold. A larger bucket
+# runs as several stacks, which bounds the copies, minibatches and
+# activations a call allocates at once.
 STACK_BYTES = 1 << 20
+
+# Personalization halves a row's step size at most down to this.
+BACKTRACK_FLOOR = 1e-18
+
+SPLITS = ("train", "val", "test")
 
 
 def run_epochs(
@@ -66,25 +88,25 @@ def run_epochs(
     values is C x P, inputs C x n x d and targets C x n x h; model c trains
     on its own samples only, so every slice equals training that model
     alone. Minibatch order comes from model c's batch-shuffle stream,
-    labelled ("batches", *streams[c]); full-batch steps use the arrays as
-    given, without copying, and each minibatch is gathered on its own.
-    Returns the new C x P values and each model's mean train loss of its
-    final epoch (losses measured pre-step); with zero epochs, the values
-    unchanged and their loss.
+    labelled ("batches", *streams[c]) (see _batch_orders); full-batch steps
+    use the arrays as given, without copying, and each minibatch is
+    gathered on its own. Returns the new C x P values and each model's mean
+    train loss of its final epoch (losses measured pre-step); with zero
+    epochs, the values unchanged and their loss.
     """
     c, n = inputs.shape[:2]
     if config.local_epochs == 0:
         return values, stack_loss(spec, values, inputs, targets)
     batch = config.batch_size
     full_batch = batch == 0 or batch >= n
-    rngs = None if full_batch else [rng_for(config.seed, "batches", *s) for s in streams]
+    orders = None if full_batch else _batch_orders(config.seed, streams, config.local_epochs, n)
     rows = np.arange(c)[:, None]
     opt_state = make_state(config.optimizer, values.shape)
-    for _ in range(config.local_epochs):
+    for epoch in range(config.local_epochs):
         if full_batch:
             batches = [(inputs, targets)]
         else:
-            perm = np.stack([rng.permutation(n) for rng in rngs])
+            perm = orders[epoch]
             idxs = (perm[:, i : i + batch] for i in range(0, n, batch))
             batches = ((inputs[rows, idx], targets[rows, idx]) for idx in idxs)
         loss_sum = 0.0
@@ -94,6 +116,18 @@ def run_epochs(
             loss_sum += batch_loss * x.shape[1]
         final_epoch_loss = loss_sum / n
     return values, final_epoch_loss
+
+
+def _batch_orders(seed: int, streams, epochs: int, n: int) -> np.ndarray:
+    """epochs x C x n: model c's shuffles of its n samples, one per epoch,
+    drawn in turn from the stream rng_for(seed, "batches", *streams[c]).
+    seeds.streams seeds every model's stream in one pass."""
+    orders = np.empty((epochs, len(streams), n), dtype=np.int64)
+    paths = [("batches", *labels) for labels in streams]
+    for c, rng in enumerate(_seeds.streams(seed, paths)):
+        for epoch in range(epochs):
+            orders[epoch, c] = rng.permutation(n)
+    return orders
 
 
 def _train_stack(values, inputs, targets, spec, config: FLConfig, round_index, ids):
@@ -177,7 +211,8 @@ def local_update(
 def fine_tune(
     params: ModelParams, train: SupervisedSet, epochs: int, lr: float
 ) -> ModelParams:
-    """Personalize via full-batch gradient descent with backtracking.
+    """Personalize via full-batch gradient descent with backtracking:
+    _fine_tune_stack on a stack of one.
 
     Each epoch proposes p - lr*g and halves lr until the train loss does not
     increase (the halved lr carries into later epochs), so the loss trace is
@@ -187,25 +222,129 @@ def fine_tune(
         raise InsufficientDataError("fine_tune needs training samples")
     if epochs == 0:
         return params
-    values = params.values
-    spec = params.spec
-    step_size = lr
+    new, failed = _fine_tune_stack(
+        params.spec, params.values[None], train.inputs[None], train.targets[None], epochs, lr
+    )
+    if failed:
+        raise failed[0]
+    return ModelParams(params.spec, new[0])
+
+
+def _fine_tune_stack(spec, values, inputs, targets, epochs: int, lr: float):
+    """The backtracking loop on a stack: row c personalizes values[c] on
+    inputs[c] and targets[c], with a step size of its own, from lr.
+
+    Each epoch proposes p - s*g and halves s until the train loss does not
+    rise or s reaches BACKTRACK_FLOOR; s carries into later epochs. A row
+    whose loss would still rise stops there, while its stack-mates go on.
+    Returns the new C x P values and, for each row whose candidate params
+    are not finite, the NumericError the one-client code raises; such a row
+    stops too.
+    """
+    _check_batch(spec, inputs[0], targets[0])
+    values = values.copy()
+    steps = np.full(len(values), float(lr))
+    live = np.arange(len(values))  # rows still training; x, y hold their samples
+    x, y = inputs, targets
+    failed: dict[int, NumericError] = {}
     for _ in range(epochs):
-        current_loss, grad = loss_and_grad(
-            ModelParams(spec, values), train.inputs, train.targets
-        )
-        candidate = values - step_size * grad
-        candidate_loss = loss(ModelParams(spec, candidate), train.inputs, train.targets)
-        while candidate_loss > current_loss and step_size > 1e-18:
-            step_size /= 2.0
-            candidate = values - step_size * grad
-            candidate_loss = loss(
-                ModelParams(spec, candidate), train.inputs, train.targets
-            )
-        if candidate_loss > current_loss:
-            break
-        values = candidate
-    return ModelParams(spec, values)
+        base = values[live]
+        current, grad = stack_loss_and_grad(spec, base, x, y)
+        step_size = steps[live]
+        candidate = base - step_size[:, None] * grad
+        candidate_loss = np.zeros(len(live))
+        stopped: dict[int, NumericError] = {}
+        pending = np.arange(len(live))
+        while pending.size:
+            bad = np.zeros(len(live), dtype=bool)
+            bad[pending] = ~np.all(np.isfinite(candidate[pending]), axis=1)
+            _reject(bad, stopped, lambda i: ModelParams(spec, candidate[i]))
+            pending = pending[~bad[pending]]
+            part = slice(None) if len(pending) == len(live) else pending
+            candidate_loss[pending] = stack_loss(spec, candidate[pending], x[part], y[part])
+            rose = candidate_loss[pending] > current[pending]
+            pending = pending[rose & (step_size[pending] > BACKTRACK_FLOOR)]
+            step_size[pending] /= 2.0
+            candidate[pending] = base[pending] - step_size[pending, None] * grad[pending]
+        failed.update((int(live[i]), exc) for i, exc in stopped.items())
+        accept = ~(candidate_loss > current)
+        accept[list(stopped)] = False
+        values[live[accept]] = candidate[accept]
+        steps[live] = step_size
+        if not accept.all():
+            live, x, y = live[accept], x[accept], y[accept]
+            if not live.size:
+                break
+    return values, failed
+
+
+class _Split(NamedTuple):
+    """One client's samples of one split: views of its store row."""
+
+    inputs: np.ndarray
+    targets: np.ndarray
+    sample_timestamps: np.ndarray
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.inputs)
+
+
+def _arrays(splits: ClientSplits, name: str) -> tuple[np.ndarray, np.ndarray]:
+    split = getattr(splits, name)
+    return split.inputs, split.targets
+
+
+def _consecutive(handles) -> slice | None:
+    """The rows of handles as a slice of their store, when they are
+    consecutive rows of one store, in order; else None."""
+    store, first = handles[0]._store, handles[0]._row
+    for i, handle in enumerate(handles):
+        if handle._store is not store or handle._row != first + i:
+            return None
+    return slice(first, first + len(handles))
+
+
+def _rows(handles, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs and targets of ``split`` of handles of equal sample counts,
+    stacked, row c being handles[c]: a view when they are consecutive rows
+    of one store, one gather when they are other rows of one store, else
+    their rows stacked."""
+    part = _consecutive(handles)
+    store = handles[0]._store
+    if part is not None:
+        return tuple(a[part] for a in store[split])
+    if all(h._store is store for h in handles):
+        rows = [h._row for h in handles]
+        return tuple(a[rows] for a in store[split])
+    sets = [getattr(h, f"_{split}") for h in handles]
+    return np.stack([s.inputs for s in sets]), np.stack([s.targets for s in sets])
+
+
+def pooled(handles, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs and targets of ``split`` of every handle, concatenated in
+    order (the centralized baseline's samples): a view when the handles are
+    consecutive rows of one store, else one copy."""
+    part = _consecutive(handles)
+    if part is not None:
+        return tuple(a[part].reshape(-1, a.shape[2]) for a in handles[0]._store[split])
+    sets = [getattr(h, f"_{split}") for h in handles]
+    return np.concatenate([s.inputs for s in sets]), np.concatenate([s.targets for s in sets])
+
+
+def _stacks(handles, split: str):
+    """The samples of ``split`` of handles as stacks: handles of equal
+    sample counts, in order, in chunks of at most STACK_BYTES of samples.
+    Yields (indices into handles, inputs, targets) per stack."""
+    buckets: dict[int, list[int]] = {}
+    for i, handle in enumerate(handles):
+        buckets.setdefault(getattr(handle, f"_{split}").n_samples, []).append(i)
+    for bucket in buckets.values():
+        first = getattr(handles[bucket[0]], f"_{split}")
+        size = max(1, STACK_BYTES // (first.inputs.nbytes + first.targets.nbytes))
+        for start in range(0, len(bucket), size):
+            indices = bucket[start : start + size]
+            yield (indices, *_rows([handles[i] for i in indices], split))
 
 
 class FederatedClient:
@@ -213,19 +352,60 @@ class FederatedClient:
 
     The train/val/test sets are private attributes by convention and by the
     engine's API-surface contract: server code receives this handle and may
-    call only the methods below, none of which return raw samples.
+    call only the methods below, none of which return raw samples. The
+    handle's samples are row ``row`` of ``store``, a dict of (C x n x d
+    inputs, C x n x h targets) per split name; by default a store of one
+    holds views of ``splits``.
     """
 
-    def __init__(self, splits: ClientSplits):
+    def __init__(self, splits: ClientSplits, store=None, row: int = 0):
         self.client_id = splits.client_id
         self.feeder_id = splits.feeder_id
         self.archetype_id = splits.archetype_id
         self.der_class = splits.der_class
         self.flex_class = splits.flex_class
-        self._train = splits.train
-        self._val = splits.val
-        self._test = splits.test
+        if store is None:
+            store = {name: tuple(a[None] for a in _arrays(splits, name)) for name in SPLITS}
+        self._store = store
+        self._row = row
+        self._train, self._val, self._test = (
+            _Split(*(a[row] for a in store[name]), getattr(splits, name).sample_timestamps)
+            for name in SPLITS
+        )
         self._value_scaler = splits.value_scaler
+
+    @classmethod
+    def fleet(
+        cls,
+        datasets: Sequence[ClientDataset],
+        lag: int,
+        horizon: int,
+        value_scaler: Scaler | None = None,
+        covariate_scalers: Mapping[str, Scaler] | None = None,
+    ) -> list:
+        """One handle per dataset, in order, over prepare_client(dataset,
+        lag, horizon, value_scaler, covariate_scalers). Series of equal
+        length give equal split sizes, so their clients share one store,
+        rows in order. Each client's samples are copied into its row as soon
+        as they are made, so they are held once, in the store."""
+        groups: dict[int, list[int]] = {}
+        for i, ds in enumerate(datasets):
+            groups.setdefault(len(ds.series), []).append(i)
+        handles = [None] * len(datasets)
+        for members in groups.values():
+            store = None
+            for row, i in enumerate(members):
+                splits = prepare_client(datasets[i], lag, horizon, value_scaler, covariate_scalers)
+                if store is None:
+                    store = {
+                        name: tuple(np.empty((len(members), *a.shape)) for a in _arrays(splits, name))
+                        for name in SPLITS
+                    }
+                for name in SPLITS:
+                    for stacked, own in zip(store[name], _arrays(splits, name)):
+                        stacked[row] = own
+                handles[i] = cls(splits, store, row)
+        return handles
 
     @property
     def n_train_samples(self) -> int:
@@ -247,12 +427,11 @@ class FederatedClient:
         """local_update of every handle, handles[i] from broadcasts[i],
         keyed by client id in id order.
 
-        Handles of equal train sample counts train as stacks of at most
-        STACK_BYTES of samples through _train_stack; then one _privatize
-        call applies DP to every update of the round, which sets up all of
-        the round's noise streams at once. Bitwise equal to calling each
-        handle alone. When some fail, the error local_update raises for the
-        first of them in id order is raised.
+        The handles train as _stacks through _train_stack; then one
+        _privatize call applies DP to every update of the round, which sets
+        up all of the round's noise streams at once. Bitwise equal to
+        calling each handle alone. When some fail, the error local_update
+        raises for the first of them in id order is raised.
         """
         if not handles:
             return {}
@@ -264,24 +443,11 @@ class FederatedClient:
         new = np.empty_like(values)
         losses = np.empty(len(ids))
         failed: dict[int, NumericError] = {}
-        buckets: dict[int, list[int]] = {}
-        for i, handle in enumerate(handles):
-            buckets.setdefault(handle.n_train_samples, []).append(i)
-        for bucket in buckets.values():
-            train = handles[bucket[0]]._train
-            size = max(1, STACK_BYTES // (train.inputs.nbytes + train.targets.nbytes))
-            for start in range(0, len(bucket), size):
-                rows = bucket[start : start + size]
-                new[rows], losses[rows], stack_failed = _train_stack(
-                    values[rows],
-                    np.stack([handles[i]._train.inputs for i in rows]),
-                    np.stack([handles[i]._train.targets for i in rows]),
-                    spec,
-                    config,
-                    round_index,
-                    [ids[i] for i in rows],
-                )
-                failed.update((rows[c], exc) for c, exc in stack_failed.items())
+        for rows, x, y in _stacks(handles, "train"):
+            new[rows], losses[rows], stack_failed = _train_stack(
+                values[rows], x, y, spec, config, round_index, [ids[i] for i in rows]
+            )
+            failed.update((rows[c], exc) for c, exc in stack_failed.items())
         new = _privatize(values, new, spec, config, round_index, ids, failed)
         if failed:
             raise failed[min(failed)]
@@ -295,10 +461,19 @@ class FederatedClient:
 
     def val_loss(self, params: ModelParams) -> tuple[float, int]:
         """(mean val loss under params, number of val samples)."""
-        return (
-            loss(params, self._val.inputs, self._val.targets),
-            self._val.n_samples,
-        )
+        return self.val_loss_batch([self], [params])[self.client_id]
+
+    @staticmethod
+    def val_loss_batch(handles, params) -> dict[str, tuple[float, int]]:
+        """val_loss of every handle, handles[i] under params[i], keyed by
+        client id in handles order: one stack_loss per stack of _stacks.
+        Bitwise equal to calling each handle alone."""
+        losses = np.empty(len(handles))
+        for rows, x, y in _stacks(handles, "val"):
+            spec = params[rows[0]].spec
+            _check_batch(spec, x[0], y[0])
+            losses[rows] = stack_loss(spec, np.stack([params[i].values for i in rows]), x, y)
+        return {h.client_id: (v, h.n_val_samples) for h, v in zip(handles, losses.tolist())}
 
     def choose_cluster(self, models) -> int:
         """Self-select the cluster model with the lowest own-train loss."""
@@ -306,6 +481,34 @@ class FederatedClient:
 
     def fine_tune(self, params: ModelParams, epochs: int, lr: float) -> ModelParams:
         return fine_tune(params, self._train, epochs, lr)
+
+    @staticmethod
+    def fine_tune_batch(handles, params, epochs: int, lr: float) -> dict[str, ModelParams]:
+        """fine_tune of every handle, handles[i] from params[i], keyed by
+        client id in handles order: the handles personalize as _stacks
+        through _fine_tune_stack. Bitwise equal to calling each handle
+        alone. When some fail, the error fine_tune raises for the first of
+        them in handles order is raised.
+        """
+        failed: dict[int, Exception] = {
+            i: InsufficientDataError("fine_tune needs training samples")
+            for i, h in enumerate(handles)
+            if h.n_train_samples < 1
+        }
+        out = list(params)
+        trainable = [i for i in range(len(handles)) if i not in failed]
+        if epochs > 0:
+            for rows, x, y in _stacks([handles[i] for i in trainable], "train"):
+                rows = [trainable[r] for r in rows]
+                spec = params[rows[0]].spec
+                values = np.stack([params[i].values for i in rows])
+                new, stack_failed = _fine_tune_stack(spec, values, x, y, epochs, lr)
+                failed.update((rows[c], exc) for c, exc in stack_failed.items())
+                for c, i in enumerate(rows):
+                    out[i] = ModelParams(spec, new[c])
+        if failed:
+            raise failed[min(failed)]
+        return {h.client_id: out[i] for i, h in enumerate(handles)}
 
     def test_forecast(self, params: ModelParams):
         """Denormalized (kW) test predictions and actuals, both n x h."""
@@ -330,7 +533,8 @@ def train_local(
     EarlyStop rule. Returns each client's final params and trace by id.
 
     Clients with equal (train, validation) sample counts train in lockstep
-    as one stack, and all stacks train together through train_lockstep.
+    as one stack (a view of their store when it can be), and all stacks
+    train together through train_lockstep.
     Results are bitwise those of training each client alone. A client that
     diverges is dropped, and after training the error of the first such
     client in ``clients`` order is raised, as training them one after
@@ -341,13 +545,7 @@ def train_local(
         buckets.setdefault((client.n_train_samples, client.n_val_samples), []).append(client)
     models, traces, errors = train_lockstep(
         [
-            (
-                [c.client_id for c in bucket],
-                np.stack([c._train.inputs for c in bucket]),
-                np.stack([c._train.targets for c in bucket]),
-                np.stack([c._val.inputs for c in bucket]),
-                np.stack([c._val.targets for c in bucket]),
-            )
+            ([c.client_id for c in bucket], *_rows(bucket, "train"), *_rows(bucket, "val"))
             for bucket in buckets.values()
         ],
         init,

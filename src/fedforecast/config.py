@@ -23,7 +23,7 @@ import yaml
 from .data import CsvSchema, load_csv
 from .errors import ConfigError, IoError
 from .fedcore import ClusterConfig, FLConfig
-from .model import KINDS
+from .model import ModelSpec
 from .population import PopulationSpec, generate_population
 from .privacy import DpConfig
 
@@ -58,14 +58,23 @@ class ModelSettings:
     hidden: int = 16
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind: must be one of {KINDS}, got {self.kind!r}")
         if not self.lag >= 1:
             raise ConfigError(f"lag: must be >= 1, got {self.lag}")
-        if not self.horizon >= 1:
-            raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
-        if self.kind == "mlp" and not self.hidden >= 1:
-            raise ConfigError(f"hidden: must be >= 1 for mlp, got {self.hidden}")
+        self.spec(0)
+
+    def spec(self, n_covariates: int) -> ModelSpec:
+        """The model over ``lag`` past values plus ``n_covariates``
+        covariates. ModelSpec holds the rules on kind, horizon and hidden
+        size; its errors are reported under their YAML keys."""
+        try:
+            return ModelSpec(
+                self.kind,
+                self.lag + n_covariates,
+                self.horizon,
+                self.hidden if self.kind == "mlp" else 0,
+            )
+        except ConfigError as exc:
+            raise ConfigError(str(exc).replace("hidden_dim:", "hidden:", 1)) from None
 
 
 @dataclass(frozen=True)

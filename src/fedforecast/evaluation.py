@@ -25,13 +25,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clients import FederatedClient, train_local, train_lockstep
+from .clients import FederatedClient, pooled, train_local, train_lockstep
 from .clients import run_epochs  # noqa: F401  (perfbench/tracer.py wraps evaluation.run_epochs)
 from .config import METHODS, ScenarioConfig
-from .data import ClientDataset, fit_scaler, prepare_client, train_raw_length
+from .data import ClientDataset, fit_scaler, train_raw_length
+from .data import prepare_client  # noqa: F401  (perfbench/tracer.py wraps evaluation.prepare_client)
 from .errors import AlignmentError, ConfigError, InsufficientDataError, ShapeError
-from .fedcore import RunResult, round_csv_rows, run_training
-from .model import ModelParams, ModelSpec, init_params
+from .fedcore import RunResult, personalize, round_csv_rows, run_training
+from .model import ModelParams, init_params
 from .model import loss  # noqa: F401  (perfbench/tracer.py wraps evaluation.loss)
 from .seeds import derive_seed
 
@@ -232,13 +233,9 @@ class _Harness:
                     f"needs one shared input layout"
                 )
         m = scenario.model
-        self.spec = ModelSpec(
-            m.kind, m.lag + len(names), m.horizon, m.hidden if m.kind == "mlp" else 0
-        )
+        self.spec = m.spec(len(names))
         self.fl = scenario.fl
-        self.clients = [
-            FederatedClient(prepare_client(ds, m.lag, m.horizon)) for ds in self.datasets
-        ]
+        self.clients = FederatedClient.fleet(self.datasets, m.lag, m.horizon)
         self.n_train_total = sum(c.n_train_samples for c in self.clients)
         self._trained: dict[str, _Trained] = {}
 
@@ -298,24 +295,19 @@ class _Harness:
             name: pooled_scaler([ds.covariates[name] for ds in self.datasets])
             for name in sorted(self.datasets[0].covariates)
         }
-        splits = [
-            prepare_client(ds, lag, horizon, value_scaler, cov_scalers) for ds in self.datasets
-        ]
-        train_x = np.concatenate([s.train.inputs for s in splits])
-        train_y = np.concatenate([s.train.targets for s in splits])
-        val_x = np.concatenate([s.val.inputs for s in splits])
-        val_y = np.concatenate([s.val.targets for s in splits])
-        # One stack of one model over the pooled samples: [None] views, no copies.
+        clients = FederatedClient.fleet(self.datasets, lag, horizon, value_scaler, cov_scalers)
+        # One stack of one model over the pooled samples: [None] views of
+        # the clients' store when they share one.
+        samples = [a[None] for split in ("train", "val") for a in pooled(clients, split)]
         models, traces, errors = train_lockstep(
-            [([base], train_x[None], train_y[None], val_x[None], val_y[None])],
-            self._init(), replace(self.fl, dp=None),
+            [([base], *samples)], self._init(), replace(self.fl, dp=None)
         )
         if errors:
             raise errors[base]
         trace = traces[base]
         return _Trained(
             dict.fromkeys((ds.client_id for ds in self.datasets), models[base]),
-            [FederatedClient(s) for s in splits],
+            clients,
             [[i + 1, v, 0, 0, 1, 0] for i, v in enumerate(trace.val_losses)],
             float(trace.best_round),
             None,
@@ -326,12 +318,7 @@ class _Harness:
         if method.endswith("_personalized"):
             pers = self.scenario.personalization
             lr = pers.lr_scale * self.fl.optimizer.lr
-            models = {
-                client.client_id: client.fine_tune(
-                    models[client.client_id], pers.epochs, lr
-                )
-                for client in self.clients
-            }
+            models = personalize(self.clients, models, pers.epochs, lr)
         return models
 
     # ---- evaluation --------------------------------------------------------

@@ -13,11 +13,13 @@ participants by that assignment, so each cluster trains independently.
 
 Privacy boundary: nothing in this module touches raw samples. Server
 functions consume client handles only through their narrow methods
-(local_update, local_update_batch, val_loss, choose_cluster, n_*_samples)
-and operate on ClientUpdate values; an API-surface test enforces this.
-local_update_batch, a static method of the handle class, trains many
-handles in one call; it too takes handles and params and returns
-ClientUpdate values.
+(local_update, val_loss, fine_tune, choose_cluster, n_*_samples and the
+static batch methods local_update_batch, val_loss_batch and
+fine_tune_batch) and operate on ClientUpdate values, losses and params; an
+API-surface test enforces this. A batch method serves many handles in one
+call: it takes handles and params and returns ClientUpdate values, losses
+or params. ``_per_client`` calls it for every handle whose class does not
+override the per-handle method, and that method on the others.
 
 Byte meters are closed-form and exact:
 
@@ -295,7 +297,8 @@ def _routed_round(
     update routes to keeps its params), validate each participant under its
     routed model, and meter the bytes."""
     participants = list(route)
-    updates = _local_updates(by_id, route, state.models, config, round_index)
+    broadcasts = {cid: state.models[route[cid]] for cid in participants}
+    updates = _per_client(by_id, "local_update", broadcasts, config, round_index)
     n_models = len(state.models)
     assignment = route if state.mode == "ifca" else state.assignment
     if regroup_tau is not None:
@@ -312,9 +315,8 @@ def _routed_round(
         fedavg_aggregate(groups[j]) if j in groups else state.models[j]
         for j in range(n_models)
     )
-    val = _weighted_val_loss(
-        [by_id[cid].val_loss(models[route[cid]]) for cid in participants]
-    )
+    routed = {cid: models[route[cid]] for cid in participants}
+    val = _weighted_val_loss(list(_per_client(by_id, "val_loss", routed).values()))
     pb = param_message_bytes(state.models[0].spec)
     fanout = len(state.models) if state.mode == "ifca" else 1
     report = RoundReport(
@@ -330,42 +332,41 @@ def _routed_round(
     return replace(state, models=models, assignment=assignment), report
 
 
-def _local_updates(by_id, route, models, config: FLConfig, round_index: int):
-    """Each participant's update from its routed model, by id in route order.
+def _per_client(by_id, method: str, params: Mapping[str, ModelParams], *args) -> dict:
+    """``by_id[cid].<method>(params[cid], *args)`` for each id of ``params``,
+    by id in that order.
 
-    Handles whose local_update is defined by a class that also defines
-    local_update_batch train in one call of that method; the others (say,
-    a subclass that overrides local_update) are called one at a time, after
-    the batch, whose failure is raised before any of them runs.
+    Handles whose ``method`` is defined by a class that also defines
+    ``<method>_batch`` go through one call of that static method per such
+    class; the others (say, a subclass that overrides ``method``) are called
+    one at a time, after the batches, whose failure is raised before any of
+    them runs.
     """
+    owners: dict[type, type | None] = {}
     batches: dict[type, list[str]] = {}
-    for cid in route:
-        owner = _batch_owner(type(by_id[cid]))
-        if owner is not None:
-            batches.setdefault(owner, []).append(cid)
-    updates: dict[str, ClientUpdate] = {}
+    for cid in params:
+        cls = type(by_id[cid])
+        if cls not in owners:
+            owners[cls] = _batch_owner(cls, method)
+        if owners[cls] is not None:
+            batches.setdefault(owners[cls], []).append(cid)
+    out = {}
     for owner, ids in batches.items():
-        updates.update(
-            owner.local_update_batch(
-                [by_id[cid] for cid in ids],
-                [models[route[cid]] for cid in ids],
-                config,
-                round_index,
-            )
-        )
-    for cid in route:
-        if cid not in updates:
-            updates[cid] = by_id[cid].local_update(models[route[cid]], config, round_index)
-    return {cid: updates[cid] for cid in route}
+        batch = getattr(owner, f"{method}_batch")
+        out.update(batch([by_id[cid] for cid in ids], [params[cid] for cid in ids], *args))
+    for cid in params:
+        if cid not in out:
+            out[cid] = getattr(by_id[cid], method)(params[cid], *args)
+    return {cid: out[cid] for cid in params}
 
 
-def _batch_owner(cls: type) -> type | None:
-    """The class whose local_update_batch trains handles of ``cls``: the
-    nearest class in its MRO that defines local_update, if that class
-    also defines local_update_batch; else None."""
+def _batch_owner(cls: type, method: str) -> type | None:
+    """The class whose ``<method>_batch`` serves handles of ``cls``: the
+    nearest class in its MRO that defines ``method``, if that class also
+    defines ``<method>_batch``; else None."""
     for base in cls.__mro__:
-        if "local_update" in vars(base):
-            return base if "local_update_batch" in vars(base) else None
+        if method in vars(base):
+            return base if f"{method}_batch" in vars(base) else None
     return None
 
 
@@ -384,8 +385,18 @@ def _total_route(state: ServerState, clients) -> dict[str, int]:
 def _all_client_val_loss(state: ServerState, clients, route: Mapping[str, int]) -> float:
     """Diagnostic sample-weighted validation loss over every client, each
     under its model in ``route`` (from ``_total_route``)."""
+    routed = {cid: state.models[j] for cid, j in route.items()}
+    return _weighted_val_loss(list(_per_client(_client_map(clients), "val_loss", routed).values()))
+
+
+def personalize(
+    clients, models: Mapping[str, ModelParams], epochs: int, lr: float
+) -> dict[str, ModelParams]:
+    """Each client's fine_tune of its model models[client_id] (the
+    personalized variant of a method), by id in ``clients`` order, batched
+    by the rule of local updates."""
     by_id = _client_map(clients)
-    return _weighted_val_loss([by_id[cid].val_loss(state.models[j]) for cid, j in route.items()])
+    return _per_client(by_id, "fine_tune", {cid: models[cid] for cid in by_id}, epochs, lr)
 
 
 def run_training(

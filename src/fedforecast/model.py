@@ -51,14 +51,15 @@ class ModelSpec:
     hidden_dim: int = 0
 
     def __post_init__(self) -> None:
+        # Messages start with the field name, as config reports them.
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
+            raise ConfigError(f"kind: must be one of {KINDS}, got {self.kind!r}")
         if self.input_dim < 1:
-            raise ConfigError(f"model input_dim must be >= 1, got {self.input_dim}")
+            raise ConfigError(f"input_dim: must be >= 1, got {self.input_dim}")
         if self.horizon < 1:
-            raise ConfigError(f"model horizon must be >= 1, got {self.horizon}")
+            raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
         if self.kind == "mlp" and self.hidden_dim < 1:
-            raise ConfigError(f"mlp hidden_dim must be >= 1, got {self.hidden_dim}")
+            raise ConfigError(f"hidden_dim: must be >= 1 for mlp, got {self.hidden_dim}")
 
     @property
     def param_count(self) -> int:

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from fedforecast import fedcore
+from fedforecast import evaluation, fedcore
 from fedforecast.clients import FederatedClient, LocalTrace, run_epochs
 from fedforecast.data import (
     IDENTITY_SCALER,
@@ -314,6 +314,33 @@ def reference_local_update(train, broadcast, config, round_index, client_id) -> 
     )
 
 
+def reference_fine_tune(params, train, epochs, lr):
+    """One client's personalization, one validated ModelParams per loss: the
+    loop clients.fine_tune ran before personalization went through stacks.
+    Each epoch proposes p - lr*g and halves lr (carried into later epochs)
+    until the train loss does not rise or lr reaches 1e-18; then it stops
+    if the loss still rises."""
+    if train.n_samples < 1:
+        raise InsufficientDataError("fine_tune needs training samples")
+    if epochs == 0:
+        return params
+    values = params.values
+    spec = params.spec
+    step_size = lr
+    for _ in range(epochs):
+        current_loss, grad = loss_and_grad(ModelParams(spec, values), train.inputs, train.targets)
+        candidate = values - step_size * grad
+        candidate_loss = loss(ModelParams(spec, candidate), train.inputs, train.targets)
+        while candidate_loss > current_loss and step_size > 1e-18:
+            step_size /= 2.0
+            candidate = values - step_size * grad
+            candidate_loss = loss(ModelParams(spec, candidate), train.inputs, train.targets)
+        if candidate_loss > current_loss:
+            break
+        values = candidate
+    return ModelParams(spec, values)
+
+
 def reference_train_local(client, init, config):
     """Isolated local training of one client, round after round."""
     params = init
@@ -419,6 +446,26 @@ def check_rounds_against_reference(monkeypatch) -> list[int]:
         return got
 
     monkeypatch.setattr(fedcore, "_routed_round", both)
+    return checked
+
+
+def check_personalization_against_reference(monkeypatch) -> list[str]:
+    """Make every ``personalize`` call of the comparison harness also run
+    ``reference_fine_tune`` on each client and assert both give bitwise
+    equal params. Returns the list the checked client ids are appended to."""
+    batched = evaluation.personalize
+    checked: list[str] = []
+
+    def both(clients, models, epochs, lr):
+        got = batched(clients, models, epochs, lr)
+        assert list(got) == [c.client_id for c in clients]
+        for client in clients:
+            want = reference_fine_tune(models[client.client_id], client._train, epochs, lr)
+            assert got[client.client_id].values.tobytes() == want.values.tobytes(), client.client_id
+            checked.append(client.client_id)
+        return got
+
+    monkeypatch.setattr(evaluation, "personalize", both)
     return checked
 
 

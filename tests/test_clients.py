@@ -1,5 +1,7 @@
 """Client-side training: epoch schedules, fine-tuning, local baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from helpers import (
     check_rounds_against_reference,
     population_clients,
     population_spec,
+    reference_fine_tune,
     reference_local_update,
     reference_routed_round,
     reference_run_epochs,
@@ -19,17 +22,19 @@ from fedforecast.clients import FederatedClient, fine_tune, run_epochs, train_lo
 from fedforecast.data import (
     ClientDataset,
     CsvSchema,
+    SupervisedSet,
     TimeSeries,
     load_csv,
     prepare_client,
     save_csv,
 )
-from fedforecast.errors import InsufficientDataError, NumericError
+from fedforecast.errors import InsufficientDataError, NumericError, ShapeError
 from fedforecast.fedcore import ClusterConfig, FLConfig, ServerState, run_training
 from fedforecast.model import ModelParams, ModelSpec, init_params, loss, loss_and_grad
 from fedforecast.optim import OptimizerConfig
 from fedforecast.population import PopulationSpec, generate_population
 from fedforecast.privacy import DpConfig
+from fedforecast.seeds import rng_for
 
 
 def config(**kwargs):
@@ -173,6 +178,7 @@ def test_fine_tune_needs_samples():
 class _EmptySplit:
     inputs = np.empty((0, 3))
     targets = np.empty((0, 1))
+    sample_timestamps = np.empty(0, dtype=np.int64)
     n_samples = 0
 
 
@@ -226,9 +232,10 @@ DPS = {
 
 
 @pytest.fixture(scope="module")
-def staggered(tmp_path_factory):
-    """Ingested clients whose meters start at different hours: their
-    (train, validation) sample counts form two stacks of two and two of one."""
+def staggered_datasets(tmp_path_factory):
+    """Ingested meters that start at different hours: their series lengths,
+    and so their (train, validation) sample counts, form two stacks of two
+    and two of one."""
     datasets = generate_population(PopulationSpec(n_clients=6, archetypes=3, days=8, seed=2))
     cut = []
     for ds, start in zip(datasets, (0, 0, 24, 24, 48, 5)):
@@ -238,7 +245,13 @@ def staggered(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("staggered") / "meters.csv")
     save_csv(cut, path)
     schema = CsvSchema(covariates={name: name for name in datasets[0].covariates})
-    return [FederatedClient(prepare_client(ds, LAG, HORIZON)) for ds in load_csv(path, schema)]
+    return load_csv(path, schema)
+
+
+@pytest.fixture(scope="module")
+def staggered(staggered_datasets):
+    """Handles over the staggered meters, one store per series length."""
+    return FederatedClient.fleet(staggered_datasets, LAG, HORIZON)
 
 
 def matrix_config(optimizer, batch_size, dp, local_epochs, patience=0):
@@ -538,3 +551,180 @@ def test_dp_round_over_several_stacks_privatizes_once_as_the_reference(monkeypat
         texts = {"params": "parameter vector contains", "delta": "cannot clip a non-finite"}
         assert str(want).startswith(texts[diverging])
         assert (type(got), str(got)) == (type(want), str(want))
+
+
+def test_batch_orders_are_the_rng_for_draws_of_every_epoch():
+    streams = [("c000", 3), ("c001", 3), ("c002", 7)]
+    orders = clients_module._batch_orders(9, streams, 3, 50)
+    for c, labels in enumerate(streams):
+        rng = rng_for(9, "batches", *labels)
+        for epoch in range(3):
+            assert np.array_equal(orders[epoch, c], rng.permutation(50))
+
+
+# ------------------------------ sample stores and batched per-client paths
+#
+# FederatedClient.fleet holds the staggered handles' samples in one store
+# per series length; val_loss_batch and fine_tune_batch must equal the
+# per-handle paths and the one-client references bitwise, whether a stack
+# is a view of a store, a gather from one, or stacked from lone handles.
+
+
+def test_fleet_holds_each_clients_samples_once_in_a_store_per_length(
+    staggered_datasets, staggered
+):
+    lone = [FederatedClient(prepare_client(ds, LAG, HORIZON)) for ds in staggered_datasets]
+    for got, want in zip(staggered, lone):
+        assert got.client_id == want.client_id
+        for name in ("_train", "_val", "_test"):
+            for a, b in zip(getattr(got, name), getattr(want, name)):
+                assert np.array_equal(a, b)
+        x, y = got._store["train"]
+        assert np.shares_memory(got._train.inputs, x) and np.shares_memory(got._train.targets, y)
+    assert len({id(c._store) for c in staggered}) == 4
+    assert staggered[0]._store is staggered[1]._store
+    assert (staggered[0]._row, staggered[1]._row) == (0, 1)
+
+
+def test_pooled_samples_are_a_view_of_one_store_and_a_copy_of_several(staggered):
+    one_store = staggered[:2]
+    for handles in (one_store, staggered):
+        for split in ("train", "val"):
+            sets = [getattr(h, f"_{split}") for h in handles]
+            x, y = clients_module.pooled(handles, split)
+            assert np.array_equal(x, np.concatenate([s.inputs for s in sets]))
+            assert np.array_equal(y, np.concatenate([s.targets for s in sets]))
+            store_x = handles[0]._store[split][0]
+            assert np.shares_memory(x, store_x) == (handles is one_store)
+
+
+def test_batched_evaluation_rejects_a_model_of_another_shape(staggered):
+    wrong = init_params(ModelSpec("linear", LAG + 5, HORIZON), 0)
+    with pytest.raises(ShapeError):
+        staggered[0].val_loss(wrong)
+    with pytest.raises(ShapeError):
+        staggered[0].fine_tune(wrong, 2, 0.1)
+
+
+def handle_orders(staggered_datasets, staggered):
+    """Batches of handles whose stacks are store views (in order), store
+    gathers (reversed, interleaved) and stacked lone handles (mixed)."""
+    lone = FederatedClient(prepare_client(staggered_datasets[0], LAG, HORIZON))
+    return {
+        "views": staggered,
+        "reversed": staggered[::-1],
+        "interleaved": staggered[::2] + staggered[1::2],
+        "mixed": [lone] + staggered[1:],
+    }
+
+
+stack_budgets = pytest.mark.parametrize("stack_bytes", [None, 1], ids=["budget", "one-row-stacks"])
+
+
+@kinds
+@stack_budgets
+def test_val_loss_batch_equals_each_handle_alone(
+    staggered_datasets, staggered, monkeypatch, kind, stack_bytes
+):
+    if stack_bytes is not None:
+        monkeypatch.setattr(clients_module, "STACK_BYTES", stack_bytes)
+    models = [init_params(matrix_spec(kind), seed) for seed in range(3)]
+    for handles in handle_orders(staggered_datasets, staggered).values():
+        # Rows routed to different models.
+        params = [models[i % 3] for i in range(len(handles))]
+        got = FederatedClient.val_loss_batch(handles, params)
+        assert list(got) == [h.client_id for h in handles]
+        for handle, model in zip(handles, params):
+            want = (loss(model, handle._val.inputs, handle._val.targets), handle.n_val_samples)
+            assert got[handle.client_id] == want == handle.val_loss(model)
+
+
+@kinds
+@stack_budgets
+@pytest.mark.parametrize("lr", [0.05, 20.0], ids=["small-steps", "backtracking"])
+def test_fine_tune_batch_equals_the_reference(
+    staggered_datasets, staggered, monkeypatch, kind, stack_bytes, lr
+):
+    if stack_bytes is not None:
+        monkeypatch.setattr(clients_module, "STACK_BYTES", stack_bytes)
+    models = [init_params(matrix_spec(kind), seed) for seed in range(3)]
+    for handles in handle_orders(staggered_datasets, staggered).values():
+        params = [models[i % 3] for i in range(len(handles))]
+        got = FederatedClient.fine_tune_batch(handles, params, 4, lr)
+        assert list(got) == [h.client_id for h in handles]
+        for handle, model in zip(handles, params):
+            want = reference_fine_tune(model, handle._train, 4, lr).values.tobytes()
+            assert got[handle.client_id].values.tobytes() == want
+            assert handle.fine_tune(model, 4, lr).values.tobytes() == want
+
+
+def population_splits(n_clients=3):
+    datasets = generate_population(PopulationSpec(n_clients=n_clients, archetypes=2, days=7, seed=3))
+    return [prepare_client(ds, 6, 1) for ds in datasets]
+
+
+def scaled_train(splits, factor):
+    """``splits`` with its train inputs multiplied by ``factor``."""
+    train = splits.train
+    return replace(
+        splits, train=SupervisedSet(train.inputs * factor, train.targets, train.sample_timestamps)
+    )
+
+
+def test_a_row_at_the_backtracking_floor_stops_while_its_stack_mates_go_on(monkeypatch):
+    # Inputs scaled by 1e10 make the loss so steep that every step size down
+    # to the 1e-18 floor overshoots: that row stops in its first epoch.
+    splits = population_splits()
+    splits[1] = scaled_train(splits[1], 1e10)
+    handles = [FederatedClient(s) for s in splits]
+    params = init_params(population_spec(), 0)
+    stack_sizes = []
+    kernel = clients_module._fine_tune_stack
+
+    def counted(spec, values, *args):
+        stack_sizes.append(len(values))
+        return kernel(spec, values, *args)
+
+    monkeypatch.setattr(clients_module, "_fine_tune_stack", counted)
+    got = FederatedClient.fine_tune_batch(handles, [params] * 3, 3, 0.1)
+    assert stack_sizes == [3]
+    for handle in handles:
+        want = reference_fine_tune(params, handle._train, 3, 0.1)
+        assert got[handle.client_id].values.tobytes() == want.values.tobytes()
+    steep, mates = handles[1], handles[::2]
+    assert np.array_equal(got[steep.client_id].values, params.values)
+    for mate in mates:
+        one_epoch = reference_fine_tune(params, mate._train, 1, 0.1)
+        assert not np.array_equal(got[mate.client_id].values, one_epoch.values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "layout",
+    [("ok", "huge", "ok", "empty"), ("ok", "empty", "huge"), ("huge", "ok", "huge")],
+    ids=["non-finite-first", "empty-first", "two-non-finite"],
+)
+def test_fine_tune_batch_raises_the_first_failing_clients_error(layout):
+    # "huge": train inputs scaled by 1e150, so the first candidate at lr
+    # 1e10 overflows; "empty": no train samples; "ok" backtracks and passes.
+    splits = population_splits(len(layout))
+    kinds_of = {
+        "ok": lambda s: s,
+        "huge": lambda s: scaled_train(s, 1e150),
+        "empty": lambda s: replace(s, train=_EmptySplit()),
+    }
+    handles = [FederatedClient(kinds_of[kind](s)) for kind, s in zip(layout, splits)]
+    spec = population_spec()
+    params = [init_params(spec, j) for j in range(len(handles))]
+
+    def one_after_another():
+        for handle, model in zip(handles, params):
+            reference_fine_tune(model, handle._train, 3, 1e10)
+
+    with pytest.raises((NumericError, InsufficientDataError)) as want:
+        one_after_another()
+    with pytest.raises((NumericError, InsufficientDataError)) as got:
+        FederatedClient.fine_tune_batch(handles, params, 3, 1e10)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    first = next(kind for kind in layout if kind != "ok")
+    assert type(want.value) is {"huge": NumericError, "empty": InsufficientDataError}[first]

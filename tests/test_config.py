@@ -13,6 +13,7 @@ from fedforecast.config import (
     with_seed,
 )
 from fedforecast.errors import ConfigError, IoError
+from fedforecast.model import ModelSpec
 
 
 def minimal_tree(**overrides):
@@ -279,6 +280,14 @@ def test_bad_value_names_its_dotted_path(overrides, path):
     with pytest.raises(ConfigError) as err:
         scenario_from_tree(minimal_tree(**overrides))
     assert str(err.value).startswith(f"{path}: "), str(err.value)
+
+
+def test_model_settings_build_the_model_spec():
+    mlp = scenario_from_tree(minimal_tree(model={"kind": "mlp", "lag": 6, "horizon": 2, "hidden": 5}))
+    assert mlp.model.spec(2) == ModelSpec("mlp", 8, 2, 5)
+    # A linear model ignores the hidden size, so any value is accepted.
+    linear = scenario_from_tree(minimal_tree(model={"lag": 6, "hidden": 0}))
+    assert linear.model.spec(2) == ModelSpec("linear", 8, 1, 0)
 
 
 def test_accepted_values_keep_their_types():

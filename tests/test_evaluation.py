@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import check_personalization_against_reference
 from fedforecast.config import load_datasets, scenario_from_tree
 from fedforecast.data import ClientDataset, TimeSeries, save_csv
 from fedforecast.errors import (
@@ -135,6 +136,27 @@ def test_personalized_variant_differs_from_base(tmp_path):
     base_maes = [m.mae for m in base.per_client.values()]
     pers_maes = [m.mae for m in pers.per_client.values()]
     assert base_maes != pers_maes
+
+
+@pytest.mark.parametrize("kind, lr_scale", [("linear", 0.1), ("mlp", 50.0)])
+def test_every_personalized_model_equals_the_reference(tmp_path, monkeypatch, kind, lr_scale):
+    # Meters starting at different hours give the harness several stores;
+    # lr_scale 50 makes personalization backtrack.
+    checked = check_personalization_against_reference(monkeypatch)
+    methods = ["fedavg_personalized", "hc_personalized", "ifca_personalized"]
+    sc = scenario(
+        tmp_path,
+        model={"kind": kind, "lag": 8, "horizon": 1, "hidden": 4},
+        personalization={"epochs": 3, "lr_scale": lr_scale},
+        methods=methods,
+    )
+    datasets = []
+    for ds, start in zip(load_datasets(sc), (0, 0, 24, 5)):
+        series = TimeSeries(ds.series.start_epoch_hours + start, ds.series.values[start:])
+        covariates = {name: cov[start:] for name, cov in ds.covariates.items()}
+        datasets.append(replace(ds, series=series, covariates=covariates))
+    assert sorted(run_methods(datasets, sc)) == methods
+    assert checked == [ds.client_id for ds in datasets] * 3
 
 
 def test_comparison_table_byte_deterministic(tmp_path):

@@ -426,7 +426,9 @@ def test_server_api_never_accepts_raw_samples():
         fedcore.hc_clustering_round,
         fedcore.hc_cluster_round,
         fedcore._routed_round,
-        fedcore._local_updates,
+        fedcore._per_client,
+        fedcore._all_client_val_loss,
+        fedcore.personalize,
         fedcore.run_training,
         fedcore.select_participants,
     ]
@@ -482,20 +484,66 @@ def test_local_update_batch_takes_handles_and_returns_only_updates():
         assert isinstance(update.train_loss, float)
 
 
+BATCH_METHODS = {
+    "val_loss_batch": (["handles", "params"], ()),
+    "fine_tune_batch": (["handles", "params", "epochs", "lr"], (3, 0.1)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(BATCH_METHODS))
+def test_batch_methods_take_handles_and_params_and_return_only_scalars_or_params(method):
+    names, args = BATCH_METHODS[method]
+    assert isinstance(inspect.getattr_static(FederatedClient, method), staticmethod)
+    batch = getattr(FederatedClient, method)
+    params = inspect.signature(batch).parameters
+    assert list(params) == names
+    for name, param in params.items():
+        annotation = str(param.annotation)
+        assert "SupervisedSet" not in annotation, name
+        assert "ndarray" not in annotation, name
+    returned = str(inspect.signature(batch).return_annotation)
+    assert "SupervisedSet" not in returned and "ndarray" not in returned
+    clients = population_clients(n_clients=3, days=7)
+    spec = population_spec()
+    out = batch(clients[::-1], [init_params(spec, j) for j in range(3)], *args)
+    assert list(out) == [c.client_id for c in clients[::-1]]
+    for value in out.values():
+        leaves = value if isinstance(value, tuple) else (value,)
+        assert all(type(leaf) in (ModelParams, float, int) for leaf in leaves), value
+
+
 # ------------------------------------------------------- mixed federations
 
 
 class RecordingClient(FederatedClient):
-    """Overrides local_update, so the engine calls it on its own handle."""
+    """Overrides local_update, val_loss and fine_tune, so the engine calls
+    them on its own handle."""
 
     def __init__(self, splits):
         super().__init__(splits)
         self.rounds = []
+        self.val_losses = 0
+        self.fine_tunes = 0
 
     def local_update(self, broadcast, config, round_index):
         update = super().local_update(broadcast, config, round_index)
         self.rounds.append(round_index)
         return update
+
+    def val_loss(self, params):
+        self.val_losses += 1
+        return super().val_loss(params)
+
+    def fine_tune(self, params, epochs, lr):
+        self.fine_tunes += 1
+        return super().fine_tune(params, epochs, lr)
+
+
+def final_models(result, clients):
+    """Each client's model at the end of a run, by id."""
+    if result.mode == "global":
+        return {c.client_id: result.models[0] for c in clients}
+    return {cid: result.models[j] for cid, j in result.assignment.items()}
 
 
 @pytest.mark.parametrize("mode", ["global", "hc", "ifca"])
@@ -504,17 +552,27 @@ def test_mixed_federation_equals_all_plain(mode):
     splits = [prepare_client(ds, 6, 1) for ds in datasets]
     plain = [FederatedClient(s) for s in splits]
     mixed = [RecordingClient(s) if i % 2 else FederatedClient(s) for i, s in enumerate(splits)]
-    assert fedcore._batch_owner(RecordingClient) is None
-    assert fedcore._batch_owner(FederatedClient) is FederatedClient
+    for method in ("local_update", "val_loss", "fine_tune"):
+        assert fedcore._batch_owner(RecordingClient, method) is None
+        assert fedcore._batch_owner(FederatedClient, method) is FederatedClient
     config = sgd_config(**IDENTITY_CONFIGS["sampled_dp"])
     cluster = ClusterConfig(mode=mode, tau=0.05, warmup=2, k=2, recluster_every=2)
     want = run_training(plain, population_spec(), config, mode, cluster)
     got = run_training(mixed, population_spec(), config, mode, cluster)
     assert_same_training(got, want)
     assert to_json_text(run_result_json_obj(got)) == to_json_text(run_result_json_obj(want))
+    evaluations = sum(r.all_client_val_loss is not None for r in got.reports)
     for client in mixed[1::2]:
         joined = [r.round_index for r in got.reports if client.client_id in r.participants]
         assert client.rounds == joined and joined
+        assert client.val_losses == len(joined) + evaluations
+    tuned = fedcore.personalize(mixed, final_models(got, mixed), 3, 0.05)
+    plain_tuned = fedcore.personalize(plain, final_models(want, plain), 3, 0.05)
+    assert list(tuned) == list(plain_tuned) == [c.client_id for c in mixed]
+    assert [m.values.tobytes() for m in tuned.values()] == [
+        m.values.tobytes() for m in plain_tuned.values()
+    ]
+    assert [c.fine_tunes for c in mixed[1::2]] == [1, 1, 1]
 
 
 # ----------------------------------------------------------- config checks
