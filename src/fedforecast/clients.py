@@ -16,9 +16,12 @@ when the rows are consecutive rows of one store, one gather otherwise.
 pooled gives the centralized baseline all clients' samples the same way.
 
 run_epochs is the one training kernel. It steps a stack of models, each on
-its own samples. One round of local updates is two steps: _train_stack, the
-kernel and its finiteness check, on each stack of clients, then _privatize,
-update-level DP of every delta of the round in one call. Their callers:
+its own samples, into arrays it allocates once per call: a gather buffer
+per minibatch length, one model.Workspace for the activations and
+gradients, and a copy of the values the optimizer steps in place. One
+round of local updates is two steps: _train_stack, the kernel and its
+finiteness check, on each stack of clients, then _privatize, update-level
+DP of every delta of the round in one call. Their callers:
 
 * FederatedClient.local_update_batch, which the engine calls once per
   round: participants train as stacks, then all of them are privatized at
@@ -50,13 +53,13 @@ from .errors import InsufficientDataError, NumericError
 from .fedcore import ClientUpdate, EarlyStop, FLConfig
 from .model import (
     ModelParams,
+    Workspace,
     _check_batch,
-    loss,
     predict_batch,
     stack_loss,
     stack_loss_and_grad,
 )
-from .model import loss_and_grad  # noqa: F401  (perfbench/tracer.py wraps clients.loss_and_grad)
+from .model import loss, loss_and_grad  # noqa: F401  (perfbench/tracer.py wraps both)
 from .optim import make_state, step
 from .privacy import privatize_delta, privatize_rows
 from .seeds import rng_for  # noqa: F401  (perfbench/tracer.py wraps clients.rng_for)
@@ -89,30 +92,35 @@ def run_epochs(
     on its own samples only, so every slice equals training that model
     alone. Minibatch order comes from model c's batch-shuffle stream,
     labelled ("batches", *streams[c]) (see _batch_orders); full-batch steps
-    use the arrays as given, without copying, and each minibatch is
-    gathered on its own. Returns the new C x P values and each model's mean
-    train loss of its final epoch (losses measured pre-step); with zero
-    epochs, the values unchanged and their loss.
+    use the arrays as given. Each step writes in place into what the call
+    allocates once (see the module docstring); the arguments are left as
+    they were. Returns the new C x P values and each model's mean train loss
+    of its final epoch (losses measured pre-step); with zero epochs, the
+    values unchanged and their loss.
     """
     c, n = inputs.shape[:2]
     if config.local_epochs == 0:
         return values, stack_loss(spec, values, inputs, targets)
-    batch = config.batch_size
-    full_batch = batch == 0 or batch >= n
-    orders = None if full_batch else _batch_orders(config.seed, streams, config.local_epochs, n)
-    rows = np.arange(c)[:, None]
+    batch = config.batch_size if 0 < config.batch_size < n else n
+    values, workspace = values.copy(), Workspace(spec)
     opt_state = make_state(config.optimizer, values.shape)
+    x, y = inputs, targets
+    if batch < n:
+        # Flat indices into the C*n samples: model c's sample i is c*n + i.
+        orders = _batch_orders(config.seed, streams, config.local_epochs, n) + np.arange(0, c * n, n)[:, None]
+        flat = [a.reshape(c * n, a.shape[2]) for a in (inputs, targets)]
+        gathers = {b: [np.empty((c, b, a.shape[1])) for a in flat] for b in {batch, n % batch or batch}}
     for epoch in range(config.local_epochs):
-        if full_batch:
-            batches = [(inputs, targets)]
-        else:
-            perm = orders[epoch]
-            idxs = (perm[:, i : i + batch] for i in range(0, n, batch))
-            batches = ((inputs[rows, idx], targets[rows, idx]) for idx in idxs)
         loss_sum = 0.0
-        for x, y in batches:
-            batch_loss, grad = stack_loss_and_grad(spec, values, x, y)
-            values, opt_state = step(opt_state, values, grad)
+        for i in range(0, n, batch):
+            if batch < n:
+                idx = orders[epoch, :, i : i + batch]
+                x, y = (
+                    np.take(a, idx, axis=0, out=out, mode="clip")
+                    for a, out in zip(flat, gathers[idx.shape[1]])
+                )
+            batch_loss, grad = stack_loss_and_grad(spec, values, x, y, workspace)
+            values, opt_state = step(opt_state, values, grad, in_place=True)
             loss_sum += batch_loss * x.shape[1]
         final_epoch_loss = loss_sum / n
     return values, final_epoch_loss
@@ -455,9 +463,6 @@ class FederatedClient:
             cid: ClientUpdate(cid, ModelParams(spec, new[i]), handles[i].n_train_samples, float(losses[i]))
             for i, cid in enumerate(ids)
         }
-
-    def train_loss(self, params: ModelParams) -> float:
-        return loss(params, self._train.inputs, self._train.targets)
 
     def val_loss(self, params: ModelParams) -> tuple[float, int]:
         """(mean val loss under params, number of val samples)."""

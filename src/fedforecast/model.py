@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -146,37 +147,63 @@ def _check_input_matrix(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(spec: ModelSpec, values: np.ndarray, x: np.ndarray):
-    """Stacked forward pass: values C x P, inputs C x n x d; returns the
-    C x n x h predictions, the mlp hidden activations and W2 (both None for
-    linear). Slice c is bitwise the unstacked computation of model c on x[c].
-    Biases and tanh apply in place, so a forward pass allocates one array
-    per layer: on a stack these arrays are large, and each fresh one costs
-    page faults once the allocator hands their memory back to the system."""
-    if spec.kind == "linear":
-        w, b = _unflatten(spec, values)
-        pred = x @ w.transpose(0, 2, 1)
+def _forward(weights, x: np.ndarray, r_out=None, a_out=None):
+    """Stacked forward pass of the _unflatten views ``weights`` of C x P
+    values on C x n x d inputs; returns the C x n x h predictions and the
+    mlp hidden activations (None for linear). Slice c is bitwise the
+    unstacked computation of model c on x[c]. The output and hidden layer
+    go into r_out and a_out when given, else into fresh arrays."""
+    if len(weights) == 2:
+        w, b = weights
+        pred = np.matmul(x, w.transpose(0, 2, 1), out=r_out)
         pred += b[:, None, :]
-        return pred, None, None
-    w1, b1, w2, b2 = _unflatten(spec, values)
-    a = x @ w1.transpose(0, 2, 1)
+        return pred, None
+    w1, b1, w2, b2 = weights
+    a = np.matmul(x, w1.transpose(0, 2, 1), out=a_out)
     a += b1[:, None, :]
     np.tanh(a, out=a)
-    pred = a @ w2.transpose(0, 2, 1)
+    pred = np.matmul(a, w2.transpose(0, 2, 1), out=r_out)
     pred += b2[:, None, :]
-    return pred, a, w2
+    return pred, a
 
 
-def _mse(r: np.ndarray) -> np.ndarray:
-    """Per-slice mean of r*r over a C x n x h residual stack, summed and
-    divided as np.mean sums and divides one n x h matrix."""
-    return np.add.reduce(r * r, axis=(1, 2)) / (r.shape[1] * r.shape[2])
+def _mse(r: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+    """Per-slice mean of r*r (written to sq when given) over a C x n x h
+    residual stack, summed and divided as np.mean sums and divides one n x h matrix."""
+    return np.add.reduce(np.multiply(r, r, out=sq), axis=(1, 2)) / (r.shape[1] * r.shape[2])
+
+
+class Workspace:
+    """The arrays stack_loss_and_grad writes into, per (C, n) stack shape:
+    mlp activations a and dz1, residual r and its square sq, and the C x P
+    grad with its _unflatten views parts; plus the _unflatten views of the
+    last C-contiguous values passed, which follow their in-place updates.
+    A loop passing one workspace allocates once; each call overwrites grad."""
+
+    def __init__(self, spec: ModelSpec):
+        self.spec, self._values, self._buffers = spec, None, {}
+
+    def weights(self, values: np.ndarray):
+        if values is not self._values:
+            self._values, self._weights = values, _unflatten(self.spec, values)
+        return self._weights
+
+    def buffers(self, c: int, n: int) -> SimpleNamespace:
+        if (c, n) not in self._buffers:
+            hidden = (c, n, self.spec.hidden_dim if self.spec.kind == "mlp" else 0)
+            out = (c, n, self.spec.horizon)
+            grad = np.empty((c, self.spec.param_count))
+            self._buffers[c, n] = SimpleNamespace(
+                a=np.empty(hidden), dz1=np.empty(hidden), r=np.empty(out), sq=np.empty(out),
+                grad=grad, parts=_unflatten(self.spec, grad),
+            )
+        return self._buffers[c, n]
 
 
 def predict_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Predictions for an n x d input matrix; returns n x h."""
     x = _check_input_matrix(params.spec, inputs)
-    return _forward(params.spec, params.values[None], x[None])[0][0]
+    return _forward(_unflatten(params.spec, params.values[None]), x[None])[0][0]
 
 
 def _check_batch(spec: ModelSpec, inputs: np.ndarray, targets: np.ndarray):
@@ -204,13 +231,13 @@ def stack_loss(
     non-finite values by the training loop, which reports the round.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        r = _forward(spec, values, inputs)[0]
+        r = _forward(_unflatten(spec, values), inputs)[0]
         r -= targets
         return _mse(r)
 
 
 def stack_loss_and_grad(
-    spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, targets: np.ndarray
+    spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, targets: np.ndarray, workspace=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """C losses plus the C x P exact analytic gradients, flattened in
     parameter layout, of a stack of models (shapes as in ``stack_loss``).
@@ -222,26 +249,33 @@ def stack_loss_and_grad(
     * mlp:    dW2 = G^T A, db2 = colsum G, dZ1 = (G W2) * (1 - A^2),
               dW1 = dZ1^T X, db1 = colsum dZ1   (A = tanh(X W1^T + b1))
 
+    Every array is written into ``workspace`` (by default, one made for
+    this call), the gradient's parts straight into its parameter layout.
     Inputs are not validated: this is the training kernel's inner step.
     """
     c, n, h = targets.shape
+    workspace = Workspace(spec) if workspace is None else workspace
+    buffers, weights = workspace.buffers(c, n), workspace.weights(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        r, a, w2 = _forward(spec, values, inputs)
+        r, a = _forward(weights, inputs, buffers.r, buffers.a)
         r -= targets
-        g = (2.0 / (n * h)) * r
-        gt = g.transpose(0, 2, 1)
+        losses = _mse(r, buffers.sq)
+        r *= 2.0 / (n * h)  # G overwrites R
+        gt = r.transpose(0, 2, 1)
         if spec.kind == "linear":
-            parts = (gt @ inputs, g.sum(axis=1))
+            np.matmul(gt, inputs, out=buffers.parts[0])
         else:
-            dw2 = gt @ a
-            # 1 - A^2 overwrites A, for the reason _forward works in place.
-            dz1 = g @ w2
+            dw1, db1, dw2, _ = buffers.parts
+            np.matmul(gt, a, out=dw2)
+            dz1 = np.matmul(r, weights[2], out=buffers.dz1)
+            # 1 - A^2 overwrites A.
             np.multiply(a, a, out=a)
             np.subtract(1.0, a, out=a)
             dz1 *= a
-            parts = (dz1.transpose(0, 2, 1) @ inputs, dz1.sum(axis=1), dw2, g.sum(axis=1))
-        grad = np.concatenate([part.reshape(c, -1) for part in parts], axis=1)
-        return _mse(r), grad
+            np.matmul(dz1.transpose(0, 2, 1), inputs, out=dw1)
+            np.add.reduce(dz1, axis=1, out=db1)
+        np.add.reduce(r, axis=1, out=buffers.parts[-1])  # db (linear) or db2
+        return losses, buffers.grad
 
 
 def loss(params: ModelParams, inputs: np.ndarray, targets: np.ndarray) -> float:

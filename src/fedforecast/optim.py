@@ -1,14 +1,15 @@
 """First-order optimizers used inside client local training.
 
 Plain SGD and classical heavy-ball momentum. Steps are pure functions of
-(state, params, grad); velocity is zero-initialized per FL round because
-clients keep no state between rounds. Steps are elementwise, so params may
-be one vector or a C x P stack of vectors stepped together.
+(state, params, grad), or write in place for a training loop that keeps its
+arrays; velocity is zero-initialized per FL round because clients keep no
+state between rounds. Steps are elementwise, so params may be one vector or a
+C x P stack of vectors stepped together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,30 +53,38 @@ def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
         raise ShapeError(f"vector lengths differ: {a.shape} vs {b.shape}")
 
 
+def step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, in_place: bool = False):
+    """One optimizer step; returns (new params, new state). In place, the
+    new params and velocity are written into ``params`` and the state's
+    velocity, and ``grad`` is scratch; the pure form runs the same
+    arithmetic on copies. Either is bitwise p - lr*g (sgd), or
+    v' = beta*v + g and p - lr*v' (momentum)."""
+    config = state.config
+    if not in_place:
+        params = np.array(params, dtype=np.float64)
+        grad = np.array(grad, dtype=np.float64)
+        _check_lengths(params, grad)
+        if config.kind == "momentum":
+            velocity = np.zeros_like(params) if state.velocity is None else state.velocity.copy()
+            _check_lengths(velocity, grad)
+            state = OptimizerState(config, velocity)
+    if config.kind == "momentum":
+        velocity = state.velocity
+        velocity *= config.beta
+        velocity += grad
+        np.multiply(velocity, config.lr, out=grad)
+    else:
+        grad *= config.lr
+    params -= grad
+    return params, state
+
+
 def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    _check_lengths(params, grad)
-    if not lr > 0:
-        raise ConfigError(f"lr must be > 0, got {lr}")
-    return params - lr * grad
+    return step(OptimizerState(OptimizerConfig("sgd", lr)), params, grad)[0]
 
 
 def momentum_step(
     state: OptimizerState, params: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, OptimizerState]:
     """Heavy ball: v' = beta*v + g, p' = p - lr*v'."""
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    _check_lengths(params, grad)
-    velocity = state.velocity if state.velocity is not None else np.zeros_like(params)
-    _check_lengths(velocity, grad)
-    velocity = state.config.beta * velocity + grad
-    return params - state.config.lr * velocity, OptimizerState(state.config, velocity)
-
-
-def step(state: OptimizerState, params: np.ndarray, grad: np.ndarray):
-    """Dispatch one optimizer step; returns (new params, new state)."""
-    if state.config.kind == "sgd":
-        return sgd_step(params, grad, state.config.lr), state
-    return momentum_step(state, params, grad)
+    return step(OptimizerState(replace(state.config, kind="momentum"), state.velocity), params, grad)

@@ -728,3 +728,91 @@ def test_fine_tune_batch_raises_the_first_failing_clients_error(layout):
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
     first = next(kind for kind in layout if kind != "ok")
     assert type(want.value) is {"huge": NumericError, "empty": InsufficientDataError}[first]
+
+
+# ------------------------------------------- the kernel writing in place
+#
+# run_epochs gathers minibatches, computes activations and gradients and
+# steps the optimizer in arrays it allocates once per call. Every row must
+# still equal helpers.reference_run_epochs bitwise, whatever layout its
+# samples come in, and the arrays passed in must come back untouched.
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """Twelve handles of one series length, so one fleet store of 12 rows."""
+    datasets = generate_population(PopulationSpec(n_clients=12, archetypes=3, days=5, seed=8))
+    handles = FederatedClient.fleet(datasets, LAG, HORIZON)
+    assert len({h._store["train"][0].ctypes.data for h in handles}) == 1
+    return handles
+
+
+def sample_layouts(handles):
+    """The handles' train samples as a store view, a gather from the store
+    and a copy that is not C-contiguous, each C x n x d and C x n x h."""
+    view = clients_module._rows(handles, "train")
+    assert all(np.shares_memory(a, b) for a, b in zip(view, handles[0]._store["train"]))
+    reordered = handles[1:] + handles[:1]
+    gather = tuple(a[[h._row for h in reordered]] for a in handles[0]._store["train"])
+    assert not np.shares_memory(gather[0], handles[0]._store["train"][0])
+    strided = tuple(np.asfortranarray(a) for a in view)
+    assert not strided[0].flags.c_contiguous
+    return {"view": (handles, view), "gather": (reordered, gather), "strided": (handles, strided)}
+
+
+def batch_sizes(n):
+    """A batch size that leaves a ragged last batch, n itself and above n."""
+    ragged = next(b for b in (7, 11, 13) if n % b)
+    return {"ragged": ragged, "n": n, "above-n": n + 5}
+
+
+@kinds
+@optimizers
+@pytest.mark.parametrize("batch", ["ragged", "n", "above-n"])
+def test_kernel_in_place_equals_the_reference_on_every_layout(wide, kind, optimizer, batch):
+    spec = matrix_spec(kind)
+    n = wide[0].n_train_samples
+    cfg = matrix_config(optimizer, batch_sizes(n)[batch], "dp-off", local_epochs=2)
+    # A stack of one and one of ten rows in the same test, each row its own model.
+    for rows in (wide[3:4], wide[:10]):
+        for name, (handles, (x, y)) in sample_layouts(rows).items():
+            values = np.stack([init_params(spec, seed).values for seed in range(len(handles))])
+            streams = [(h.client_id, 4) for h in handles]
+            before = [a.copy() for a in (values, x, y)]
+            out, losses = run_epochs(values, x, y, spec, cfg, streams)
+            for arg, kept in zip((values, x, y), before):
+                assert arg.tobytes() == kept.tobytes(), name
+            assert not np.shares_memory(out, values)
+            for c, handle in enumerate(handles):
+                want, want_loss = reference_run_epochs(
+                    values[c], handle._train.inputs, handle._train.targets, spec, cfg, streams[c]
+                )
+                assert out[c].tobytes() == want.tobytes(), (name, len(rows), c)
+                assert losses[c] == want_loss
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@optimizers
+def test_a_row_overflowing_mid_epoch_fails_alone(optimizer):
+    # Train inputs scaled by 1e100 overflow within a few steps of the first
+    # epoch; the reference then rejects the non-finite params in its loop.
+    splits = population_splits(4)
+    splits[2] = scaled_train(splits[2], 1e100)
+    handles = [FederatedClient(s) for s in splits]
+    x = np.stack([h._train.inputs for h in handles])
+    y = np.stack([h._train.targets for h in handles])
+    spec = population_spec()
+    values = np.stack([init_params(spec, seed).values for seed in range(4)])
+    ids = [h.client_id for h in handles]
+    cfg = config(batch_size=16, local_epochs=2, optimizer=OPTIMIZERS[optimizer])
+    new, losses, failed = clients_module._train_stack(values, x, y, spec, cfg, 5, ids)
+    assert list(failed) == [2]
+    for c, handle in enumerate(handles):
+        args = (values[c], handle._train.inputs, handle._train.targets, spec, cfg, (ids[c], 5))
+        if c == 2:
+            want = _raised(reference_run_epochs, *args)
+            assert (type(failed[2]), str(failed[2])) == (type(want), str(want))
+            continue
+        want, want_loss = reference_run_epochs(*args)
+        assert new[c].tobytes() == want.tobytes()
+        assert losses[c] == want_loss

@@ -267,3 +267,48 @@ def test_blob_is_header_then_little_endian_values():
 
 def test_message_size_formula():
     assert param_message_bytes(linear_spec(24, 1)) == 25 * 8 + PARAM_HEADER_BYTES
+
+
+def allocating_stack_loss_and_grad(spec, values, x, y):
+    """The stacked loss and gradient written with fresh arrays per step, in
+    the kernel's order of operations, to check its in-place form bitwise."""
+    n, h = y.shape[1:]
+    parts = model._unflatten(spec, values)
+    if spec.kind == "linear":
+        w, b = parts
+        r = x @ w.transpose(0, 2, 1) + b[:, None, :] - y
+        g = (2.0 / (n * h)) * r
+        grads = (g.transpose(0, 2, 1) @ x, g.sum(axis=1))
+    else:
+        w1, b1, w2, b2 = parts
+        a = np.tanh(x @ w1.transpose(0, 2, 1) + b1[:, None, :])
+        r = a @ w2.transpose(0, 2, 1) + b2[:, None, :] - y
+        g = (2.0 / (n * h)) * r
+        dz1 = (g @ w2) * (1.0 - a * a)
+        grads = (dz1.transpose(0, 2, 1) @ x, dz1.sum(axis=1), g.transpose(0, 2, 1) @ a, g.sum(axis=1))
+    losses = np.add.reduce(r * r, axis=(1, 2)) / (n * h)
+    return losses, np.concatenate([part.reshape(len(values), -1) for part in grads], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_a_reused_workspace_gives_the_loss_and_grad_of_fresh_calls(kind):
+    # One workspace across batch lengths, stack sizes and calls, with the
+    # values stepped in place between calls as the training kernel does.
+    spec = linear_spec(d=5, h=3) if kind == "linear" else mlp_spec(d=5, m=4, h=3)
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(9, spec.param_count))
+    workspace = model.Workspace(spec)
+    grads = {}
+    for c, n in [(9, 32), (9, 7), (9, 32), (1, 7), (9, 7), (1, 40)]:
+        x = rng.normal(size=(c, n, 5))
+        y = rng.normal(size=(c, n, 3))
+        stack = values if c == 9 else values[:1].copy()
+        losses, grad = model.stack_loss_and_grad(spec, stack, x, y, workspace)
+        fresh_losses, fresh_grad = model.stack_loss_and_grad(spec, stack.copy(), x, y)
+        want_losses, want_grad = allocating_stack_loss_and_grad(spec, stack, x, y)
+        assert losses.tobytes() == fresh_losses.tobytes() == want_losses.tobytes()
+        assert grad.tobytes() == fresh_grad.tobytes() == want_grad.tobytes()
+        # The buffers of a shape are made once and overwritten by later calls.
+        assert grads.setdefault((c, n), grad) is grad
+        if c == 9:
+            values -= 0.01 * grad

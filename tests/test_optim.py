@@ -80,3 +80,43 @@ def test_config_validation():
         OptimizerConfig(kind="sgd", lr=0.0)
     with pytest.raises(ConfigError):
         OptimizerConfig(kind="momentum", lr=0.1, beta=1.0)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "momentum"])
+def test_in_place_steps_equal_the_pure_steps_bitwise(kind):
+    # Several steps on a stack of vectors, the velocity carried between
+    # them; both equal the textbook arithmetic p - lr*g and beta*v + g.
+    rng = np.random.default_rng(2)
+    config = OptimizerConfig(kind=kind, lr=0.37, beta=0.85)
+    pure_params = rng.normal(size=(3, 5))
+    params = pure_params.copy()
+    textbook_params, textbook_velocity = pure_params.copy(), np.zeros((3, 5))
+    pure_state = make_state(config, params.shape)
+    state = make_state(config, params.shape)
+    for _ in range(6):
+        grad = rng.normal(size=(3, 5))
+        kept = grad.copy()
+        pure_params, pure_state = step(pure_state, pure_params, grad)
+        assert grad.tobytes() == kept.tobytes()
+        stepped, state = step(state, params, grad, in_place=True)
+        assert stepped is params
+        if kind == "momentum":
+            textbook_velocity = config.beta * textbook_velocity + kept
+            textbook_params = textbook_params - config.lr * textbook_velocity
+            assert state.velocity.tobytes() == pure_state.velocity.tobytes()
+            assert state.velocity.tobytes() == textbook_velocity.tobytes()
+        else:
+            textbook_params = textbook_params - config.lr * kept
+        assert params.tobytes() == pure_params.tobytes() == textbook_params.tobytes()
+
+
+def test_pure_steps_leave_their_arguments_untouched():
+    rng = np.random.default_rng(3)
+    params, grad = rng.normal(size=4), rng.normal(size=4)
+    state = make_state(OptimizerConfig(kind="momentum", lr=0.1, beta=0.5), 4)
+    state.velocity[:] = rng.normal(size=4)
+    kept = [a.copy() for a in (params, grad, state.velocity)]
+    momentum_step(state, params, grad)
+    sgd_step(params, grad, 0.1)
+    for arg, before in zip((params, grad, state.velocity), kept):
+        assert arg.tobytes() == before.tobytes()
