@@ -18,14 +18,14 @@ pooled gives the centralized baseline all clients' samples the same way.
 run_epochs is the one training kernel. It steps a stack of models, each on
 its own samples, into arrays it allocates once per call: a gather buffer
 per minibatch length, one model.Workspace for the activations and
-gradients, and a copy of the values the optimizer steps in place. One
-round of local updates is two steps: _train_stack, the kernel and its
-finiteness check, on each stack of clients, then _privatize, update-level
-DP of every delta of the round in one call. Their callers:
+gradients, and a copy of the values the optimizer steps in place. Its one
+caller is _train_round, a round of local updates of C clients: they train
+as stacks through run_epochs into one C x P result, which is checked for
+finiteness and, under update-level DP, privatized in one privatize_rows
+call. _train_round's callers:
 
 * FederatedClient.local_update_batch, which the engine calls once per
-  round: participants train as stacks, then all of them are privatized at
-  once;
+  round, over the participants' _stacks;
 * local_update, the per-handle hook, on a stack of one;
 * train_lockstep, the one isolated-training loop: train_local runs it on
   all stacks of clients of equal sample counts at once, and the
@@ -120,7 +120,7 @@ def run_epochs(
                     for a, out in zip(flat, gathers[idx.shape[1]])
                 )
             batch_loss, grad = stack_loss_and_grad(spec, values, x, y, workspace)
-            values, opt_state = step(opt_state, values, grad, in_place=True)
+            values, opt_state = step(opt_state, values, grad)
             loss_sum += batch_loss * x.shape[1]
         final_epoch_loss = loss_sum / n
     return values, final_epoch_loss
@@ -138,28 +138,28 @@ def _batch_orders(seed: int, streams, epochs: int, n: int) -> np.ndarray:
     return orders
 
 
-def _train_stack(values, inputs, targets, spec, config: FLConfig, round_index, ids):
-    """The kernel's round of local epochs on a stack of clients, row c being
-    client ids[c] from values[c] on inputs[c] and targets[c], and its
-    finiteness check.
+def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
+    """One round of local updates of C clients, row c being client ids[c]
+    from values[c]. Each stack (rows, inputs, targets) trains the rows of
+    values it names (a slice or a list of indices), row by row on its
+    inputs and targets, through run_epochs; then, under DP, every row's
+    delta is privatized in one privatize_rows call.
 
-    Returns the new C x P params, the C train losses, and, for each row whose
-    new params are not finite, the NumericError the one-client code raises.
+    Returns the new C x P params, the C train losses, and, for each row
+    whose new params, delta or privatized params are not finite, the
+    NumericError the one-client code raises, by row index.
     """
-    new, losses = run_epochs(values, inputs, targets, spec, config, [(cid, round_index) for cid in ids])
+    new = np.empty_like(values)
+    losses = np.empty(len(ids))
+    for rows, x, y in stacks:
+        members = range(len(ids))[rows] if isinstance(rows, slice) else rows
+        new[rows], losses[rows] = run_epochs(
+            values[rows], x, y, spec, config, [(ids[i], round_index) for i in members]
+        )
     failed: dict[int, NumericError] = {}
     _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
-    return new, losses, failed
-
-
-def _privatize(values, new, spec, config: FLConfig, round_index, ids, failed: dict):
-    """Update-level DP of every row's delta new[c] - values[c], row c being
-    client ids[c], in one privatize_rows call. Records in ``failed`` the
-    NumericError of each row not yet failed whose delta or privatized params
-    are not finite. Returns the privatized params; without DP, ``new``.
-    """
     if config.dp is None:
-        return new
+        return new, losses, failed
     delta = new - values
     _reject(
         ~np.all(np.isfinite(delta), axis=1),
@@ -168,7 +168,7 @@ def _privatize(values, new, spec, config: FLConfig, round_index, ids, failed: di
     )
     new = values + privatize_rows(delta, config.dp, config.seed, round_index, ids)
     _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
-    return new
+    return new, losses, failed
 
 
 def _reject(bad: np.ndarray, failed: dict, check) -> None:
@@ -189,9 +189,8 @@ def local_update(
     round_index: int,
     client_id: str,
 ) -> ClientUpdate:
-    """One client's contribution for one round: _train_stack and _privatize
-    on a stack of one. This is the per-handle hook behind
-    FederatedClient.local_update.
+    """One client's contribution for one round: _train_round on a stack of
+    one. This is the per-handle hook behind FederatedClient.local_update.
 
     local_epochs = 0 returns the broadcast params bit-identical, with the
     train loss evaluated at those params. When DP is active the update delta
@@ -200,12 +199,10 @@ def local_update(
     if train.n_samples < 1:
         raise InsufficientDataError(f"client {client_id} has no training samples")
     spec = broadcast.spec
-    values = broadcast.values[None]
-    ids = [client_id]
-    new, losses, failed = _train_stack(
-        values, train.inputs[None], train.targets[None], spec, config, round_index, ids
+    stack = (slice(0, 1), train.inputs[None], train.targets[None])
+    new, losses, failed = _train_round(
+        broadcast.values[None], [stack], spec, config, round_index, [client_id]
     )
-    new = _privatize(values, new, spec, config, round_index, ids, failed)
     if failed:
         raise failed[0]
     return ClientUpdate(
@@ -371,7 +368,6 @@ class FederatedClient:
         self.feeder_id = splits.feeder_id
         self.archetype_id = splits.archetype_id
         self.der_class = splits.der_class
-        self.flex_class = splits.flex_class
         if store is None:
             store = {name: tuple(a[None] for a in _arrays(splits, name)) for name in SPLITS}
         self._store = store
@@ -435,11 +431,11 @@ class FederatedClient:
         """local_update of every handle, handles[i] from broadcasts[i],
         keyed by client id in id order.
 
-        The handles train as _stacks through _train_stack; then one
-        _privatize call applies DP to every update of the round, which sets
-        up all of the round's noise streams at once. Bitwise equal to
-        calling each handle alone. When some fail, the error local_update
-        raises for the first of them in id order is raised.
+        One _train_round over the handles' _stacks, so one privatize_rows
+        call applies DP to every update of the round and sets up all of its
+        noise streams at once. Bitwise equal to calling each handle alone.
+        When some fail, the error local_update raises for the first of them
+        in id order is raised.
         """
         if not handles:
             return {}
@@ -448,15 +444,9 @@ class FederatedClient:
         ids = [h.client_id for h in handles]
         spec = broadcasts[order[0]].spec
         values = np.stack([broadcasts[i].values for i in order])
-        new = np.empty_like(values)
-        losses = np.empty(len(ids))
-        failed: dict[int, NumericError] = {}
-        for rows, x, y in _stacks(handles, "train"):
-            new[rows], losses[rows], stack_failed = _train_stack(
-                values[rows], x, y, spec, config, round_index, [ids[i] for i in rows]
-            )
-            failed.update((rows[c], exc) for c, exc in stack_failed.items())
-        new = _privatize(values, new, spec, config, round_index, ids, failed)
+        new, losses, failed = _train_round(
+            values, _stacks(handles, "train"), spec, config, round_index, ids
+        )
         if failed:
             raise failed[min(failed)]
         return {
@@ -567,45 +557,39 @@ def train_lockstep(stacks, init: ModelParams, config: FLConfig):
     """Isolated training of stacks of models, each model from init under its
     own EarlyStop rule. A stack is (ids, x, y, val_x, val_y), row c being
     model ids[c] on train samples x[c], y[c] and validation samples
-    val_x[c], val_y[c]. Each round trains every stack through _train_stack,
-    then privatizes the rows of all stacks in one _privatize call. A row
-    leaves its stack when it stops or fails.
+    val_x[c], val_y[c]. The live rows of all stacks are one array, in stack
+    order, and each round is one _train_round over it. A row leaves its
+    stack when it stops or fails.
 
     Returns three dicts by id: the final params and LocalTrace of each row
     that trained to its end, and the NumericError of each row that failed.
     """
     spec = init.spec
-    values = [np.tile(init.values, (len(stack[0]), 1)) for stack in stacks]
+    ids = [cid for stack in stacks for cid in stack[0]]
+    values = np.tile(init.values, (len(ids), 1))
     stoppers = {
-        cid: EarlyStop(config.early_stop_patience, f"client {cid} validation loss")
-        for stack in stacks
-        for cid in stack[0]
+        cid: EarlyStop(config.early_stop_patience, f"client {cid} validation loss") for cid in ids
     }
-    trace: dict[str, list[float]] = {cid: [] for cid in stoppers}
+    trace: dict[str, list[float]] = {cid: [] for cid in ids}
     models: dict[str, ModelParams] = {}
     traces: dict[str, LocalTrace] = {}
     errors: dict[str, NumericError] = {}
     for round_index in range(1, config.rounds + 1):
-        ids: list[str] = []
-        news = []
-        failed: dict[int, NumericError] = {}
-        for (stack_ids, x, y, _, _), stack_values in zip(stacks, values):
-            new, _, stack_failed = _train_stack(stack_values, x, y, spec, config, round_index, stack_ids)
-            for i, exc in stack_failed.items():
-                failed[len(ids) + i] = exc
-            ids += stack_ids
-            news.append(new)
-        new = _privatize(np.concatenate(values), np.concatenate(news), spec, config, round_index, ids, failed)
-        start = 0
-        kept_stacks, kept_values = [], []
+        parts, start = [], 0
         for stack in stacks:
+            parts.append(slice(start, start + len(stack[0])))
+            start += len(stack[0])
+        work = [(part, x, y) for part, (_, x, y, _, _) in zip(parts, stacks)]
+        new, _, failed = _train_round(values, work, spec, config, round_index, ids)
+        kept_stacks, kept_rows = [], []
+        for part, stack in zip(parts, stacks):
             stack_ids, x, y, val_x, val_y = stack
-            rows = new[start : start + len(stack_ids)]
+            rows = new[part]
             val = stack_loss(spec, rows, val_x, val_y).tolist()
             keep = []
             for i, cid in enumerate(stack_ids):
-                if start + i in failed:
-                    errors[cid] = failed[start + i]
+                if part.start + i in failed:
+                    errors[cid] = failed[part.start + i]
                     continue
                 try:
                     stop = stoppers[cid].update(round_index, val[i])
@@ -619,14 +603,14 @@ def train_lockstep(stacks, init: ModelParams, config: FLConfig):
                     traces[cid] = LocalTrace(tuple(trace[cid]), best_round)
                 else:
                     keep.append(i)
-            start += len(stack_ids)
             if len(keep) == len(stack_ids):
                 kept_stacks.append(stack)
-                kept_values.append(rows)
             elif keep:
                 kept_stacks.append(([stack_ids[i] for i in keep], x[keep], y[keep], val_x[keep], val_y[keep]))
-                kept_values.append(rows[keep])
+            kept_rows += [part.start + i for i in keep]
         if not kept_stacks:
             break
-        stacks, values = kept_stacks, kept_values
+        stacks = kept_stacks
+        ids = [cid for stack in stacks for cid in stack[0]]
+        values = new if len(kept_rows) == len(new) else new[kept_rows]
     return models, traces, errors

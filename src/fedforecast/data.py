@@ -35,7 +35,6 @@ from .errors import (
 )
 
 DER_CLASSES = ("fixed_load", "hvac", "ev_charger", "battery", "pv")
-FLEX_CLASSES = ("shiftable", "curtailable", "non_interruptible")
 
 TRAIN_FRAC = 0.7
 VAL_FRAC = 0.15
@@ -76,15 +75,12 @@ class ClientDataset:
     series: TimeSeries
     covariates: Mapping[str, np.ndarray] = field(default_factory=dict)
     der_class: str = "fixed_load"
-    flex_class: str = "non_interruptible"
     feeder_id: str = "F0"
     archetype_id: int = -1
 
     def __post_init__(self) -> None:
         if self.der_class not in DER_CLASSES:
             raise ShapeError(f"unknown der_class {self.der_class!r}")
-        if self.flex_class not in FLEX_CLASSES:
-            raise ShapeError(f"unknown flex_class {self.flex_class!r}")
         if self.archetype_id < -1:
             raise ShapeError(f"archetype_id must be >= -1, got {self.archetype_id}")
         clean: dict[str, np.ndarray] = {}
@@ -238,7 +234,6 @@ class ClientSplits:
     feeder_id: str
     archetype_id: int
     der_class: str
-    flex_class: str
 
 
 def train_raw_length(n_values: int, lag: int, horizon: int) -> int:
@@ -289,7 +284,6 @@ def prepare_client(
         feeder_id=dataset.feeder_id,
         archetype_id=dataset.archetype_id,
         der_class=dataset.der_class,
-        flex_class=dataset.flex_class,
     )
 
 

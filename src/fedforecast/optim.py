@@ -1,7 +1,7 @@
 """First-order optimizers used inside client local training.
 
-Plain SGD and classical heavy-ball momentum. Steps are pure functions of
-(state, params, grad), or write in place for a training loop that keeps its
+Plain SGD and classical heavy-ball momentum. A step writes in place into
+the params and the state's velocity, for a training loop that keeps its
 arrays; velocity is zero-initialized per FL round because clients keep no
 state between rounds. Steps are elementwise, so params may be one vector or a
 C x P stack of vectors stepped together.
@@ -9,7 +9,7 @@ C x P stack of vectors stepped together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,26 +48,15 @@ def make_state(config: OptimizerConfig, shape) -> OptimizerState:
     return OptimizerState(config)
 
 
-def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"vector lengths differ: {a.shape} vs {b.shape}")
-
-
-def step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, in_place: bool = False):
-    """One optimizer step; returns (new params, new state). In place, the
-    new params and velocity are written into ``params`` and the state's
-    velocity, and ``grad`` is scratch; the pure form runs the same
-    arithmetic on copies. Either is bitwise p - lr*g (sgd), or
-    v' = beta*v + g and p - lr*v' (momentum)."""
+def step(state: OptimizerState, params: np.ndarray, grad: np.ndarray):
+    """One optimizer step, in place; returns (params, state). The new params
+    and velocity are written into ``params`` and the state's velocity, and
+    ``grad`` is scratch. Bitwise p - lr*g (sgd), or v' = beta*v + g and
+    p - lr*v' (momentum). Raises ShapeError when params and grad differ in
+    shape."""
+    if params.shape != grad.shape:
+        raise ShapeError(f"vector lengths differ: {params.shape} vs {grad.shape}")
     config = state.config
-    if not in_place:
-        params = np.array(params, dtype=np.float64)
-        grad = np.array(grad, dtype=np.float64)
-        _check_lengths(params, grad)
-        if config.kind == "momentum":
-            velocity = np.zeros_like(params) if state.velocity is None else state.velocity.copy()
-            _check_lengths(velocity, grad)
-            state = OptimizerState(config, velocity)
     if config.kind == "momentum":
         velocity = state.velocity
         velocity *= config.beta
@@ -77,14 +66,3 @@ def step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, in_place: 
         grad *= config.lr
     params -= grad
     return params, state
-
-
-def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    return step(OptimizerState(OptimizerConfig("sgd", lr)), params, grad)[0]
-
-
-def momentum_step(
-    state: OptimizerState, params: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, OptimizerState]:
-    """Heavy ball: v' = beta*v + g, p' = p - lr*v'."""
-    return step(OptimizerState(replace(state.config, kind="momentum"), state.velocity), params, grad)

@@ -38,13 +38,13 @@ from .data import DER_CLASSES, ClientDataset, TimeSeries
 from .errors import ConfigError
 from .seeds import rng_for
 
-# der_class -> (base kW range, temperature coupling kW/degC range, flex class)
+# der_class -> (base kW range, temperature coupling kW/degC range)
 _CLASS_TRAITS = {
-    "fixed_load": ((0.5, 1.5), (0.01, 0.04), "non_interruptible"),
-    "hvac": ((0.8, 2.0), (0.15, 0.35), "curtailable"),
-    "ev_charger": ((0.2, 0.5), (0.01, 0.03), "shiftable"),
-    "battery": ((0.3, 0.8), (0.01, 0.03), "shiftable"),
-    "pv": ((0.0, 0.0), (0.0, 0.0), "curtailable"),
+    "fixed_load": ((0.5, 1.5), (0.01, 0.04)),
+    "hvac": ((0.8, 2.0), (0.15, 0.35)),
+    "ev_charger": ((0.2, 0.5), (0.01, 0.03)),
+    "battery": ((0.3, 0.8), (0.01, 0.03)),
+    "pv": ((0.0, 0.0), (0.0, 0.0)),
 }
 
 _SUNRISE = 6
@@ -192,7 +192,7 @@ def _feeder_weather(spec: PopulationSpec, feeder: int, hours: np.ndarray):
 
 
 def _class_scaled(p: dict[str, float], der_class: str) -> tuple[float, float]:
-    (base_lo, base_hi), (tc_lo, tc_hi), _ = _CLASS_TRAITS[der_class]
+    (base_lo, base_hi), (tc_lo, tc_hi) = _CLASS_TRAITS[der_class]
     base = base_lo + p["base_u"] * (base_hi - base_lo)
     temp_coeff = tc_lo + p["temp_u"] * (tc_hi - tc_lo)
     return base, temp_coeff
@@ -275,7 +275,6 @@ def generate_population(spec: PopulationSpec) -> list[ClientDataset]:
                 series=TimeSeries(start_epoch_hours=0, values=values),
                 covariates={"irradiance": irradiance, "temperature": temperature},
                 der_class=der_classes[i],
-                flex_class=_CLASS_TRAITS[der_classes[i]][2],
                 feeder_id=f"F{feeder}",
                 archetype_id=archetype,
             )

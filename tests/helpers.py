@@ -265,6 +265,8 @@ def reference_run_epochs(values, inputs, targets, spec, config, stream_labels):
     epochs = config.local_epochs
     if epochs == 0:
         return values, loss(ModelParams(spec, values), inputs, targets)
+    # The step writes into values; callers pass rows of their own arrays.
+    values = np.array(values, dtype=np.float64)
     batch = config.batch_size
     full_batch = batch == 0 or batch >= n
     rng = None if full_batch else rng_for(config.seed, "batches", *stream_labels)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import helpers
 from helpers import (
     check_rounds_against_reference,
     population_clients,
@@ -553,6 +554,76 @@ def test_dp_round_over_several_stacks_privatizes_once_as_the_reference(monkeypat
         assert (type(got), str(got)) == (type(want), str(want))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("diverging", ["params", "delta"])
+def test_lockstep_dp_round_with_a_failing_row_equals_the_reference(staggered, monkeypatch, diverging):
+    # c001, in a stack of two, fails the given check in round 2 ("params":
+    # non-finite params, "delta": params whose delta from its round-1 params
+    # overflows) in the kernel and in the reference alike; the others train
+    # on. The first weight of init is 1e308: it saturates a tanh unit, so
+    # it takes no gradient and leaves every loss finite, and its negation
+    # overflows the delta.
+    def diverge(new, values, cid, round_index):
+        if cid == "c001" and round_index == 2:
+            new[:] = np.inf if diverging == "params" else -values
+
+    kernel = clients_module.run_epochs
+
+    def kernel_with_divergence(values, inputs, targets, spec, cfg, streams):
+        new, losses = kernel(values, inputs, targets, spec, cfg, streams)
+        new = new.copy()
+        for c, labels in enumerate(streams):
+            diverge(new[c], values[c], *labels)
+        return new, losses
+
+    reference = helpers.reference_run_epochs
+
+    def reference_with_divergence(values, inputs, targets, spec, cfg, labels):
+        new, train_loss = reference(values, inputs, targets, spec, cfg, labels)
+        diverge(new, values, *labels)
+        return new, train_loss
+
+    privatized, results = [], []
+    privatize_rows, lockstep = clients_module.privatize_rows, clients_module.train_lockstep
+
+    def counted(deltas, *args):
+        privatized.append(len(deltas))
+        return privatize_rows(deltas, *args)
+
+    def recorded(*args):
+        results.append(lockstep(*args))
+        return results[-1]
+
+    monkeypatch.setattr(clients_module, "run_epochs", kernel_with_divergence)
+    monkeypatch.setattr(helpers, "reference_run_epochs", reference_with_divergence)
+    monkeypatch.setattr(clients_module, "privatize_rows", counted)
+    monkeypatch.setattr(clients_module, "train_lockstep", recorded)
+    spec = matrix_spec("mlp")
+    values = init_params(spec, 1).values.copy()
+    values[0] = 1e308
+    init = ModelParams(spec, values)
+    cfg = matrix_config("momentum", 16, "clip-noise", 2)
+    got = _raised(train_local, staggered, init, cfg)
+
+    def one_after_another():
+        for client in staggered:
+            reference_train_local(client, init, cfg)
+
+    want = _raised(one_after_another)
+    texts = {"params": "parameter vector contains", "delta": "cannot clip a non-finite"}
+    assert str(want).startswith(texts[diverging])
+    assert (type(got), str(got)) == (type(want), str(want))
+    # One call per round: all six rows until c001 fails, then five.
+    assert privatized == [6, 6, 5, 5, 5, 5]
+    models, traces, errors = results[0]
+    assert list(errors) == ["c001"]
+    for client in staggered:
+        if client.client_id != "c001":
+            want_params, want_trace = reference_train_local(client, init, cfg)
+            assert models[client.client_id].values.tobytes() == want_params.values.tobytes()
+            assert traces[client.client_id] == want_trace
+
+
 def test_batch_orders_are_the_rng_for_draws_of_every_epoch():
     streams = [("c000", 3), ("c001", 3), ("c002", 7)]
     orders = clients_module._batch_orders(9, streams, 3, 50)
@@ -805,7 +876,7 @@ def test_a_row_overflowing_mid_epoch_fails_alone(optimizer):
     values = np.stack([init_params(spec, seed).values for seed in range(4)])
     ids = [h.client_id for h in handles]
     cfg = config(batch_size=16, local_epochs=2, optimizer=OPTIMIZERS[optimizer])
-    new, losses, failed = clients_module._train_stack(values, x, y, spec, cfg, 5, ids)
+    new, losses, failed = clients_module._train_round(values, [(slice(0, 4), x, y)], spec, cfg, 5, ids)
     assert list(failed) == [2]
     for c, handle in enumerate(handles):
         args = (values[c], handle._train.inputs, handle._train.targets, spec, cfg, (ids[c], 5))

@@ -533,8 +533,8 @@ def assert_same_load(got, want):
         assert list(a.covariates) == list(b.covariates)
         for name in a.covariates:
             assert a.covariates[name].tobytes() == b.covariates[name].tobytes()
-        assert (a.der_class, a.flex_class, a.feeder_id, a.archetype_id) == (
-            b.der_class, b.flex_class, b.feeder_id, b.archetype_id
+        assert (a.der_class, a.feeder_id, a.archetype_id) == (
+            b.der_class, b.feeder_id, b.archetype_id
         )
 
 

@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, and every
 name the traced benchmark wraps exists.
 
-Deletions tend to leave dead imports behind. An import kept on purpose
-(for instance a name that perfbench/tracer.py wraps as a module attribute)
-carries ``# noqa: F401`` on its line.
+Deletions tend to leave dead imports behind. The one reason to keep an
+unused import is that perfbench/tracer.py wraps the name as an attribute of
+that module; such an import carries ``# noqa: F401`` on its line, and the
+tracer must patch it there.
 """
 
 import ast
@@ -19,6 +20,18 @@ import fedforecast.serialize
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fedforecast"
+
+
+def kept_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each name imported on a ``# noqa: F401`` line."""
+    lines = source.splitlines()
+    return [
+        (alias.asname or alias.name, alias.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "# noqa: F401" in lines[alias.lineno - 1]
+    ]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,12 +59,17 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == ["pi (line 3)"]
 
 
-def test_tracer_patches_apply_and_restore():
-    # perfbench/tracer.py wraps package names by attribute; a refactor that
-    # drops one fails here rather than only in the slow benchmark smoke test.
+def load_tracer():
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_patches_apply_and_restore():
+    # perfbench/tracer.py wraps package names by attribute; a refactor that
+    # drops one fails here rather than only in the slow benchmark smoke test.
+    tracing = load_tracer()
     tracer = tracing.Tracer()
     originals = {}
     try:
@@ -65,3 +83,28 @@ def test_tracer_patches_apply_and_restore():
     assert len(originals) > 30
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, attr
+
+
+def test_kept_imports_are_names_the_tracer_patches_on_their_module():
+    # A ``# noqa: F401`` import that the tracer does not wrap on its module
+    # is an unused import hidden from test_every_import_is_used.
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracing.setup_patches(tracer, fedforecast)
+        tracing.comparison_patches(tracer, fedforecast)
+        patched = {(owner.__name__, attr) for owner, attr, _ in tracer._patches}
+    finally:
+        tracer.restore()
+    unpatched = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in kept_imports(path.read_text(encoding="utf-8"))
+        if (f"fedforecast.{path.stem}", name) not in patched
+    ]
+    assert unpatched == []
+
+
+def test_kept_imports_lists_the_noqa_names():
+    source = "import os  # noqa: F401\nfrom math import pi, tau  # noqa: F401\nimport sys\n"
+    assert kept_imports(source) == [("os", 1), ("pi", 2), ("tau", 2)]

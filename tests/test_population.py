@@ -128,25 +128,6 @@ def test_der_mix_counts_largest_remainder():
     assert counts == {"fixed_load": 5, "pv": 3, "ev_charger": 2}
 
 
-def test_flex_class_follows_der_class():
-    spec = PopulationSpec(
-        n_clients=8,
-        archetypes=1,
-        days=2,
-        der_mix={"fixed_load": 0.25, "pv": 0.25, "ev_charger": 0.25, "battery": 0.25},
-        seed=1,
-    )
-    expected = {
-        "fixed_load": "non_interruptible",
-        "hvac": "curtailable",
-        "pv": "curtailable",
-        "ev_charger": "shiftable",
-        "battery": "shiftable",
-    }
-    for ds in generate_population(spec):
-        assert ds.flex_class == expected[ds.der_class]
-
-
 def test_changepoint_scales_later_days():
     base = PopulationSpec(
         n_clients=1, archetypes=1, days=6, noise_scale=0.0, seed=4
