@@ -22,6 +22,7 @@ import argparse
 import copy
 import os
 import sys
+from dataclasses import asdict
 
 import yaml
 
@@ -36,12 +37,7 @@ from .config import (
 )
 from .data import save_csv
 from .errors import ConfigError, FedForecastError, IoError, NumericError
-from .evaluation import (
-    COMPARISON_CSV_HEADER,
-    run_comparison,
-    run_methods,
-    row_json_obj,
-)
+from .evaluation import COMPARISON_CSV_HEADER, ComparisonTable, run_comparison, run_methods
 from .fedcore import ROUND_CSV_HEADER, run_result_json_obj
 from .serialize import make_dirs, to_csv_text, to_json_text, write_text
 
@@ -95,7 +91,7 @@ def _cmd_run(args) -> int:
     obj = {
         "method": args.method,
         "seed": scenario.seed,
-        "table_row": row_json_obj(outcome.row),
+        "table_row": asdict(outcome.row),
     }
     if outcome.run_result is not None:
         obj["training"] = run_result_json_obj(outcome.run_result)
@@ -121,22 +117,23 @@ def _parse_seeds(text: str | None, fallback: int) -> list[int]:
     return seeds
 
 
+def _write_comparison_csv(
+    path: str, names: list[str], tables: list[tuple[list, ComparisonTable]]
+) -> None:
+    """One CSV of every table's rows, each led by its cells under ``names``."""
+    rows = [cells + row for cells, table in tables for row in table.csv_rows()]
+    write_text(path, to_csv_text(names + COMPARISON_CSV_HEADER, rows))
+
+
 def _comparison_files(scenario: ScenarioConfig, seeds: list[int], out_dir: str) -> None:
-    rows: list[list] = []
     tables = []
     for seed in seeds:
         sc = with_seed(scenario, seed)
-        table = run_comparison(load_datasets(sc), sc)
-        tables.append(table.to_json_obj())
-        for row in table.csv_rows():
-            rows.append([seed] + row)
-    write_text(
-        os.path.join(out_dir, "comparison.csv"),
-        to_csv_text(["seed"] + COMPARISON_CSV_HEADER, rows),
-    )
+        tables.append(([seed], run_comparison(load_datasets(sc), sc)))
+    _write_comparison_csv(os.path.join(out_dir, "comparison.csv"), ["seed"], tables)
     write_text(
         os.path.join(out_dir, "comparison.json"),
-        to_json_text({"seeds": seeds, "tables": tables}),
+        to_json_text({"seeds": seeds, "tables": [t.to_json_obj() for _, t in tables]}),
     )
 
 
@@ -186,24 +183,18 @@ def _cmd_sweep(args) -> int:
         base_scenario.output_dir, f"sweep_{args.param.replace('.', '_')}"
     )
     point_dirs = [_point_dir(sweep_dir, literal) for literal in literals]
-    tradeoff_rows: list[list] = []
+    tables = []
     for literal, point_dir in zip(literals, point_dirs):
         value = yaml.safe_load(literal)
         scenario = scenario_from_tree(_override_tree(base_tree, args.param, value))
-        datasets = load_datasets(scenario)
-        table = run_comparison(datasets, scenario)
-        write_text(
-            os.path.join(point_dir, "comparison.csv"),
-            to_csv_text(COMPARISON_CSV_HEADER, table.csv_rows()),
-        )
+        table = run_comparison(load_datasets(scenario), scenario)
+        _write_comparison_csv(os.path.join(point_dir, "comparison.csv"), [], [([], table)])
         write_text(
             os.path.join(point_dir, "comparison.json"), to_json_text(table.to_json_obj())
         )
-        for row in table.csv_rows():
-            tradeoff_rows.append([args.param, literal] + row)
-    write_text(
-        os.path.join(sweep_dir, "tradeoff.csv"),
-        to_csv_text(["param", "value"] + COMPARISON_CSV_HEADER, tradeoff_rows),
+        tables.append(([args.param, literal], table))
+    _write_comparison_csv(
+        os.path.join(sweep_dir, "tradeoff.csv"), ["param", "value"], tables
     )
     print(f"wrote {sweep_dir}/tradeoff.csv ({len(literals)} points)")
     return 0

@@ -142,8 +142,8 @@ def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
     """One round of local updates of C clients, row c being client ids[c]
     from values[c]. Each stack (rows, inputs, targets) trains the rows of
     values it names (a slice or a list of indices), row by row on its
-    inputs and targets, through run_epochs; then, under DP, every row's
-    delta is privatized in one privatize_rows call.
+    inputs and targets, through run_epochs; then, under DP, the delta of
+    every row that has not failed is privatized in one privatize_rows call.
 
     Returns the new C x P params, the C train losses, and, for each row
     whose new params, delta or privatized params are not finite, the
@@ -166,7 +166,10 @@ def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
         failed,
         lambda i: privatize_delta(delta[i], config.dp, config.seed, round_index, ids[i]),
     )
-    new = values + privatize_rows(delta, config.dp, config.seed, round_index, ids)
+    ok = [i for i in range(len(ids)) if i not in failed]
+    new[ok] = values[ok] + privatize_rows(
+        delta[ok], config.dp, config.seed, round_index, [ids[i] for i in ok]
+    )
     _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
     return new, losses, failed
 

@@ -8,8 +8,8 @@ The pipeline is deliberately rigid about time-series hygiene:
 * CSV ingestion refuses gapped or non-monotone timestamps unless the caller
   explicitly opts into forward-filling.
 
-All series are hourly (step_hours = 1 for v1) and timestamps are integer
-epoch hours (hours since 1970-01-01T00:00Z).
+All series are hourly, and timestamps are integer epoch hours (hours since
+1970-01-01T00:00Z).
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ VAL_FRAC = 0.15
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Regularly sampled kW signal with an epoch-hour origin."""
+    """Hourly kW signal with an epoch-hour origin."""
 
     start_epoch_hours: int
     values: np.ndarray
-    step_hours: int = 1
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -54,8 +53,6 @@ class TimeSeries:
             raise ShapeError(f"series values must be 1-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise NumericError("series contains non-finite values")
-        if self.step_hours < 1:
-            raise ShapeError(f"step_hours must be >= 1, got {self.step_hours}")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
@@ -63,8 +60,7 @@ class TimeSeries:
 
     def timestamps(self) -> np.ndarray:
         """Epoch hour of every sample."""
-        n = len(self)
-        return self.start_epoch_hours + self.step_hours * np.arange(n, dtype=np.int64)
+        return self.start_epoch_hours + np.arange(len(self), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,14 +219,13 @@ def split_dataset(sset: SupervisedSet) -> tuple[SupervisedSet, SupervisedSet, Su
 
 @dataclass(frozen=True, eq=False)
 class ClientSplits:
-    """Prepared per-client training material plus the scalers used."""
+    """Prepared per-client training material plus the value scaler used."""
 
     client_id: str
     train: SupervisedSet
     val: SupervisedSet
     test: SupervisedSet
     value_scaler: Scaler
-    covariate_scalers: Mapping[str, Scaler]
     feeder_id: str
     archetype_id: int
     der_class: str
@@ -280,7 +275,6 @@ def prepare_client(
         val=val,
         test=test,
         value_scaler=value_scaler,
-        covariate_scalers=dict(covariate_scalers),
         feeder_id=dataset.feeder_id,
         archetype_id=dataset.archetype_id,
         der_class=dataset.der_class,

@@ -19,7 +19,7 @@ of (config, seed). Rows are byte-deterministic in the scenario seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from typing import Mapping, Sequence
 
@@ -76,8 +76,25 @@ def compute_metrics(pred, actual) -> Metrics:
     return Metrics(mae=mae, rmse=rmse, mape=mape, nrmse=nrmse, excluded_points=excluded)
 
 
+# One comparison row's schema: the CSV columns are the rates of each block,
+# mean's excluded points, then the totals; the JSON row is ``asdict(row)``.
+_BLOCKS = ("mean", "median", "feeder")
+_RATES = ("mae", "rmse", "mape", "nrmse")
+_TOTALS = ("n_train_samples", "bytes_up", "bytes_down", "bytes_total", "rounds_to_best_val")
+
+COMPARISON_CSV_HEADER = [
+    "method",
+    *(f"{block}_{rate}" for block in _BLOCKS for rate in _RATES),
+    "excluded_points",
+    *_TOTALS,
+]
+
+
 @dataclass(frozen=True)
 class MethodRow:
+    """One method's line of the comparison table. Its fields, in order, are
+    the JSON row (``asdict``); ``bytes_total`` is bytes_up + bytes_down."""
+
     method: str
     mean: Metrics
     median: Metrics
@@ -85,11 +102,11 @@ class MethodRow:
     n_train_samples: int
     bytes_up: int
     bytes_down: int
+    bytes_total: int = field(init=False)
     rounds_to_best_val: float
 
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_up + self.bytes_down
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bytes_total", self.bytes_up + self.bytes_down)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,95 +120,38 @@ class MethodOutcome:
     run_result: RunResult | None
 
 
-COMPARISON_CSV_HEADER = [
-    "method",
-    "mean_mae",
-    "mean_rmse",
-    "mean_mape",
-    "mean_nrmse",
-    "median_mae",
-    "median_rmse",
-    "median_mape",
-    "median_nrmse",
-    "feeder_mae",
-    "feeder_rmse",
-    "feeder_mape",
-    "feeder_nrmse",
-    "excluded_points",
-    "n_train_samples",
-    "bytes_up",
-    "bytes_down",
-    "bytes_total",
-    "rounds_to_best_val",
-]
-
-
 @dataclass(frozen=True)
 class ComparisonTable:
+    """Every method's row for one seed, in method order: ``csv_rows`` gives
+    the cells under COMPARISON_CSV_HEADER, ``to_json_obj`` the JSON table."""
+
     rows: tuple[MethodRow, ...]
     seed: int
 
     def csv_rows(self) -> list[list]:
-        out = []
-        for row in self.rows:
-            out.append(
-                [
-                    row.method,
-                    row.mean.mae,
-                    row.mean.rmse,
-                    row.mean.mape,
-                    row.mean.nrmse,
-                    row.median.mae,
-                    row.median.rmse,
-                    row.median.mape,
-                    row.median.nrmse,
-                    row.feeder.mae,
-                    row.feeder.rmse,
-                    row.feeder.mape,
-                    row.feeder.nrmse,
-                    row.mean.excluded_points,
-                    row.n_train_samples,
-                    row.bytes_up,
-                    row.bytes_down,
-                    row.bytes_total,
-                    row.rounds_to_best_val,
-                ]
-            )
-        return out
+        return [
+            [
+                row.method,
+                *(getattr(getattr(row, block), rate) for block in _BLOCKS for rate in _RATES),
+                row.mean.excluded_points,
+                *(getattr(row, name) for name in _TOTALS),
+            ]
+            for row in self.rows
+        ]
 
     def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rows": [row_json_obj(row) for row in self.rows],
-        }
-
-
-def row_json_obj(row: MethodRow) -> dict:
-    return {
-        "method": row.method,
-        "mean": asdict(row.mean),
-        "median": asdict(row.median),
-        "feeder": asdict(row.feeder),
-        "n_train_samples": row.n_train_samples,
-        "bytes_up": row.bytes_up,
-        "bytes_down": row.bytes_down,
-        "bytes_total": row.bytes_total,
-        "rounds_to_best_val": row.rounds_to_best_val,
-    }
+        return {"seed": self.seed, "rows": [asdict(row) for row in self.rows]}
 
 
 def _reduce_metrics(items: Sequence[Metrics], reduce) -> Metrics:
-    """Each metric reduced over ``items`` by ``reduce`` (np.mean or
-    np.median); absent mapes and nrmses are left out, excluded points summed."""
-    mapes = [m.mape for m in items if m.mape is not None]
-    nrmses = [m.nrmse for m in items if m.nrmse is not None]
-    return Metrics(
-        mae=float(reduce([m.mae for m in items])),
-        rmse=float(reduce([m.rmse for m in items])),
-        mape=float(reduce(mapes)) if mapes else None,
-        nrmse=float(reduce(nrmses)) if nrmses else None,
-        excluded_points=int(sum(m.excluded_points for m in items)),
-    )
+    """Each rate reduced over ``items`` by ``reduce`` (np.mean or
+    np.median), absent values left out (None when none is present);
+    excluded points summed."""
+    rates = {}
+    for rate in _RATES:
+        present = [getattr(m, rate) for m in items if getattr(m, rate) is not None]
+        rates[rate] = float(reduce(present)) if present else None
+    return Metrics(**rates, excluded_points=int(sum(m.excluded_points for m in items)))
 
 
 def _shared_rows(windows: Sequence[np.ndarray]) -> list | None:

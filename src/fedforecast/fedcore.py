@@ -425,7 +425,6 @@ def run_training(
 
     reports: list[RoundReport] = []
     stopper = EarlyStop(config.early_stop_patience)
-    route = None  # _total_route of the current state, once computed
     for round_index in range(1, config.rounds + 1):
         try:
             if mode == "global":
@@ -436,9 +435,9 @@ def run_training(
                 state, report = _hc_dispatch(state, clients, config, cluster, round_index)
         except NumericError as exc:
             raise NumericError(f"round {round_index}: {exc}") from None
-        stop = stopper.update(round_index, report.val_loss)
-        route = None
-        if config.eval_every > 0 and round_index % config.eval_every == 0:
+        stop = stopper.update(round_index, report.val_loss) or round_index == config.rounds
+        # The last round is always evaluated: its route is the assignment.
+        if stop or (config.eval_every > 0 and round_index % config.eval_every == 0):
             route = _total_route(state, clients)
             report = replace(
                 report, all_client_val_loss=_all_client_val_loss(state, clients, route)
@@ -446,12 +445,6 @@ def run_training(
         reports.append(report)
         if stop:
             break
-    if route is None:
-        route = _total_route(state, clients)
-    if reports and reports[-1].all_client_val_loss is None:
-        reports[-1] = replace(
-            reports[-1], all_client_val_loss=_all_client_val_loss(state, clients, route)
-        )
 
     return RunResult(
         mode=mode,

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes, determinism."""
 
+import json
 import os
 import re
 import shutil
@@ -169,6 +170,17 @@ def test_compare_rerun_byte_identical(tmp_path):
     assert execute(argv) == 0
     assert read_bytes(out_dir / "comparison.csv") == csv_first
     assert read_bytes(out_dir / "comparison.json") == json_first
+
+
+def test_run_table_row_equals_the_compare_row(tmp_path):
+    config, out_dir = write_config(tmp_path)
+    assert execute(["compare", "--config", config, "--seeds", "5"]) == 0
+    table = json.loads((out_dir / "comparison.json").read_text())["tables"][0]
+    for row in table["rows"]:
+        method = row["method"]
+        assert execute(["run", "--config", config, "--method", method, "--seed", "5"]) == 0
+        result = json.loads((out_dir / f"run_{method}_seed5.json").read_text())
+        assert result["table_row"] == row
 
 
 # ------------------------------------------------------------------- sweep

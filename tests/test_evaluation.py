@@ -1,12 +1,17 @@
 """Metrics, feeder aggregation, comparison harness."""
 
+import csv
+import io
+import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import check_personalization_against_reference
-from fedforecast.config import load_datasets, scenario_from_tree
+from fedforecast.config import METHODS, load_datasets, scenario_from_tree
 from fedforecast.data import ClientDataset, TimeSeries, save_csv
 from fedforecast.errors import (
     AlignmentError,
@@ -22,7 +27,10 @@ from fedforecast.evaluation import (
     run_comparison,
     run_methods,
 )
-from fedforecast.serialize import to_csv_text
+from fedforecast.fedcore import ROUND_CSV_HEADER
+from fedforecast.serialize import cell, to_csv_text, to_json_text
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # ----------------------------------------------------------------- metrics
@@ -170,6 +178,32 @@ def test_comparison_table_byte_deterministic(tmp_path):
     text_a = to_csv_text(COMPARISON_CSV_HEADER, a.csv_rows())
     text_b = to_csv_text(COMPARISON_CSV_HEADER, b.csv_rows())
     assert text_a == text_b
+
+
+def test_comparison_csv_schema_agrees_with_json_and_readme(tmp_path):
+    readme = README.read_text(encoding="utf-8")
+
+    def readme_columns(name):
+        text = re.search(rf"`{re.escape(name)}` columns: `([^`]*)`", readme).group(1)
+        return [column.strip() for column in text.split(",")]
+
+    assert readme_columns("comparison.csv") == ["seed"] + COMPARISON_CSV_HEADER
+    assert readme_columns("run_*.csv") == ROUND_CSV_HEADER
+
+    sc = scenario(tmp_path, methods=list(METHODS))
+    table = run_comparison(load_datasets(sc), sc)
+    header, *lines = csv.reader(io.StringIO(to_csv_text(COMPARISON_CSV_HEADER, table.csv_rows())))
+    rows = json.loads(to_json_text(table.to_json_obj()))["rows"]
+    assert header == COMPARISON_CSV_HEADER and len(lines) == len(rows) == len(METHODS)
+
+    def json_value(row, column):
+        if column == "excluded_points":
+            return row["mean"][column]
+        block, _, rate = column.partition("_")
+        return row[block][rate] if block in ("mean", "median", "feeder") else row[column]
+
+    for line, row in zip(lines, rows):
+        assert line == [cell(json_value(row, column)) for column in header]
 
 
 def test_unknown_method_rejected(tmp_path):
