@@ -31,7 +31,7 @@ from .config import METHODS, ScenarioConfig
 from .data import ClientDataset, fit_scaler, train_raw_length
 from .data import prepare_client  # noqa: F401  (perfbench/tracer.py wraps evaluation.prepare_client)
 from .errors import AlignmentError, ConfigError, InsufficientDataError, ShapeError
-from .fedcore import RunResult, personalize, round_csv_rows, run_training
+from .fedcore import RunResult, _client_map, personalize, round_csv_rows, run_training
 from .model import ModelParams, init_params
 from .model import loss  # noqa: F401  (perfbench/tracer.py wraps evaluation.loss)
 from .seeds import derive_seed
@@ -185,6 +185,7 @@ class _Harness:
     def __init__(self, datasets: Sequence[ClientDataset], scenario: ScenarioConfig):
         self.scenario = scenario
         self.datasets = sorted(datasets, key=lambda d: d.client_id)
+        _client_map(self.datasets)  # the engine's duplicate-id check, for every method
         names = sorted(self.datasets[0].covariates)
         for ds in self.datasets:
             if sorted(ds.covariates) != names:
@@ -221,10 +222,10 @@ class _Harness:
             mode=METHODS[base],
             cluster=self.scenario.cluster_for(base),
         )
-        if result.mode == "global":
-            models = {c.client_id: result.models[0] for c in self.clients}
-        else:
-            models = {cid: result.models[j] for cid, j in result.assignment.items()}
+        # A global run's assignment is empty: every client has model 0.
+        models = {
+            c.client_id: result.models[result.assignment.get(c.client_id, 0)] for c in self.clients
+        }
         rows = round_csv_rows(result)
         return _Trained(models, self.clients, rows, float(result.rounds_to_best_val), result)
 
@@ -290,39 +291,28 @@ class _Harness:
         models = self.models_for(method)
         trained = self.trained(_base_method(method))
         per_client: dict[str, Metrics] = {}
-        preds: dict[str, np.ndarray] = {}
-        actuals: dict[str, np.ndarray] = {}
-        stamps: dict[str, np.ndarray] = {}
-        feeders: dict[str, str] = {}
+        feeders: dict[str, list[tuple]] = {}  # members' (pred, actual, stamps), in id order
         for client in trained.eval_clients:
             pred, actual, ts = client.test_forecast(models[client.client_id])
             per_client[client.client_id] = compute_metrics(pred, actual)
-            preds[client.client_id] = pred
-            actuals[client.client_id] = actual
-            stamps[client.client_id] = ts
-            feeders[client.client_id] = client.feeder_id
+            feeders.setdefault(client.feeder_id, []).append((pred, actual, ts))
 
         # A feeder whose members share no test hour is left out of the
         # feeder mean.
         feeder_metrics = []
-        groups: dict[str, list[str]] = {}
-        for cid in sorted(preds):
-            groups.setdefault(feeders[cid], []).append(cid)
-        for feeder in sorted(groups):
-            members = groups[feeder]
-            rows = _shared_rows([stamps[cid] for cid in members])
-            if rows is None:
-                continue
-            pred_sum = np.sum([preds[cid][r] for cid, r in zip(members, rows)], axis=0)
-            actual_sum = np.sum([actuals[cid][r] for cid, r in zip(members, rows)], axis=0)
-            feeder_metrics.append(compute_metrics(pred_sum, actual_sum))
+        for feeder in sorted(feeders):
+            preds, actuals, stamps = zip(*feeders[feeder])
+            rows = _shared_rows(stamps)
+            if rows is not None:
+                sums = [np.sum([x[r] for x, r in zip(xs, rows)], axis=0) for xs in (preds, actuals)]
+                feeder_metrics.append(compute_metrics(*sums))
         if not feeder_metrics:
             raise AlignmentError(
                 f"no feeder has a test hour shared by all its members "
-                f"(feeders {', '.join(sorted(groups))})"
+                f"(feeders {', '.join(sorted(feeders))})"
             )
 
-        client_metrics = [per_client[cid] for cid in sorted(per_client)]
+        client_metrics = list(per_client.values())
         result = trained.result
         row = MethodRow(
             method=method,

@@ -2,14 +2,16 @@
 
 The server-side loop: deterministic participant selection, broadcast,
 sample-weighted FedAvg aggregation, per-round validation, early stopping,
-and exact communication metering. Every mode runs one routed round: the
-public round functions only pick the participants and a route (participant
--> model index). ``run_round`` routes sampled participants to the single
-FedAvg model (also the hc warm-up); ``ifca_round`` broadcasts all k models
-and routes each participant to its lowest-loss one; ``hc_clustering_round``
-routes every client by its current assignment, then regroups them with
-hc_partition over their weight deltas; ``hc_cluster_round`` routes sampled
-participants by that assignment, so each cluster trains independently.
+and exact communication metering. ``run_training`` picks the function
+that runs each round from the mode and the hc schedule. Every mode runs one
+routed round: the public round functions only pick the participants and a
+route (participant -> model index). ``run_round`` routes sampled
+participants to the single FedAvg model (also the hc warm-up);
+``ifca_round`` broadcasts all k models and routes each participant to its
+lowest-loss one; ``hc_clustering_round`` routes every client by its
+current assignment, then regroups them with hc_partition over their weight
+deltas; ``hc_cluster_round`` routes sampled participants by that
+assignment, so each cluster trains independently.
 
 Privacy boundary: nothing in this module touches raw samples. Server
 functions consume client handles only through their narrow methods
@@ -145,6 +147,10 @@ class ClientUpdate:
 
 @dataclass(frozen=True)
 class RoundReport:
+    """One round's outcome; its fields, in order, are a report of the run
+    JSON (``asdict``, with round_index written as round). participants,
+    train_losses and assignment are in client id order."""
+
     round_index: int
     participants: tuple[str, ...]
     train_losses: Mapping[str, float]
@@ -177,12 +183,8 @@ class RunResult:
 
     @property
     def rounds_to_best_val(self) -> int:
-        """1-based index of the round with the lowest validation loss."""
-        best = 0
-        for i in range(1, len(self.reports)):
-            if self.reports[i].val_loss < self.reports[best].val_loss:
-                best = i
-        return self.reports[best].round_index
+        """1-based index of the first round with the lowest validation loss."""
+        return min(self.reports, key=lambda r: r.val_loss).round_index
 
     @property
     def bytes_up_total(self) -> int:
@@ -242,20 +244,18 @@ def _participants(by_id: Mapping[str, object], config: FLConfig, round_index: in
 
 
 def run_round(
-    state: ServerState, clients, config: FLConfig, round_index: int
+    state: ServerState, by_id: Mapping[str, object], config: FLConfig, round_index: int
 ) -> tuple[ServerState, RoundReport]:
     """One global FedAvg round (also the hc warm-up round)."""
-    by_id = _client_map(clients)
     route = dict.fromkeys(_participants(by_id, config, round_index), 0)
     return _routed_round(state, by_id, route, config, round_index)
 
 
 def ifca_round(
-    state: ServerState, clients, config: FLConfig, round_index: int
+    state: ServerState, by_id: Mapping[str, object], config: FLConfig, round_index: int
 ) -> tuple[ServerState, RoundReport]:
     """One iterative cluster-self-selection round: each participant trains
     from, and reports to, the model with its lowest own-train loss."""
-    by_id = _client_map(clients)
     route = {
         cid: by_id[cid].choose_cluster(state.models)
         for cid in _participants(by_id, config, round_index)
@@ -264,20 +264,18 @@ def ifca_round(
 
 
 def hc_clustering_round(
-    state: ServerState, clients, config: FLConfig, tau: float, round_index: int
+    state: ServerState, by_id: Mapping[str, object], config: FLConfig, tau: float, round_index: int
 ) -> tuple[ServerState, RoundReport]:
     """The (re)clustering round: every client participates, with no
     participation draw, so the new assignment is a total map."""
-    by_id = _client_map(clients)
     route = {cid: state.assignment.get(cid, 0) for cid in sorted(by_id)}
     return _routed_round(state, by_id, route, config, round_index, regroup_tau=tau)
 
 
 def hc_cluster_round(
-    state: ServerState, clients, config: FLConfig, round_index: int
+    state: ServerState, by_id: Mapping[str, object], config: FLConfig, round_index: int
 ) -> tuple[ServerState, RoundReport]:
     """Post-clustering hc round: independent FedAvg inside each cluster."""
-    by_id = _client_map(clients)
     route = {
         cid: state.assignment[cid] for cid in _participants(by_id, config, round_index)
     }
@@ -370,23 +368,24 @@ def _batch_owner(cls: type, method: str) -> type | None:
     return None
 
 
-def _total_route(state: ServerState, clients) -> dict[str, int]:
+def _total_route(state: ServerState, by_id: Mapping[str, object]) -> dict[str, int]:
     """Every client's model index under ``state``, in id order.
 
     In ifca mode each client self-selects its model; this is a
     simulation-side diagnostic and is not metered as communication.
     """
-    ordered = sorted(clients, key=lambda c: c.client_id)
     if state.mode == "ifca":
-        return {c.client_id: c.choose_cluster(state.models) for c in ordered}
-    return {c.client_id: state.assignment.get(c.client_id, 0) for c in ordered}
+        return {cid: by_id[cid].choose_cluster(state.models) for cid in sorted(by_id)}
+    return {cid: state.assignment.get(cid, 0) for cid in sorted(by_id)}
 
 
-def _all_client_val_loss(state: ServerState, clients, route: Mapping[str, int]) -> float:
+def _all_client_val_loss(
+    state: ServerState, by_id: Mapping[str, object], route: Mapping[str, int]
+) -> float:
     """Diagnostic sample-weighted validation loss over every client, each
     under its model in ``route`` (from ``_total_route``)."""
     routed = {cid: state.models[j] for cid, j in route.items()}
-    return _weighted_val_loss(list(_per_client(_client_map(clients), "val_loss", routed).values()))
+    return _weighted_val_loss(list(_per_client(by_id, "val_loss", routed).values()))
 
 
 def personalize(
@@ -414,6 +413,7 @@ def run_training(
     """
     if len(clients) < 1:
         raise ConfigError("run_training needs at least one client")
+    by_id = _client_map(clients)
     cluster = replace(cluster or ClusterConfig(), mode=mode)
 
     start = time.perf_counter()
@@ -426,22 +426,24 @@ def run_training(
     reports: list[RoundReport] = []
     stopper = EarlyStop(config.early_stop_patience)
     for round_index in range(1, config.rounds + 1):
+        # hc: warm-up rounds, then a clustering round, repeated every recluster_every (0: never).
+        since, every = round_index - cluster.warmup - 1, cluster.recluster_every
         try:
-            if mode == "global":
-                state, report = run_round(state, clients, config, round_index)
-            elif mode == "ifca":
-                state, report = ifca_round(state, clients, config, round_index)
+            if mode == "ifca":
+                state, report = ifca_round(state, by_id, config, round_index)
+            elif mode == "global" or since < 0:
+                state, report = run_round(state, by_id, config, round_index)
+            elif since == 0 or (every > 0 and since % every == 0):
+                state, report = hc_clustering_round(state, by_id, config, cluster.tau, round_index)
             else:
-                state, report = _hc_dispatch(state, clients, config, cluster, round_index)
+                state, report = hc_cluster_round(state, by_id, config, round_index)
         except NumericError as exc:
             raise NumericError(f"round {round_index}: {exc}") from None
         stop = stopper.update(round_index, report.val_loss) or round_index == config.rounds
         # The last round is always evaluated: its route is the assignment.
         if stop or (config.eval_every > 0 and round_index % config.eval_every == 0):
-            route = _total_route(state, clients)
-            report = replace(
-                report, all_client_val_loss=_all_client_val_loss(state, clients, route)
-            )
+            route = _total_route(state, by_id)
+            report = replace(report, all_client_val_loss=_all_client_val_loss(state, by_id, route))
         reports.append(report)
         if stop:
             break
@@ -459,18 +461,6 @@ def run_training(
     )
 
 
-def _hc_dispatch(state, clients, config, cluster: ClusterConfig, round_index: int):
-    warmup = cluster.warmup
-    if round_index <= warmup:
-        return run_round(state, clients, config, round_index)
-    if round_index == warmup + 1 or (
-        cluster.recluster_every > 0
-        and (round_index - warmup - 1) % cluster.recluster_every == 0
-    ):
-        return hc_clustering_round(state, clients, config, cluster.tau, round_index)
-    return hc_cluster_round(state, clients, config, round_index)
-
-
 def run_result_json_obj(result: RunResult) -> dict:
     """JSON-ready view of a run; wall time is excluded so reruns are
     byte-identical."""
@@ -486,17 +476,7 @@ def run_result_json_obj(result: RunResult) -> dict:
         "bytes_up_total": result.bytes_up_total,
         "bytes_down_total": result.bytes_down_total,
         "reports": [
-            {
-                "round": r.round_index,
-                "participants": list(r.participants),
-                "train_losses": dict(sorted(r.train_losses.items())),
-                "val_loss": r.val_loss,
-                "bytes_up": r.bytes_up,
-                "bytes_down": r.bytes_down,
-                "assignment": dict(sorted(r.assignment.items())),
-                "n_clusters": r.n_clusters,
-                "all_client_val_loss": r.all_client_val_loss,
-            }
+            {"round" if k == "round_index" else k: v for k, v in asdict(r).items()}
             for r in result.reports
         ],
     }

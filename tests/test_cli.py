@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,12 @@ import pytest
 import fedforecast
 from fedforecast.cli import execute
 from fedforecast.data import CsvSchema, load_csv
+from fedforecast.fedcore import RoundReport
 
 PYPROJECT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml"
 )
+README = Path(PYPROJECT).with_name("README.md")
 
 
 def write_config(tmp_path, extra="", n_clients=4, days=10, rounds=4, lr=0.05,
@@ -85,6 +88,33 @@ def test_run_writes_trace_and_result(tmp_path):
     assert lines[0] == "round,val_loss,bytes_up,bytes_down,n_participants,n_clusters"
     assert len(lines) == 1 + 4  # header + rounds
     assert '"method": "fedavg"' in json_path.read_text()
+
+
+@pytest.mark.parametrize("method", ["fedavg", "hc", "ifca", "local_only"])
+def test_run_json_keys_follow_round_report_and_readme(tmp_path, method):
+    readme = README.read_text(encoding="utf-8")
+    listed = {
+        name: [key.strip() for key in text.split(",")]
+        for name, text in re.findall(r"`([^`]+)` keys: `([^`]*)`", readme)
+    }
+    report_keys = ["round" if f.name == "round_index" else f.name for f in fields(RoundReport)]
+    assert listed["run_*.json"] == ["method", "seed", "table_row", "training"]
+    assert listed["reports"] == report_keys
+
+    config, out_dir = write_config(tmp_path, rounds=5)
+    assert execute(["run", "--config", config, "--method", method]) == 0
+    obj = json.loads((out_dir / f"run_{method}_seed3.json").read_text())
+    if method == "local_only":
+        assert list(obj) == listed["run_*.json"][:-1]
+        return
+    assert list(obj) == listed["run_*.json"]
+    assert list(obj["training"]) == listed["training"]
+    assert len(obj["training"]["reports"]) == 5
+    for report in obj["training"]["reports"]:
+        assert list(report) == report_keys
+        assert report["participants"] == sorted(report["participants"])
+        assert list(report["train_losses"]) == report["participants"]
+        assert list(report["assignment"]) == sorted(report["assignment"])
 
 
 def test_run_seed_override_in_filenames(tmp_path):

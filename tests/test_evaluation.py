@@ -222,6 +222,16 @@ def test_fl_needs_two_clients(tmp_path):
         run_methods(load_datasets(sc), sc)
 
 
+@pytest.mark.parametrize("method", list(METHODS))
+def test_repeated_client_id_rejected_for_every_method(tmp_path, method):
+    sc = scenario(tmp_path)
+    datasets = load_datasets(sc)
+    repeated = datasets + [datasets[0]]
+    with pytest.raises(ConfigError) as err:
+        run_methods(repeated, sc, [method])
+    assert str(err.value) == f"duplicate client_id {datasets[0].client_id!r}"
+
+
 @pytest.mark.parametrize("method", ["local_only", "centralized"])
 def test_divergence_raises_naming_the_round(tmp_path, method):
     sc = scenario(

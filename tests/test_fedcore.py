@@ -6,6 +6,8 @@ degenerate cases where both are defined.
 """
 
 import inspect
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +186,51 @@ def test_ifca_empty_cluster_retains_initial_params():
             np.testing.assert_array_equal(result.models[j].values, init.values)
 
 
+@pytest.mark.parametrize(
+    "mode, recluster_every, schedule",
+    [
+        ("global", 0, "rrrrrrr"),
+        ("ifca", 2, "iiiiiii"),
+        ("hc", 0, "rrCcccc"),
+        ("hc", 2, "rrCcCcC"),
+        ("hc", 3, "rrCccCc"),
+    ],
+)
+def test_run_training_picks_each_round_function(monkeypatch, mode, recluster_every, schedule):
+    # r: run_round, i: ifca_round, C: hc_clustering_round, c: hc_cluster_round;
+    # hc warms up for 2 rounds. Each is called through the module, where
+    # a tracer can wrap it.
+    called = []
+    names = ("run_round", "ifca_round", "hc_clustering_round", "hc_cluster_round")
+    for letter, name in zip("riCc", names):
+        def record(*args, _letter=letter, _fn=getattr(fedcore, name)):
+            called.append(_letter)
+            return _fn(*args)
+
+        monkeypatch.setattr(fedcore, name, record)
+    clients = population_clients(n_clients=4, days=7, seed=2)
+    cluster = ClusterConfig(mode=mode, tau=0.5, warmup=2, k=2, recluster_every=recluster_every)
+    run_training(clients, population_spec(), sgd_config(rounds=7), mode, cluster)
+    assert "".join(called) == schedule
+
+
+def test_repeated_client_id_rejected_before_any_round(monkeypatch):
+    def no_round(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(fedcore, "_routed_round", no_round)
+    clients = population_clients(n_clients=3, days=7)
+    repeated = clients + [clients[1]]
+    message = f"duplicate client_id {clients[1].client_id!r}"
+    for mode in fedcore.MODES:
+        cluster = ClusterConfig(mode=mode, tau=0.5, warmup=1, k=2)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_training(repeated, population_spec(), sgd_config(), mode, cluster)
+    models = {c.client_id: init_params(population_spec(), 0) for c in clients}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        fedcore.personalize(repeated, models, 1, 0.01)
+
+
 @pytest.mark.parametrize("eval_every, evaluated_rounds", [(0, 0), (3, 0), (2, 1)])
 def test_ifca_final_route_chosen_once(monkeypatch, eval_every, evaluated_rounds):
     # Each round's participants choose once; the last report's all-client
@@ -295,6 +342,8 @@ def test_rounds_to_best_val_first_minimum():
     result = run_training(clients, population_spec(), sgd_config(rounds=6))
     losses = [r.val_loss for r in result.reports]
     assert result.rounds_to_best_val == int(np.argmin(losses)) + 1
+    tied = replace(result, reports=tuple(replace(r, val_loss=1.0) for r in result.reports[1:]))
+    assert tied.rounds_to_best_val == 2
 
 
 # --------------------------------------------------------------- identities
