@@ -13,7 +13,7 @@ Each handle's splits are views of its row; a lone FederatedClient(splits)
 is a store of one. _stacks hands a batch of handles to the kernels as
 stacks of equal sample counts, at most STACK_BYTES of samples each: a view
 when the rows are consecutive rows of one store, one gather otherwise.
-pooled gives the centralized baseline all clients' samples the same way.
+FederatedClient.pooled is one handle over all clients' samples, the same way.
 
 run_epochs is the one training kernel. It steps a stack of models, each on
 its own samples, into arrays it allocates once per call: a gather buffer
@@ -27,9 +27,9 @@ call. _train_round's callers:
 * FederatedClient.local_update_batch, which the engine calls once per
   round, over the participants' _stacks;
 * local_update, the per-handle hook, on a stack of one;
-* train_lockstep, the one isolated-training loop: train_local runs it on
-  all stacks of clients of equal sample counts at once, and the
-  centralized baseline on a stack of one model over the pooled samples.
+* train_lockstep, the one isolated-training loop, behind train_local: it
+  stacks handles of equal sample counts through _rows, once and again only
+  after one leaves. The centralized baseline trains its pooled handle so.
 
 The other per-client computations have one stacked path each, whose
 per-handle method is its stack-of-one view: val_loss_batch (one stack_loss
@@ -329,17 +329,6 @@ def _rows(handles, split: str) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([s.inputs for s in sets]), np.stack([s.targets for s in sets])
 
 
-def pooled(handles, split: str) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs and targets of ``split`` of every handle, concatenated in
-    order (the centralized baseline's samples): a view when the handles are
-    consecutive rows of one store, else one copy."""
-    part = _consecutive(handles)
-    if part is not None:
-        return tuple(a[part].reshape(-1, a.shape[2]) for a in handles[0]._store[split])
-    sets = [getattr(h, f"_{split}") for h in handles]
-    return np.concatenate([s.inputs for s in sets]), np.concatenate([s.targets for s in sets])
-
-
 def _stacks(handles, split: str):
     """The samples of ``split`` of handles as stacks: handles of equal
     sample counts, in order, in chunks of at most STACK_BYTES of samples.
@@ -413,6 +402,24 @@ class FederatedClient:
                         stacked[row] = own
                 handles[i] = cls(splits, store, row)
         return handles
+
+    @classmethod
+    def pooled(cls, handles, client_id: str):
+        """One handle, ``client_id``, whose train and val samples are those
+        of every handle concatenated in order (the centralized baseline's
+        samples), in a one-row store of its own: a view when the handles are
+        consecutive rows of one store, else one copy. It has no test split."""
+        part, pooled = _consecutive(handles), cls.__new__(cls)
+        pooled.client_id, pooled._store, pooled._row = client_id, {}, 0
+        for split in ("train", "val"):
+            if part is not None:
+                arrays = tuple(a[part].reshape(1, -1, a.shape[2]) for a in handles[0]._store[split])
+            else:
+                pairs = zip(*(getattr(h, f"_{split}")[:2] for h in handles))  # (inputs, targets)
+                arrays = tuple(np.concatenate(a)[None] for a in pairs)
+            pooled._store[split] = arrays
+            setattr(pooled, f"_{split}", _Split(*(a[0] for a in arrays), None))
+        return pooled
 
     @property
     def n_train_samples(self) -> int:
@@ -526,29 +533,17 @@ class LocalTrace:
 def train_local(
     clients, init: ModelParams, config: FLConfig
 ) -> tuple[dict[str, ModelParams], dict[str, LocalTrace]]:
-    """Isolated local training of every client: the same per-round schedule
-    as federation, minus any communication, each client under its own
-    EarlyStop rule. Returns each client's final params and trace by id.
+    """Isolated local training of every client through train_lockstep: the
+    same per-round schedule as federation, minus any communication, each
+    client under its own EarlyStop rule. Returns each client's final params
+    and trace by id.
 
-    Clients with equal (train, validation) sample counts train in lockstep
-    as one stack (a view of their store when it can be), and all stacks
-    train together through train_lockstep.
     Results are bitwise those of training each client alone. A client that
     diverges is dropped, and after training the error of the first such
     client in ``clients`` order is raised, as training them one after
     another would raise it.
     """
-    buckets: dict[tuple[int, int], list[FederatedClient]] = {}
-    for client in clients:
-        buckets.setdefault((client.n_train_samples, client.n_val_samples), []).append(client)
-    models, traces, errors = train_lockstep(
-        [
-            ([c.client_id for c in bucket], *_rows(bucket, "train"), *_rows(bucket, "val"))
-            for bucket in buckets.values()
-        ],
-        init,
-        config,
-    )
+    models, traces, errors = train_lockstep(clients, init, config)
     ids = [client.client_id for client in clients]
     for cid in ids:
         if cid in errors:
@@ -556,20 +551,26 @@ def train_local(
     return {cid: models[cid] for cid in ids}, {cid: traces[cid] for cid in ids}
 
 
-def train_lockstep(stacks, init: ModelParams, config: FLConfig):
-    """Isolated training of stacks of models, each model from init under its
-    own EarlyStop rule. A stack is (ids, x, y, val_x, val_y), row c being
-    model ids[c] on train samples x[c], y[c] and validation samples
-    val_x[c], val_y[c]. The live rows of all stacks are one array, in stack
-    order, and each round is one _train_round over it. A row leaves its
-    stack when it stops or fails.
+def train_lockstep(handles, init: ModelParams, config: FLConfig):
+    """Isolated training of one model per handle, each from init under its
+    own EarlyStop rule. Handles of equal (train, validation) sample counts
+    train in lockstep as one stack, row c of a stack being its handle c on
+    that handle's samples. The live rows of all stacks are one array, in
+    stack order, and each round is one _train_round over it. A handle leaves
+    its stack when it stops or fails, and only then is that stack gathered
+    again, from the handles left.
 
-    Returns three dicts by id: the final params and LocalTrace of each row
-    that trained to its end, and the NumericError of each row that failed.
+    Returns three dicts by client id: the final params and LocalTrace of
+    each handle that trained to its end, and the NumericError of each one
+    that failed.
     """
     spec = init.spec
-    ids = [cid for stack in stacks for cid in stack[0]]
-    values = np.tile(init.values, (len(ids), 1))
+    buckets: dict[tuple[int, int], list] = {}
+    for handle in handles:
+        buckets.setdefault((handle.n_train_samples, handle.n_val_samples), []).append(handle)
+    stacks = [(b, *_rows(b, "train"), *_rows(b, "val")) for b in buckets.values()]
+    values = np.tile(init.values, (len(handles), 1))
+    ids = [handle.client_id for handle in handles]
     stoppers = {
         cid: EarlyStop(config.early_stop_patience, f"client {cid} validation loss") for cid in ids
     }
@@ -578,19 +579,17 @@ def train_lockstep(stacks, init: ModelParams, config: FLConfig):
     traces: dict[str, LocalTrace] = {}
     errors: dict[str, NumericError] = {}
     for round_index in range(1, config.rounds + 1):
-        parts, start = [], 0
-        for stack in stacks:
-            parts.append(slice(start, start + len(stack[0])))
-            start += len(stack[0])
-        work = [(part, x, y) for part, (_, x, y, _, _) in zip(parts, stacks)]
+        ids, work = [], []  # the live rows, in stack order
+        for members, x, y, _, _ in stacks:
+            work.append((slice(len(ids), len(ids) + len(members)), x, y))
+            ids += [handle.client_id for handle in members]
         new, _, failed = _train_round(values, work, spec, config, round_index, ids)
         kept_stacks, kept_rows = [], []
-        for part, stack in zip(parts, stacks):
-            stack_ids, x, y, val_x, val_y = stack
+        for (part, _, _), stack in zip(work, stacks):
             rows = new[part]
-            val = stack_loss(spec, rows, val_x, val_y).tolist()
+            val = stack_loss(spec, rows, *stack[3:]).tolist()
             keep = []
-            for i, cid in enumerate(stack_ids):
+            for i, cid in enumerate(ids[part]):
                 if part.start + i in failed:
                     errors[cid] = failed[part.start + i]
                     continue
@@ -606,14 +605,14 @@ def train_lockstep(stacks, init: ModelParams, config: FLConfig):
                     traces[cid] = LocalTrace(tuple(trace[cid]), best_round)
                 else:
                     keep.append(i)
-            if len(keep) == len(stack_ids):
+            if len(keep) == len(rows):
                 kept_stacks.append(stack)
             elif keep:
-                kept_stacks.append(([stack_ids[i] for i in keep], x[keep], y[keep], val_x[keep], val_y[keep]))
+                kept = [stack[0][i] for i in keep]
+                kept_stacks.append((kept, *_rows(kept, "train"), *_rows(kept, "val")))
             kept_rows += [part.start + i for i in keep]
         if not kept_stacks:
             break
         stacks = kept_stacks
-        ids = [cid for stack in stacks for cid in stack[0]]
         values = new if len(kept_rows) == len(new) else new[kept_rows]
     return models, traces, errors

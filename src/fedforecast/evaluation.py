@@ -6,7 +6,7 @@ and evaluates on denormalized kW test values:
 
 * ``local_only``: every client trains alone (same schedule, zero bytes);
 * ``centralized``: one model on the pooled samples under a pooled scaler,
-  trained as a stack of one by the same loop as ``local_only``, without DP;
+  trained by ``train_local`` as one pooled client handle, without DP;
 * ``fedavg`` / ``hc`` / ``ifca``: the federated engine in the matching mode;
 * ``*_personalized``: the base method's models fine-tuned per client.
 
@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clients import FederatedClient, pooled, train_local, train_lockstep
+from .clients import FederatedClient, train_local
 from .clients import run_epochs  # noqa: F401  (perfbench/tracer.py wraps evaluation.run_epochs)
 from .config import METHODS, ScenarioConfig
 from .data import ClientDataset, fit_scaler, train_raw_length
@@ -183,6 +183,8 @@ class _Harness:
     """Shared state for one comparison run over one dataset draw."""
 
     def __init__(self, datasets: Sequence[ClientDataset], scenario: ScenarioConfig):
+        if not datasets:
+            raise ConfigError("run_methods needs at least one client")
         self.scenario = scenario
         self.datasets = sorted(datasets, key=lambda d: d.client_id)
         _client_map(self.datasets)  # the engine's duplicate-id check, for every method
@@ -257,14 +259,8 @@ class _Harness:
             for name in sorted(self.datasets[0].covariates)
         }
         clients = FederatedClient.fleet(self.datasets, lag, horizon, value_scaler, cov_scalers)
-        # One stack of one model over the pooled samples: [None] views of
-        # the clients' store when they share one.
-        samples = [a[None] for split in ("train", "val") for a in pooled(clients, split)]
-        models, traces, errors = train_lockstep(
-            [([base], *samples)], self._init(), replace(self.fl, dp=None)
-        )
-        if errors:
-            raise errors[base]
+        pooled = FederatedClient.pooled(clients, base)
+        models, traces = train_local([pooled], self._init(), replace(self.fl, dp=None))
         trace = traces[base]
         return _Trained(
             dict.fromkeys((ds.client_id for ds in self.datasets), models[base]),

@@ -4,13 +4,13 @@ The server-side loop: deterministic participant selection, broadcast,
 sample-weighted FedAvg aggregation, per-round validation, early stopping,
 and exact communication metering. ``run_training`` picks the function
 that runs each round from the mode and the hc schedule. Every mode runs one
-routed round: the public round functions only pick the participants and a
-route (participant -> model index). ``run_round`` routes sampled
-participants to the single FedAvg model (also the hc warm-up);
-``ifca_round`` broadcasts all k models and routes each participant to its
-lowest-loss one; ``hc_clustering_round`` routes every client by its
-current assignment, then regroups them with hc_partition over their weight
-deltas; ``hc_cluster_round`` routes sampled participants by that
+routed round: the public round functions only pick the participants, and
+``_route`` gives each its model index (in ifca mode its lowest-loss model,
+else its assignment, model 0 before any clustering). ``run_round`` trains
+sampled participants (the FedAvg model, also the hc warm-up);
+``ifca_round`` broadcasts all k models to them; ``hc_clustering_round``
+trains every client, then regroups them with hc_partition over their
+weight deltas; ``hc_cluster_round`` trains sampled participants by that
 assignment, so each cluster trains independently.
 
 Privacy boundary: nothing in this module touches raw samples. Server
@@ -247,7 +247,7 @@ def run_round(
     state: ServerState, by_id: Mapping[str, object], config: FLConfig, round_index: int
 ) -> tuple[ServerState, RoundReport]:
     """One global FedAvg round (also the hc warm-up round)."""
-    route = dict.fromkeys(_participants(by_id, config, round_index), 0)
+    route = _route(state, by_id, _participants(by_id, config, round_index))
     return _routed_round(state, by_id, route, config, round_index)
 
 
@@ -256,10 +256,7 @@ def ifca_round(
 ) -> tuple[ServerState, RoundReport]:
     """One iterative cluster-self-selection round: each participant trains
     from, and reports to, the model with its lowest own-train loss."""
-    route = {
-        cid: by_id[cid].choose_cluster(state.models)
-        for cid in _participants(by_id, config, round_index)
-    }
+    route = _route(state, by_id, _participants(by_id, config, round_index))
     return _routed_round(state, by_id, route, config, round_index)
 
 
@@ -268,7 +265,7 @@ def hc_clustering_round(
 ) -> tuple[ServerState, RoundReport]:
     """The (re)clustering round: every client participates, with no
     participation draw, so the new assignment is a total map."""
-    route = {cid: state.assignment.get(cid, 0) for cid in sorted(by_id)}
+    route = _route(state, by_id, sorted(by_id))
     return _routed_round(state, by_id, route, config, round_index, regroup_tau=tau)
 
 
@@ -276,9 +273,7 @@ def hc_cluster_round(
     state: ServerState, by_id: Mapping[str, object], config: FLConfig, round_index: int
 ) -> tuple[ServerState, RoundReport]:
     """Post-clustering hc round: independent FedAvg inside each cluster."""
-    route = {
-        cid: state.assignment[cid] for cid in _participants(by_id, config, round_index)
-    }
+    route = _route(state, by_id, _participants(by_id, config, round_index))
     return _routed_round(state, by_id, route, config, round_index)
 
 
@@ -368,22 +363,20 @@ def _batch_owner(cls: type, method: str) -> type | None:
     return None
 
 
-def _total_route(state: ServerState, by_id: Mapping[str, object]) -> dict[str, int]:
-    """Every client's model index under ``state``, in id order.
-
-    In ifca mode each client self-selects its model; this is a
-    simulation-side diagnostic and is not metered as communication.
-    """
+def _route(state: ServerState, by_id: Mapping[str, object], ids: Sequence[str]) -> dict[str, int]:
+    """The model index of each client of ``ids`` under ``state``, in that
+    order: in ifca mode each client self-selects its lowest-loss model,
+    else it gets its assignment (model 0 before any clustering)."""
     if state.mode == "ifca":
-        return {cid: by_id[cid].choose_cluster(state.models) for cid in sorted(by_id)}
-    return {cid: state.assignment.get(cid, 0) for cid in sorted(by_id)}
+        return {cid: by_id[cid].choose_cluster(state.models) for cid in ids}
+    return {cid: state.assignment.get(cid, 0) for cid in ids}
 
 
 def _all_client_val_loss(
     state: ServerState, by_id: Mapping[str, object], route: Mapping[str, int]
 ) -> float:
     """Diagnostic sample-weighted validation loss over every client, each
-    under its model in ``route`` (from ``_total_route``)."""
+    under its model in ``route``."""
     routed = {cid: state.models[j] for cid, j in route.items()}
     return _weighted_val_loss(list(_per_client(by_id, "val_loss", routed).values()))
 
@@ -442,7 +435,7 @@ def run_training(
         stop = stopper.update(round_index, report.val_loss) or round_index == config.rounds
         # The last round is always evaluated: its route is the assignment.
         if stop or (config.eval_every > 0 and round_index % config.eval_every == 0):
-            route = _total_route(state, by_id)
+            route = _route(state, by_id, sorted(by_id))
             report = replace(report, all_client_val_loss=_all_client_val_loss(state, by_id, route))
         reports.append(report)
         if stop:

@@ -343,6 +343,33 @@ def test_lockstep_train_local_equals_one_client_at_a_time(
         assert traces[client.client_id] == want_trace
 
 
+@pytest.mark.parametrize("patience", [0, 2], ids=lambda p: f"patience{p}")
+def test_lockstep_gathers_a_stack_again_only_after_a_handle_left(staggered, monkeypatch, patience):
+    gathered = []
+    rows = clients_module._rows
+
+    def recorded(handles, split):
+        gathered.append((tuple(h.client_id for h in handles), split))
+        return rows(handles, split)
+
+    monkeypatch.setattr(clients_module, "_rows", recorded)
+    cfg = matrix_config("momentum", 16, "dp-off", 1, patience)
+    _, traces = train_local(staggered, init_params(matrix_spec("mlp"), 1), cfg)
+    buckets: dict[tuple, list[str]] = {}
+    for c in staggered:
+        buckets.setdefault((c.n_train_samples, c.n_val_samples), []).append(c.client_id)
+    # Every stack before round 1, then after round r each stack that lost a
+    # handle and still has some, from the handles left.
+    stacks = [tuple(bucket) for bucket in buckets.values()]
+    for r in range(1, cfg.rounds):
+        for bucket in buckets.values():
+            left = tuple(cid for cid in bucket if len(traces[cid].val_losses) > r)
+            if 0 < len(left) < sum(len(traces[cid].val_losses) >= r for cid in bucket):
+                stacks.append(left)
+    assert gathered == [(ids, split) for ids in stacks for split in ("train", "val")]
+    assert (len(stacks) > len(buckets)) == (patience > 0)
+
+
 def test_train_local_privatizes_all_stacks_of_a_round_in_one_call(staggered, monkeypatch):
     privatized = []
     privatize_rows = clients_module.privatize_rows
@@ -665,15 +692,23 @@ def test_fleet_holds_each_clients_samples_once_in_a_store_per_length(
 
 
 def test_pooled_samples_are_a_view_of_one_store_and_a_copy_of_several(staggered):
+    # The pooled handle is one client whose samples are a one-row store.
     one_store = staggered[:2]
     for handles in (one_store, staggered):
+        pooled = FederatedClient.pooled(handles, "centralized")
+        assert pooled.client_id == "centralized"
         for split in ("train", "val"):
             sets = [getattr(h, f"_{split}") for h in handles]
-            x, y = clients_module.pooled(handles, split)
+            x, y = getattr(pooled, f"_{split}")[:2]
             assert np.array_equal(x, np.concatenate([s.inputs for s in sets]))
             assert np.array_equal(y, np.concatenate([s.targets for s in sets]))
+            stacked = clients_module._rows([pooled], split)
+            assert all(np.shares_memory(a, b) for a, b in zip(stacked, (x, y)))
+            assert [a.shape[0] for a in stacked] == [1, 1]
             store_x = handles[0]._store[split][0]
             assert np.shares_memory(x, store_x) == (handles is one_store)
+        assert pooled.n_train_samples == sum(h.n_train_samples for h in handles)
+        assert pooled.n_val_samples == sum(h.n_val_samples for h in handles)
 
 
 def test_batched_evaluation_rejects_a_model_of_another_shape(staggered):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import check_personalization_against_reference
+from helpers import check_personalization_against_reference, reference_centralized
 from fedforecast.config import METHODS, load_datasets, scenario_from_tree
 from fedforecast.data import ClientDataset, TimeSeries, save_csv
 from fedforecast.errors import (
@@ -222,6 +222,14 @@ def test_fl_needs_two_clients(tmp_path):
         run_methods(load_datasets(sc), sc)
 
 
+@pytest.mark.parametrize("method", ["fedavg", "local_only"])
+def test_empty_comparison_rejected(tmp_path, method):
+    sc = scenario(tmp_path, methods=[method])
+    with pytest.raises(ConfigError) as err:
+        run_methods([], sc)
+    assert str(err.value) == "run_methods needs at least one client"
+
+
 @pytest.mark.parametrize("method", list(METHODS))
 def test_repeated_client_id_rejected_for_every_method(tmp_path, method):
     sc = scenario(tmp_path)
@@ -382,6 +390,19 @@ def test_ingested_client_too_short_is_named(tmp_path):
     assert str(err.value) == (
         f"client {meters[3].client_id}: 5 values yield -3 samples; need >= 3 to split"
     )
+
+
+def test_centralized_over_several_stores_equals_its_own_round_loop(tmp_path):
+    # Three series lengths make three stores, so the pooled handle holds a
+    # copy of the samples; the golden scenarios pool views of one store.
+    datasets, sc = ingest(tmp_path, staggered(tmp_path, (0, 24, 24, 5)), ["centralized"])
+    sc = replace(sc, fl=replace(sc.fl, rounds=12, batch_size=16, early_stop_patience=2))
+    harness = _Harness(datasets, sc)
+    trained = harness.trained("centralized")
+    assert len({id(c._store) for c in trained.eval_clients}) == 3
+    params, trace = reference_centralized(trained.eval_clients, harness.spec, sc.fl)
+    assert all(m.values.tobytes() == params.values.tobytes() for m in trained.models.values())
+    assert repr([row[1] for row in trained.trace_rows]) == repr(trace)
 
 
 def test_ingested_constant_and_all_zero_meters_compare(tmp_path):

@@ -474,6 +474,7 @@ def test_server_api_never_accepts_raw_samples():
         fedcore.ifca_round,
         fedcore.hc_clustering_round,
         fedcore.hc_cluster_round,
+        fedcore._route,
         fedcore._routed_round,
         fedcore._per_client,
         fedcore._all_client_val_loss,

@@ -2,9 +2,13 @@
 
 Each scenario runs all eight methods and hashes the rendered comparison
 JSON, each method's per-round CSV and each federated method's run JSON.
-The expected hashes live in ``golden_hashes.json`` next to this file. A
-refactor that claims "same outputs" must leave them untouched; a change that
-alters outputs on purpose says so and regenerates them with
+The expected hashes live in ``golden_hashes.json`` next to this file, and
+beside them ``golden_values.json`` holds the numbers a reader needs to see
+how far a changed artifact moved: per method, the mean, median and feeder
+MAE and RMSE, bytes_total and rounds_to_best_val, and for a federated
+method the last round's n_clusters and val_loss. A refactor that claims
+"same outputs" must leave both untouched; a change that alters outputs on
+purpose says so and regenerates both with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -24,11 +28,11 @@ from helpers import check_rounds_against_reference, reference_centralized
 from fedforecast.config import load_datasets, scenario_from_tree
 from fedforecast.evaluation import ComparisonTable, _Harness, run_methods
 from fedforecast.fedcore import ROUND_CSV_HEADER, run_result_json_obj
-from fedforecast.serialize import to_csv_text, to_json_text
+from fedforecast.serialize import fmt_float, to_csv_text, to_json_text
 
-HASHES_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "golden_hashes.json"
-)
+HERE = os.path.dirname(os.path.abspath(__file__))
+HASHES_PATH = os.path.join(HERE, "golden_hashes.json")
+VALUES_PATH = os.path.join(HERE, "golden_values.json")
 
 BASE = {
     "seed": 0,
@@ -114,6 +118,32 @@ def artifact_hashes(scenario, outcomes) -> dict[str, str]:
     return hashes
 
 
+def golden_values(outcomes) -> dict[str, dict]:
+    """Per method, the numbers behind its artifacts; floats are written
+    with fmt_float, so the file is exact."""
+    values = {}
+    for method in sorted(outcomes):
+        row, result = outcomes[method].row, outcomes[method].run_result
+        entry = {
+            f"{block}_{rate}": fmt_float(getattr(getattr(row, block), rate))
+            for block in ("mean", "median", "feeder")
+            for rate in ("mae", "rmse")
+        }
+        entry["bytes_total"] = row.bytes_total
+        entry["rounds_to_best_val"] = fmt_float(row.rounds_to_best_val)
+        if result is not None:
+            entry["n_clusters"] = result.reports[-1].n_clusters
+            entry["val_loss"] = fmt_float(result.reports[-1].val_loss)
+        values[method] = entry
+    return values
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
 @pytest.fixture(scope="module")
 def runs():
     return {name: run_scenario(name) for name in SCENARIOS}
@@ -133,6 +163,14 @@ def test_outputs_match_golden_hashes(runs, name):
         k for k in expected.keys() | actual.keys() if expected.get(k) != actual.get(k)
     )
     assert not changed, f"scenario {name}: artifacts changed: {changed}"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_outputs_match_golden_values(runs, name):
+    with open(VALUES_PATH, encoding="utf-8") as handle:
+        expected = json.load(handle)
+    assert sorted(expected) == sorted(SCENARIOS)
+    assert golden_values(runs[name][1]) == expected[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(REFERENCE_ONLY))
@@ -180,8 +218,7 @@ def test_scenarios_exercise_what_they_name(runs):
 
 
 if __name__ == "__main__":
-    current = {name: artifact_hashes(*run_scenario(name)) for name in SCENARIOS}
-    with open(HASHES_PATH, "w", encoding="utf-8") as handle:
-        json.dump(current, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {HASHES_PATH}")
+    current = {name: run_scenario(name) for name in SCENARIOS}
+    _write_json(HASHES_PATH, {name: artifact_hashes(*run) for name, run in current.items()})
+    _write_json(VALUES_PATH, {name: golden_values(run[1]) for name, run in current.items()})
+    print(f"wrote {HASHES_PATH} and {VALUES_PATH}")
