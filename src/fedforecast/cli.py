@@ -173,6 +173,14 @@ def _point_dir(sweep_dir: str, literal: str) -> str:
     return point_dir
 
 
+def _sweep_value(literal: str):
+    try:
+        return yaml.safe_load(literal)
+    except yaml.YAMLError as exc:
+        reason = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"--values entry {literal!r} is not valid YAML: {reason}") from None
+
+
 def _cmd_sweep(args) -> int:
     base_tree = load_tree(args.config)
     base_scenario = scenario_from_tree(base_tree)
@@ -183,10 +191,10 @@ def _cmd_sweep(args) -> int:
         base_scenario.output_dir, f"sweep_{args.param.replace('.', '_')}"
     )
     point_dirs = [_point_dir(sweep_dir, literal) for literal in literals]
+    values = [_sweep_value(literal) for literal in literals]
+    scenarios = [scenario_from_tree(_override_tree(base_tree, args.param, v)) for v in values]
     tables = []
-    for literal, point_dir in zip(literals, point_dirs):
-        value = yaml.safe_load(literal)
-        scenario = scenario_from_tree(_override_tree(base_tree, args.param, value))
+    for literal, point_dir, scenario in zip(literals, point_dirs, scenarios):
         table = run_comparison(load_datasets(scenario), scenario)
         _write_comparison_csv(os.path.join(point_dir, "comparison.csv"), [], [([], table)])
         write_text(

@@ -1,11 +1,11 @@
 """Scenario configuration: one YAML tree drives every CLI subcommand.
 
 The schema, with every key and default, is the "Configuration" block of
-README.md. Each section is built from its dataclass by one builder: the
-section's keys are the dataclass's fields, its defaults the field defaults
-and its value types the field annotations. Value rules live only in each
-dataclass's ``__post_init__``, whose messages start with the field name, so
-the builder can report them with their dotted path, e.g.
+README.md. The top level and each section are built from their dataclass by
+one builder: the keys are the dataclass's fields, the defaults the field
+defaults and the value types the field annotations. Value rules live only in
+each dataclass's ``__post_init__``, whose messages start with the field name,
+so the builder can report them with their dotted path, e.g.
 ``fl.optimizer.lr: must be > 0, got -0.1``. Unknown keys are rejected at
 every level with the full dotted path (silent typos are the main failure
 mode of experiment configs).
@@ -43,11 +43,6 @@ METHODS = {
 # A number with an exponent, such as 1e-3 or 1.5e1: YAML 1.1 reads these as
 # strings when the mantissa has no dot or the exponent no sign.
 EXPONENT_NUMBER = re.compile(r"[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+")
-
-TOP_LEVEL_KEYS = (
-    "seed", "output_dir", "population", "ingest", "model", "fl",
-    "dp", "cluster", "personalization", "methods",
-)
 
 
 @dataclass(frozen=True)
@@ -98,16 +93,37 @@ class PersonalizationConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int
-    output_dir: str
-    population: PopulationSpec | None
-    ingest: IngestSettings | None
-    model: ModelSettings
-    fl: FLConfig
-    cluster: ClusterConfig
-    personalization: PersonalizationConfig
-    methods: tuple[str, ...]
+    """The whole scenario. One seed drives it: ``seed`` sets ``fl.seed``,
+    and the population seed too unless ``population_seed_pinned``."""
+
+    seed: int = 0
+    output_dir: str = "out"
+    population: PopulationSpec | None = None
+    ingest: IngestSettings | None = None
+    model: ModelSettings = field(default_factory=ModelSettings)
+    fl: FLConfig = field(default_factory=FLConfig)
+    cluster: ClusterConfig = field(default_factory=ClusterConfig)
+    personalization: PersonalizationConfig = field(default_factory=PersonalizationConfig)
+    methods: tuple[str, ...] = tuple(METHODS)
     population_seed_pinned: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.seed >= 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if not self.output_dir:
+            raise ConfigError("output_dir: must be nonempty")
+        if (self.population is None) == (self.ingest is None):
+            raise ConfigError("exactly one of 'population' or 'ingest' must be configured")
+        if not self.methods:
+            raise ConfigError("methods: expected a nonempty list")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ConfigError(f"methods: unknown method {m!r}; expected from {tuple(METHODS)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError("methods: duplicates not allowed")
+        object.__setattr__(self, "fl", replace(self.fl, seed=self.seed))
+        if self.population is not None and not self.population_seed_pinned:
+            object.__setattr__(self, "population", replace(self.population, seed=self.seed))
 
     def cluster_for(self, method: str) -> ClusterConfig:
         """ClusterConfig for one federated method (mode forced to match)."""
@@ -118,19 +134,8 @@ class ScenarioConfig:
 
 
 def with_seed(scenario: ScenarioConfig, seed: int) -> ScenarioConfig:
-    """Re-seed a scenario: training streams always follow; the population
-    follows too unless its seed was pinned explicitly in the config."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    population = scenario.population
-    if population is not None and not scenario.population_seed_pinned:
-        population = replace(population, seed=seed)
-    return replace(
-        scenario,
-        seed=seed,
-        population=population,
-        fl=replace(scenario.fl, seed=seed),
-    )
+    """Re-seed a scenario under its one-seed rule."""
+    return replace(scenario, seed=seed)
 
 
 def load_datasets(scenario: ScenarioConfig):
@@ -152,20 +157,24 @@ def _mapping(raw, path: str) -> dict:
     return raw
 
 
+def _join(path: str, key) -> str:
+    """The dotted path of ``key`` under ``path`` ("" is the top level)."""
+    return f"{path}.{key}" if path else str(key)
+
+
 def _reject_unknown(raw: dict, path: str, allowed) -> None:
     for key in raw:
         if key not in allowed:
-            where = f"{path}.{key}" if path else str(key)
             raise ConfigError(
-                f"unknown config key {where!r}; expected one of {tuple(allowed)}"
+                f"unknown config key {_join(path, key)!r}; expected one of {tuple(allowed)}"
             )
 
 
 def _value(value, hint, path: str):
     """``value`` checked against the annotation ``hint``: a number (never a
     bool; an int must be integral; a string matching EXPONENT_NUMBER is read
-    as one), a string, a bool, a mapping of such values, or a nested
-    dataclass; ``X | None`` also takes None."""
+    as one), a string, a bool, a mapping of such values, a tuple of them
+    read from a list, or a nested dataclass; ``X | None`` also takes None."""
     options = get_args(hint)
     if type(None) in options:
         if value is None:
@@ -178,6 +187,10 @@ def _value(value, hint, path: str):
             key: _value(item, options[1], f"{path}.{key}")
             for key, item in _mapping(value, path).items()
         }
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return tuple(_value(item, options[0], path) for item in value)
     if hint in (int, float):
         if isinstance(value, str) and EXPONENT_NUMBER.fullmatch(value):
             value = float(value)
@@ -204,13 +217,13 @@ def _build(cls, raw, path: str, extra=(), **given):
     hints = get_type_hints(cls)
     for f in keys:
         if f.name in raw:
-            given[f.name] = _value(raw[f.name], hints[f.name], f"{path}.{f.name}")
+            given[f.name] = _value(raw[f.name], hints[f.name], _join(path, f.name))
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{path}.{f.name}: required")
+            raise ConfigError(f"{_join(path, f.name)}: required")
     try:
         return cls(**given)
     except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc}") from None
+        raise ConfigError(_join(path, exc)) from None
 
 
 def _ingest(raw) -> IngestSettings:
@@ -222,58 +235,18 @@ def _ingest(raw) -> IngestSettings:
     return _build(IngestSettings, raw, "ingest", extra=("columns", "covariates"), schema=schema)
 
 
-def _parse_methods(raw) -> tuple[str, ...]:
-    if raw is None:
-        return tuple(METHODS)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("methods: expected a nonempty list")
-    for m in raw:
-        if m not in METHODS:
-            raise ConfigError(
-                f"methods: unknown method {m!r}; expected from {tuple(METHODS)}"
-            )
-    if len(set(raw)) != len(raw):
-        raise ConfigError("methods: duplicates not allowed")
-    return tuple(raw)
-
-
 def scenario_from_tree(tree: dict) -> ScenarioConfig:
     """Validate a parsed YAML tree into a ScenarioConfig."""
     tree = _mapping(tree, "top level")
-    _reject_unknown(tree, "", TOP_LEVEL_KEYS)
-    seed = _value(tree.get("seed", 0), int, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {seed}")
-    output_dir = _value(tree.get("output_dir", "out"), str, "output_dir")
-    if not output_dir:
-        raise ConfigError("output_dir: must be nonempty")
-
-    has_population = tree.get("population") is not None
-    if has_population == (tree.get("ingest") is not None):
-        raise ConfigError("exactly one of 'population' or 'ingest' must be configured")
-    population, pinned, ingest = None, False, None
-    if has_population:
-        raw = _mapping(tree["population"], "population")
-        pinned = "seed" in raw
-        population = _build(PopulationSpec, {"seed": seed, **raw}, "population")
-    else:
-        ingest = _ingest(tree["ingest"])
-
-    methods = _parse_methods(tree.get("methods"))
+    population = tree.get("population")
     dp = _build(DpConfig, tree["dp"], "dp") if tree.get("dp") is not None else None
-    return ScenarioConfig(
-        seed=seed,
-        output_dir=output_dir,
-        population=population,
-        ingest=ingest,
-        model=_build(ModelSettings, tree.get("model"), "model"),
-        fl=_build(FLConfig, tree.get("fl"), "fl", seed=seed, dp=dp),
-        cluster=_build(ClusterConfig, tree.get("cluster"), "cluster"),
-        personalization=_build(
-            PersonalizationConfig, tree.get("personalization"), "personalization"
-        ),
-        methods=methods,
-        population_seed_pinned=pinned,
+    # ScenarioConfig sets fl.seed to the scenario seed; the method sets cluster.mode.
+    return _build(
+        ScenarioConfig, tree, "", extra=("fl", "dp", "cluster", "ingest"),
+        population_seed_pinned=isinstance(population, dict) and "seed" in population,
+        fl=_build(FLConfig, tree.get("fl"), "fl", seed=0, dp=dp),
+        ingest=_ingest(tree["ingest"]) if tree.get("ingest") is not None else None,
+        cluster=_build(ClusterConfig, tree.get("cluster"), "cluster", mode="global"),
     )
 
 

@@ -31,7 +31,7 @@ from .config import METHODS, ScenarioConfig
 from .data import ClientDataset, fit_scaler, train_raw_length
 from .data import prepare_client  # noqa: F401  (perfbench/tracer.py wraps evaluation.prepare_client)
 from .errors import AlignmentError, ConfigError, InsufficientDataError, ShapeError
-from .fedcore import RunResult, _client_map, personalize, round_csv_rows, run_training
+from .fedcore import RunResult, _client_map, _weighted_val_loss, personalize, round_csv_rows, run_training
 from .model import ModelParams, init_params
 from .model import loss  # noqa: F401  (perfbench/tracer.py wraps evaluation.loss)
 from .seeds import derive_seed
@@ -237,9 +237,8 @@ class _Harness:
         rows = []
         for r in range(max(len(t.val_losses) for t in traces.values())):
             active = [cid for cid in sorted(traces) if r < len(traces[cid].val_losses)]
-            total = sum(val_weights[cid] for cid in active)
-            val = sum(traces[cid].val_losses[r] * val_weights[cid] for cid in active) / total
-            rows.append([r + 1, val, 0, 0, len(active), 0])
+            pairs = [(traces[cid].val_losses[r], val_weights[cid]) for cid in active]
+            rows.append([r + 1, _weighted_val_loss(pairs), 0, 0, len(active), 0])
         weights = {c.client_id: c.n_train_samples for c in self.clients}
         best = sum(traces[cid].best_round * weights[cid] for cid in traces)
         return _Trained(models, self.clients, rows, float(best / sum(weights.values())), None)

@@ -35,7 +35,6 @@ where models_broadcast is k in ifca mode and 1 otherwise.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -171,15 +170,13 @@ class ServerState:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    mode: str
+    """One engine run; its mode is ``cluster.mode``, its seed ``config.seed``."""
+
     models: tuple[ModelParams, ...]
     assignment: Mapping[str, int]
     reports: tuple[RoundReport, ...]
     config: FLConfig
     cluster: ClusterConfig
-    model_spec: ModelSpec
-    seed: int
-    wall_time_s: float
 
     @property
     def rounds_to_best_val(self) -> int:
@@ -409,7 +406,6 @@ def run_training(
     by_id = _client_map(clients)
     cluster = replace(cluster or ClusterConfig(), mode=mode)
 
-    start = time.perf_counter()
     models = tuple(
         init_params(model_spec, derive_seed(config.seed, "init", j))
         for j in range(cluster.k if mode == "ifca" else 1)
@@ -442,25 +438,21 @@ def run_training(
             break
 
     return RunResult(
-        mode=mode,
         models=state.models,
         assignment={} if mode == "global" else route,
         reports=tuple(reports),
         config=config,
         cluster=cluster,
-        model_spec=model_spec,
-        seed=config.seed,
-        wall_time_s=time.perf_counter() - start,
     )
 
 
 def run_result_json_obj(result: RunResult) -> dict:
-    """JSON-ready view of a run; wall time is excluded so reruns are
+    """JSON-ready view of a run; it holds no timing, so reruns are
     byte-identical."""
     return {
-        "mode": result.mode,
-        "seed": result.seed,
-        "model_spec": asdict(result.model_spec),
+        "mode": result.cluster.mode,
+        "seed": result.config.seed,
+        "model_spec": asdict(result.models[0].spec),
         "config": asdict(result.config),
         "cluster": asdict(result.cluster),
         "n_models": len(result.models),

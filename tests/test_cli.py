@@ -257,6 +257,21 @@ def test_sweep_invalid_value_exits_one(tmp_path, capsys):
     assert "fl.rounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "param, values, message",
+    [
+        ("dp.sigma", "0.1,[1", "error: --values entry '[1' is not valid YAML: "),
+        ("fl.rounds", "2,0", "error: fl.rounds: must be >= 1, got 0"),
+    ],
+    ids=["not-yaml", "breaks-a-rule"],
+)
+def test_sweep_rejects_a_bad_value_before_any_point(tmp_path, capsys, param, values, message):
+    config, out_dir = write_config(tmp_path)
+    assert execute(["sweep", "--config", config, "--param", param, "--values", values]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out_dir.exists()
+
+
 # ------------------------------------------------------------------ hygiene
 
 

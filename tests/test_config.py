@@ -1,6 +1,7 @@
 """Scenario parsing: strict keys, field-path diagnostics, defaults."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -73,31 +74,48 @@ def test_population_or_ingest_exactly_one():
         scenario_from_tree(tree)
 
 
-def test_explicit_hc_mode_requires_positive_tau():
-    tree = minimal_tree(cluster={"mode": "hc"})
+@pytest.mark.parametrize("mode", ["global", "hc", "ifca", "spiral"])
+def test_cluster_mode_is_not_a_key(mode):
+    # The method sets the mode, so the file cannot.
+    with pytest.raises(ConfigError) as err:
+        scenario_from_tree(minimal_tree(cluster={"mode": mode, "tau": 0.5, "k": 2}))
+    assert str(err.value).startswith("unknown config key 'cluster.mode'; ")
+
+
+@pytest.mark.parametrize("population", [{"n_clients": 3}, None], ids=["population", "ingest"])
+def test_population_seed_pinned_is_not_a_key(population):
+    ingest = None if population else {"path": "x.csv"}
+    tree = minimal_tree(population=population, ingest=ingest, population_seed_pinned=True)
     with pytest.raises(ConfigError) as err:
         scenario_from_tree(tree)
-    assert "tau" in str(err.value)
+    assert str(err.value).startswith("unknown config key 'population_seed_pinned'; ")
 
 
-def test_explicit_ifca_mode_requires_k():
-    tree = minimal_tree(cluster={"mode": "ifca"})
+def test_top_level_rules_live_in_the_dataclass():
+    sc = scenario_from_tree(minimal_tree())
+    with pytest.raises(ConfigError, match="^methods: unknown method 'gossip'; "):
+        replace(sc, methods=("gossip",))
     with pytest.raises(ConfigError) as err:
-        scenario_from_tree(tree)
-    assert "cluster.k" in str(err.value)
+        with_seed(sc, -1)
+    assert str(err.value) == "seed: must be >= 0, got -1"
 
 
-def test_clustered_methods_preflight_before_training():
+@pytest.mark.parametrize(
+    "methods, cluster, path",
+    [
+        (["hc"], {}, "cluster.tau"),
+        (["hc"], {"tau": 0.5, "warmup": 0}, "cluster.warmup"),
+        (["ifca_personalized"], {}, "cluster.k"),
+    ],
+    ids=["hc-tau", "hc-warmup", "ifca-k"],
+)
+def test_clustered_methods_preflight_before_training(methods, cluster, path):
     from fedforecast.evaluation import run_methods
 
-    sc = scenario_from_tree(minimal_tree(methods=["hc"]))
+    sc = scenario_from_tree(minimal_tree(methods=methods, cluster=cluster))
     with pytest.raises(ConfigError) as err:
         run_methods(load_datasets(sc), sc)
-    assert "cluster.tau" in str(err.value)
-    sc = scenario_from_tree(minimal_tree(methods=["ifca_personalized"]))
-    with pytest.raises(ConfigError) as err:
-        run_methods(load_datasets(sc), sc)
-    assert "cluster.k" in str(err.value)
+    assert str(err.value).startswith(f"{path}: "), str(err.value)
 
 
 def test_cluster_values_accepted_when_configured():
@@ -142,19 +160,28 @@ def test_type_errors_cite_paths():
 
 def test_with_seed_reseeds_fl_and_population():
     sc = scenario_from_tree(minimal_tree())
+    assert (sc.fl.seed, sc.population.seed, sc.population_seed_pinned) == (1, 1, False)
     moved = with_seed(sc, 9)
     assert moved.seed == 9
     assert moved.fl.seed == 9
     assert moved.population.seed == 9
+    assert moved == scenario_from_tree(minimal_tree(seed=9))
 
 
 def test_with_seed_respects_pinned_population():
     tree = minimal_tree()
     tree["population"]["seed"] = 77
     sc = scenario_from_tree(tree)
+    assert (sc.fl.seed, sc.population.seed, sc.population_seed_pinned) == (1, 77, True)
     moved = with_seed(sc, 9)
     assert moved.fl.seed == 9
     assert moved.population.seed == 77
+
+
+def test_with_seed_reseeds_an_ingest_scenario():
+    sc = scenario_from_tree(minimal_tree(population=None, ingest={"path": "x.csv"}))
+    moved = with_seed(sc, 9)
+    assert (moved.seed, moved.fl.seed, moved.population) == (9, 9, None)
 
 
 def test_parse_config_reads_yaml_file(tmp_path):
@@ -254,16 +281,11 @@ BAD_VALUES = [
     ({"dp": {"clip_norm": 1.0, "sigma": -0.1}}, "dp.sigma"),
     ({"dp": {"clip_norm": 1.0, "sigma": float("nan")}}, "dp.sigma"),
     ({"dp": {"sigma": 0.5}}, "dp.clip_norm"),
-    ({"cluster": {"mode": "spiral"}}, "cluster.mode"),
     ({"cluster": {"tau": -0.5}}, "cluster.tau"),
     ({"cluster": {"tau": float("nan")}}, "cluster.tau"),
     ({"cluster": {"warmup": -1}}, "cluster.warmup"),
     ({"cluster": {"k": -1}}, "cluster.k"),
     ({"cluster": {"recluster_every": -1}}, "cluster.recluster_every"),
-    ({"cluster": {"mode": "hc"}}, "cluster.tau"),
-    ({"cluster": {"mode": "hc", "tau": float("nan")}}, "cluster.tau"),
-    ({"cluster": {"mode": "hc", "tau": 0.5, "warmup": 0}}, "cluster.warmup"),
-    ({"cluster": {"mode": "ifca"}}, "cluster.k"),
     ({"personalization": {"epochs": -1}}, "personalization.epochs"),
     ({"personalization": {"lr_scale": 0.0}}, "personalization.lr_scale"),
     ({"personalization": {"lr_scale": float("nan")}}, "personalization.lr_scale"),

@@ -100,7 +100,7 @@ def scenario(tmp_path, **overrides):
         },
         "model": {"kind": "linear", "lag": 8, "horizon": 1},
         "fl": {"rounds": 4, "optimizer": {"kind": "sgd", "lr": 0.05}},
-        "cluster": {"mode": "global", "tau": 0.4, "warmup": 1, "k": 2},
+        "cluster": {"tau": 0.4, "warmup": 1, "k": 2},
         "methods": ["local_only", "fedavg"],
     }
     tree.update(overrides)

@@ -591,7 +591,7 @@ class RecordingClient(FederatedClient):
 
 def final_models(result, clients):
     """Each client's model at the end of a run, by id."""
-    if result.mode == "global":
+    if result.cluster.mode == "global":
         return {c.client_id: result.models[0] for c in clients}
     return {cid: result.models[j] for cid, j in result.assignment.items()}
 
