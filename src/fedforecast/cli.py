@@ -193,9 +193,12 @@ def _cmd_sweep(args) -> int:
     point_dirs = [_point_dir(sweep_dir, literal) for literal in literals]
     values = [_sweep_value(literal) for literal in literals]
     scenarios = [scenario_from_tree(_override_tree(base_tree, args.param, v)) for v in values]
-    tables = []
+    tables, source, datasets = [], None, None
     for literal, point_dir, scenario in zip(literals, point_dirs, scenarios):
-        table = run_comparison(load_datasets(scenario), scenario)
+        # A point reuses its predecessor's datasets when it loads the same ones.
+        if (scenario.population, scenario.ingest) != source:
+            source, datasets = (scenario.population, scenario.ingest), load_datasets(scenario)
+        table = run_comparison(datasets, scenario)
         _write_comparison_csv(os.path.join(point_dir, "comparison.csv"), [], [([], table)])
         write_text(
             os.path.join(point_dir, "comparison.json"), to_json_text(table.to_json_obj())

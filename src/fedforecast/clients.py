@@ -11,9 +11,13 @@ copies those of equal series length, so of equal split sizes, into one
 store as they are made: C x n x d inputs and C x n x h targets per split.
 Each handle's splits are views of its row; a lone FederatedClient(splits)
 is a store of one. _stacks hands a batch of handles to the kernels as
-stacks of equal sample counts, at most STACK_BYTES of samples each: a view
-when the rows are consecutive rows of one store, one gather otherwise.
-FederatedClient.pooled is one handle over all clients' samples, the same way.
+stacks of equal sample counts: a view when the rows are consecutive rows of
+one store, one gather otherwise. STACK_BYTES bounds what a stack allocates,
+not its size: a gathered row costs its samples, and so does a row of a
+full-batch call, while a view trained in minibatches costs only the samples
+of a row one kernel step gathers, so a minibatch round's view is usually
+one stack. FederatedClient.pooled is one handle over all clients' samples,
+the same way.
 
 run_epochs is the one training kernel. It steps a stack of models, each on
 its own samples, into arrays it allocates once per call: a gather buffer
@@ -33,7 +37,9 @@ call. _train_round's callers:
 
 The other per-client computations have one stacked path each, whose
 per-handle method is its stack-of-one view: val_loss_batch (one stack_loss
-per stack, each row under its own model) and fine_tune_batch (personalization
+per stack, each row under its own model), choose_cluster_batch (one
+cluster.ifca_assign per stack, the one choice rule: k stack_loss calls,
+each model broadcast over the rows) and fine_tune_batch (personalization
 through _fine_tune_stack, the one backtracking loop).
 
 Batch order is shuffled deterministically from (config seed, client id,
@@ -66,9 +72,10 @@ from .seeds import rng_for  # noqa: F401  (perfbench/tracer.py wraps clients.rng
 from . import cluster as _cluster
 from . import seeds as _seeds
 
-# Bytes of samples (inputs plus targets) one stack may hold. A larger bucket
-# runs as several stacks, which bounds the copies, minibatches and
-# activations a call allocates at once.
+# Bytes of samples (inputs plus targets) one stack may allocate for: those
+# it copies, or those one step touches (see _stacks). A larger bucket runs as
+# several stacks, which bounds the copies, minibatches and activations a
+# call allocates at once.
 STACK_BYTES = 1 << 20
 
 # Personalization halves a row's step size at most down to this.
@@ -329,16 +336,24 @@ def _rows(handles, split: str) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([s.inputs for s in sets]), np.stack([s.targets for s in sets])
 
 
-def _stacks(handles, split: str):
+def _stacks(handles, split: str, batch_size: int = 0):
     """The samples of ``split`` of handles as stacks: handles of equal
-    sample counts, in order, in chunks of at most STACK_BYTES of samples.
-    Yields (indices into handles, inputs, targets) per stack."""
+    sample counts n, in order, in chunks that allocate at most STACK_BYTES.
+    A row costs its samples, which a gather copies and a full-batch step
+    touches; in a bucket of consecutive store rows (a view) trained in
+    minibatches of 0 < batch_size < n, only the batch_size samples one
+    kernel step gathers. Yields (indices into handles, inputs, targets) per
+    stack."""
     buckets: dict[int, list[int]] = {}
     for i, handle in enumerate(handles):
         buckets.setdefault(getattr(handle, f"_{split}").n_samples, []).append(i)
-    for bucket in buckets.values():
+    for n, bucket in buckets.items():
         first = getattr(handles[bucket[0]], f"_{split}")
-        size = max(1, STACK_BYTES // (first.inputs.nbytes + first.targets.nbytes))
+        touched = n
+        if 0 < batch_size < n and _consecutive([handles[i] for i in bucket]) is not None:
+            touched = batch_size
+        row = first.inputs[:touched].nbytes + first.targets[:touched].nbytes
+        size = max(1, STACK_BYTES // row)
         for start in range(0, len(bucket), size):
             indices = bucket[start : start + size]
             yield (indices, *_rows([handles[i] for i in indices], split))
@@ -455,7 +470,7 @@ class FederatedClient:
         spec = broadcasts[order[0]].spec
         values = np.stack([broadcasts[i].values for i in order])
         new, losses, failed = _train_round(
-            values, _stacks(handles, "train"), spec, config, round_index, ids
+            values, _stacks(handles, "train", config.batch_size), spec, config, round_index, ids
         )
         if failed:
             raise failed[min(failed)]
@@ -482,7 +497,23 @@ class FederatedClient:
 
     def choose_cluster(self, models) -> int:
         """Self-select the cluster model with the lowest own-train loss."""
-        return _cluster.ifca_assign(self._train, models)
+        return self.choose_cluster_batch([self], [models])[self.client_id]
+
+    @staticmethod
+    def choose_cluster_batch(handles, models) -> dict[str, int]:
+        """choose_cluster of every handle, handles[i] among the models
+        models[i], keyed by client id in handles order: one
+        cluster.ifca_assign per stack of _stacks over the handles given one
+        model sequence. Bitwise equal to calling each handle alone."""
+        groups: dict[int, list[int]] = {}
+        for i, sequence in enumerate(models):
+            groups.setdefault(id(sequence), []).append(i)
+        chosen = [0] * len(handles)
+        for group in groups.values():
+            for rows, x, y in _stacks([handles[i] for i in group], "train"):
+                for r, j in zip(rows, _cluster.ifca_assign(x, y, models[group[0]])):
+                    chosen[group[r]] = j
+        return {h.client_id: j for h, j in zip(handles, chosen)}
 
     def fine_tune(self, params: ModelParams, epochs: int, lr: float) -> ModelParams:
         return fine_tune(params, self._train, epochs, lr)

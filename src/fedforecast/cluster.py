@@ -103,28 +103,26 @@ def _point_distances(vectors: np.ndarray) -> np.ndarray:
     return dist
 
 
-def ifca_assign(train, models: Sequence[ModelParams]) -> int:
-    """Index of the cluster model with the lowest mean loss on ``train``.
+def ifca_assign(inputs, targets, models: Sequence[ModelParams]) -> list[int]:
+    """For each row c of a stack (inputs C x n x d, targets C x n x h), the
+    index of the cluster model with the lowest mean loss on its samples.
 
-    The models share one spec. Their k losses are one stack_loss over the
-    stacked models, each on the same samples (broadcast, not copied); each
-    equals ``loss`` of that model. Ties break toward the lowest index.
+    The models share one spec. Their losses are k stack_loss calls, model j
+    broadcast (not copied) over the C rows; each equals ``loss`` of that
+    model on that row. A later model wins a row only when its loss is
+    strictly lower, so ties go to the lowest index and a NaN loss never
+    wins (unlike np.argmin).
     """
     if len(models) < 1:
         raise InsufficientDataError("ifca_assign needs at least one model")
-    if train.n_samples < 1:
-        raise InsufficientDataError("ifca_assign needs training samples")
     spec = models[0].spec
-    x, y = _check_batch(spec, train.inputs, train.targets)
-    k = len(models)
-    losses = stack_loss(
-        spec,
-        np.stack([m.values for m in models]),
-        np.broadcast_to(x, (k, *x.shape)),
-        np.broadcast_to(y, (k, *y.shape)),
-    ).tolist()
-    best = 0
-    for j in range(1, k):
-        if losses[j] < losses[best]:
-            best = j
-    return best
+    _check_batch(spec, inputs[0], targets[0])
+    c, rows = len(inputs), np.arange(len(inputs))
+    losses = np.array([
+        stack_loss(spec, np.broadcast_to(m.values, (c, spec.param_count)), inputs, targets)
+        for m in models
+    ])
+    best = np.zeros(c, dtype=np.int64)
+    for j in range(1, len(models)):
+        best[losses[j] < losses[best, rows]] = j
+    return best.tolist()

@@ -260,7 +260,11 @@ def load_tree(path: str) -> dict:
     try:
         tree = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
+        # One line: pyyaml's problem and where it is, not its quoted excerpt.
+        mark = getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        reason = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"config {path} is not valid YAML: {where}{reason}") from None
     return tree if tree is not None else {}
 
 

@@ -16,11 +16,12 @@ assignment, so each cluster trains independently.
 Privacy boundary: nothing in this module touches raw samples. Server
 functions consume client handles only through their narrow methods
 (local_update, val_loss, fine_tune, choose_cluster, n_*_samples and the
-static batch methods local_update_batch, val_loss_batch and
-fine_tune_batch) and operate on ClientUpdate values, losses and params; an
-API-surface test enforces this. A batch method serves many handles in one
-call: it takes handles and params and returns ClientUpdate values, losses
-or params. ``_per_client`` calls it for every handle whose class does not
+static batch methods local_update_batch, val_loss_batch, fine_tune_batch
+and choose_cluster_batch) and operate on ClientUpdate values, losses,
+params and model indices; an API-surface test enforces this. A batch method
+serves many handles in one call: it takes handles and their params (or
+model sequences) and returns ClientUpdate values, losses, params or model
+indices. ``_per_client`` calls it for every handle whose class does not
 override the per-handle method, and that method on the others.
 
 Byte meters are closed-form and exact:
@@ -322,7 +323,7 @@ def _routed_round(
     return replace(state, models=models, assignment=assignment), report
 
 
-def _per_client(by_id, method: str, params: Mapping[str, ModelParams], *args) -> dict:
+def _per_client(by_id, method: str, params: Mapping[str, object], *args) -> dict:
     """``by_id[cid].<method>(params[cid], *args)`` for each id of ``params``,
     by id in that order.
 
@@ -362,10 +363,11 @@ def _batch_owner(cls: type, method: str) -> type | None:
 
 def _route(state: ServerState, by_id: Mapping[str, object], ids: Sequence[str]) -> dict[str, int]:
     """The model index of each client of ``ids`` under ``state``, in that
-    order: in ifca mode each client self-selects its lowest-loss model,
-    else it gets its assignment (model 0 before any clustering)."""
+    order: in ifca mode each client self-selects its lowest-loss model
+    through choose_cluster (batched by _per_client), else it gets its
+    assignment (model 0 before any clustering)."""
     if state.mode == "ifca":
-        return {cid: by_id[cid].choose_cluster(state.models) for cid in ids}
+        return _per_client(by_id, "choose_cluster", dict.fromkeys(ids, state.models))
     return {cid: state.assignment.get(cid, 0) for cid in ids}
 
 

@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import fedforecast
-from fedforecast.cli import execute
+from fedforecast import config as config_module
+from fedforecast.cli import _override_tree, execute
+from fedforecast.evaluation import run_comparison
+from fedforecast.serialize import to_json_text
 from fedforecast.data import CsvSchema, load_csv
 from fedforecast.fedcore import RoundReport
 
@@ -248,6 +251,29 @@ def test_sweep_takes_exponent_values(tmp_path):
     points = [(out_dir / "sweep_fl_optimizer_lr" / v / "comparison.csv").read_text()
               for v in ("1e-3", "2e-2")]
     assert points[0] != points[1]
+
+
+@pytest.mark.parametrize("param, generated", [("fl.rounds", 1), ("population.days", 3)])
+def test_sweep_loads_data_again_only_when_a_point_changes_it(tmp_path, monkeypatch, param, generated):
+    config, out_dir = write_config(tmp_path)
+    calls = []
+    generate = config_module.generate_population
+
+    def counted(spec):
+        calls.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr(config_module, "generate_population", counted)
+    assert execute(["sweep", "--config", config, "--param", param, "--values", "8,9,10"]) == 0
+    assert len(calls) == generated
+    # Each point's table is bitwise the comparison of its own freshly loaded data.
+    monkeypatch.setattr(config_module, "generate_population", generate)
+    tree = config_module.load_tree(config)
+    for value in (8, 9, 10):
+        scenario = config_module.scenario_from_tree(_override_tree(tree, param, value))
+        table = run_comparison(config_module.load_datasets(scenario), scenario)
+        point = out_dir / f"sweep_{param.replace('.', '_')}" / str(value) / "comparison.json"
+        assert point.read_text() == to_json_text(table.to_json_obj())
 
 
 def test_sweep_invalid_value_exits_one(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Client-side training: epoch schedules, fine-tuning, local baselines."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from helpers import (
     same_round,
 )
 from fedforecast import clients as clients_module
+from fedforecast import cluster as cluster_module
 from fedforecast import fedcore
 from fedforecast.clients import FederatedClient, fine_tune, run_epochs, train_local
 from fedforecast.data import (
@@ -489,6 +491,73 @@ def test_bucket_over_the_byte_budget_trains_as_several_stacks(monkeypatch):
     assert stack_sizes == [2, 2, 1, 1, 1, 1, 1, 1] * 2
 
 
+def recorded_stack_sizes(monkeypatch, module, name, position):
+    """Make ``module.<name>`` record the length of its argument at
+    ``position`` (a stack's rows) on every call; returns the record."""
+    sizes = []
+    fn = getattr(module, name)
+
+    def recorded(*args):
+        sizes.append(len(args[position]))
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return sizes
+
+
+def two_rows_of_bytes(monkeypatch, handle, split="train"):
+    """Set STACK_BYTES to two rows of ``handle``'s samples of ``split``."""
+    samples = getattr(handle, f"_{split}")
+    monkeypatch.setattr(
+        clients_module, "STACK_BYTES", 2 * (samples.inputs.nbytes + samples.targets.nbytes)
+    )
+
+
+# Store row orders of twelve clients: in id order the engine's stack is a
+# view of the store, in the other orders a gather.
+STORE_ORDERS = {
+    "views": list(range(12)),
+    "reversed": list(range(12))[::-1],
+    "interleaved": list(range(0, 12, 2)) + list(range(1, 12, 2)),
+}
+
+
+@pytest.mark.parametrize("order", list(STORE_ORDERS))
+@pytest.mark.parametrize("batch_size", [0, 8], ids=["full", "minibatch"])
+def test_a_round_is_budgeted_by_what_its_stacks_allocate(monkeypatch, order, batch_size):
+    # A view trained in minibatches costs only the minibatch samples of each
+    # row, so all twelve rows fit in two rows' bytes; a gather copies whole
+    # rows, and a full-batch step touches them, so those take two per stack.
+    datasets = generate_population(PopulationSpec(n_clients=12, archetypes=3, days=5, seed=8))
+    handles = FederatedClient.fleet([datasets[i] for i in STORE_ORDERS[order]], LAG, HORIZON)
+    assert 12 * 8 <= 2 * handles[0].n_train_samples
+    two_rows_of_bytes(monkeypatch, handles[0])
+    sizes = recorded_stack_sizes(monkeypatch, clients_module, "run_epochs", 0)
+    checked = check_rounds_against_reference(monkeypatch)
+    cfg = replace(matrix_config("momentum", batch_size, "clip-noise", 2), rounds=2)
+    run_training(handles, matrix_spec("mlp"), cfg)
+    assert checked == [1, 2]
+    # Per round: the batched round's stacks, then the reference's twelve calls.
+    batched = [12] if order == "views" and batch_size else [2] * 6
+    assert sizes == (batched + [1] * 12) * 2
+
+
+@pytest.mark.parametrize("method", ["val_loss_batch", "fine_tune_batch", "choose_cluster_batch"])
+def test_full_batch_calls_on_a_view_keep_the_budget(wide, monkeypatch, method):
+    two_rows_of_bytes(monkeypatch, wide[0], "val" if method == "val_loss_batch" else "train")
+    models = [init_params(matrix_spec("mlp"), seed) for seed in range(2)]
+    if method == "val_loss_batch":
+        sizes = recorded_stack_sizes(monkeypatch, clients_module, "stack_loss", 1)
+        FederatedClient.val_loss_batch(wide, [models[0]] * 12)
+    elif method == "fine_tune_batch":
+        sizes = recorded_stack_sizes(monkeypatch, clients_module, "_fine_tune_stack", 1)
+        FederatedClient.fine_tune_batch(wide, [models[0]] * 12, 1, 0.1)
+    else:
+        sizes = recorded_stack_sizes(monkeypatch, cluster_module, "ifca_assign", 0)
+        FederatedClient.choose_cluster_batch(wide, [models] * 12)
+    assert sizes == [2] * 6
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("first, second", [("params", "delta"), ("delta", "params")])
 def test_batched_round_raises_the_first_failing_participants_error(monkeypatch, first, second):
@@ -769,6 +838,39 @@ def test_fine_tune_batch_equals_the_reference(
             want = reference_fine_tune(model, handle._train, 4, lr).values.tobytes()
             assert got[handle.client_id].values.tobytes() == want
             assert handle.fine_tune(model, 4, lr).values.tobytes() == want
+
+
+@kinds
+@stack_budgets
+def test_choose_cluster_batch_equals_each_handle_alone(
+    staggered_datasets, staggered, monkeypatch, kind, stack_bytes
+):
+    if stack_bytes is not None:
+        monkeypatch.setattr(clients_module, "STACK_BYTES", stack_bytes)
+    a, b, nan = (init_params(matrix_spec(kind), seed) for seed in range(3))
+    stack_loss = cluster_module.stack_loss
+
+    def nan_under_nan(spec, values, x, y):
+        """Every row's loss under the model nan reads NaN."""
+        losses = stack_loss(spec, values, x, y)
+        return np.where((values == nan.values).all(axis=1), np.nan, losses)
+
+    monkeypatch.setattr(cluster_module, "stack_loss", nan_under_nan)
+    # a and b repeat, so the lower of the two ties with its copy; NaN comes
+    # first, where nothing beats it, and in the middle, where it never wins.
+    sequences = [(a, b, a, b), (nan, a, b), (b, nan, a, a)]
+    for handles in handle_orders(staggered_datasets, staggered).values():
+        models = [sequences[i % 3] for i in range(len(handles))]
+        got = FederatedClient.choose_cluster_batch(handles, models)
+        assert list(got) == [h.client_id for h in handles]
+        for handle, sequence in zip(handles, models):
+            train = handle._train
+            losses = [math.nan if m is nan else loss(m, train.inputs, train.targets) for m in sequence]
+            want = 0
+            for j in range(1, len(losses)):
+                if losses[j] < losses[want]:
+                    want = j
+            assert got[handle.client_id] == want == handle.choose_cluster(sequence)
 
 
 def population_splits(n_clients=3):

@@ -10,6 +10,7 @@ import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from helpers import assignments_match, reference_hc_partition, reference_pairwise_distances
+from fedforecast import cluster as cluster_module
 from fedforecast.cluster import _point_distances, hc_partition, ifca_assign
 from fedforecast.data import SupervisedSet
 from fedforecast.errors import InsufficientDataError, ShapeError
@@ -175,18 +176,23 @@ def doubling_data():
     return SupervisedSet(x, 2.0 * x, np.arange(12))
 
 
+def choose(data, models):
+    """ifca_assign on a stack of one: ``data``'s samples."""
+    return ifca_assign(data.inputs[None], data.targets[None], models)[0]
+
+
 def test_single_model_selected():
-    assert ifca_assign(doubling_data(), [linear_params(2.0)]) == 0
+    assert choose(doubling_data(), [linear_params(2.0)]) == 0
 
 
 def test_identical_models_tie_to_lowest_index():
     models = [linear_params(1.0), linear_params(1.0)]
-    assert ifca_assign(doubling_data(), models) == 0
+    assert choose(doubling_data(), models) == 0
 
 
 def test_matching_generator_wins():
     models = [linear_params(-2.0), linear_params(2.0)]
-    assert ifca_assign(doubling_data(), models) == 1
+    assert choose(doubling_data(), models) == 1
 
 
 def test_duplicated_data_leaves_choice_unchanged():
@@ -197,7 +203,23 @@ def test_duplicated_data_leaves_choice_unchanged():
         np.arange(24),
     )
     models = [linear_params(-2.0), linear_params(2.0), linear_params(1.9)]
-    assert ifca_assign(data, models) == ifca_assign(doubled, models)
+    assert choose(data, models) == choose(doubled, models)
+
+
+def test_stacked_choice_ties_to_the_lowest_index_and_never_picks_nan(monkeypatch):
+    # Model j's losses on the four rows, one stack_loss call per model.
+    table = np.array([
+        [1.0, np.nan, 2.0, 1.0],
+        [1.0, 0.5, np.nan, 0.5],
+        [0.5, 0.5, 1.0, np.nan],
+    ])
+    calls = iter(table)
+    monkeypatch.setattr(cluster_module, "stack_loss", lambda *args: next(calls))
+    data = doubling_data()
+    x, y = (np.broadcast_to(a, (4, *a.shape)) for a in (data.inputs, data.targets))
+    # Row 1's NaN comes first, where nothing beats it (np.argmin gives 0 too);
+    # in rows 2 and 3 it never wins, where np.argmin would pick it.
+    assert ifca_assign(x, y, [linear_params(1.0)] * 3) == [2, 0, 2, 1]
 
 
 def test_empty_supervised_sets_unrepresentable():

@@ -211,6 +211,17 @@ def test_parse_config_non_mapping(tmp_path):
         parse_config(str(path))
 
 
+def test_invalid_yaml_is_one_line_naming_the_problem_and_its_place(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("seed: [1")
+    with pytest.raises(ConfigError) as caught:
+        parse_config(str(path))
+    assert str(caught.value) == (
+        f"config {path} is not valid YAML: "
+        "line 1, column 9: expected ',' or ']', but got '<stream end>'"
+    )
+
+
 # One bad value per rule, with the dotted path its error must start with.
 # Each case overrides sections of minimal_tree(); population=None swaps the
 # population for an ingest block.

@@ -236,14 +236,16 @@ def test_ifca_final_route_chosen_once(monkeypatch, eval_every, evaluated_rounds)
     # Each round's participants choose once; the last report's all-client
     # loss and the final assignment share one more choice per client.
     # An evaluation on the last round (eval_every 3) is that same choice.
-    calls = []
-    choose = FederatedClient.choose_cluster
+    # Each route is one batch call.
+    calls, batches = [], []
+    choose = FederatedClient.choose_cluster_batch
 
-    def counted(self, models):
-        calls.append(self.client_id)
-        return choose(self, models)
+    def counted(handles, models):
+        calls.extend(h.client_id for h in handles)
+        batches.append(len(handles))
+        return choose(handles, models)
 
-    monkeypatch.setattr(FederatedClient, "choose_cluster", counted)
+    monkeypatch.setattr(FederatedClient, "choose_cluster_batch", staticmethod(counted))
     clients = population_clients(n_clients=4, days=7, seed=1)
     result = run_training(
         clients,
@@ -254,6 +256,7 @@ def test_ifca_final_route_chosen_once(monkeypatch, eval_every, evaluated_rounds)
     )
     assert len(result.reports) == 3
     assert len(calls) == 4 * (3 + evaluated_rounds + 1)
+    assert batches == [4] * (3 + evaluated_rounds + 1)
 
 
 def test_hc_tau_extremes_control_cluster_count():
@@ -537,6 +540,7 @@ def test_local_update_batch_takes_handles_and_returns_only_updates():
 BATCH_METHODS = {
     "val_loss_batch": (["handles", "params"], ()),
     "fine_tune_batch": (["handles", "params", "epochs", "lr"], (3, 0.1)),
+    "choose_cluster_batch": (["handles", "models"], ()),
 }
 
 
@@ -555,7 +559,9 @@ def test_batch_methods_take_handles_and_params_and_return_only_scalars_or_params
     assert "SupervisedSet" not in returned and "ndarray" not in returned
     clients = population_clients(n_clients=3, days=7)
     spec = population_spec()
-    out = batch(clients[::-1], [init_params(spec, j) for j in range(3)], *args)
+    models = [init_params(spec, j) for j in range(3)]
+    # choose_cluster_batch takes each handle's sequence of models.
+    out = batch(clients[::-1], [models] * 3 if names[1] == "models" else models, *args)
     assert list(out) == [c.client_id for c in clients[::-1]]
     for value in out.values():
         leaves = value if isinstance(value, tuple) else (value,)
@@ -566,13 +572,14 @@ def test_batch_methods_take_handles_and_params_and_return_only_scalars_or_params
 
 
 class RecordingClient(FederatedClient):
-    """Overrides local_update, val_loss and fine_tune, so the engine calls
-    them on its own handle."""
+    """Overrides local_update, val_loss, choose_cluster and fine_tune, so
+    the engine calls them on its own handle."""
 
     def __init__(self, splits):
         super().__init__(splits)
         self.rounds = []
         self.val_losses = 0
+        self.choices = 0
         self.fine_tunes = 0
 
     def local_update(self, broadcast, config, round_index):
@@ -583,6 +590,10 @@ class RecordingClient(FederatedClient):
     def val_loss(self, params):
         self.val_losses += 1
         return super().val_loss(params)
+
+    def choose_cluster(self, models):
+        self.choices += 1
+        return super().choose_cluster(models)
 
     def fine_tune(self, params, epochs, lr):
         self.fine_tunes += 1
@@ -602,7 +613,7 @@ def test_mixed_federation_equals_all_plain(mode):
     splits = [prepare_client(ds, 6, 1) for ds in datasets]
     plain = [FederatedClient(s) for s in splits]
     mixed = [RecordingClient(s) if i % 2 else FederatedClient(s) for i, s in enumerate(splits)]
-    for method in ("local_update", "val_loss", "fine_tune"):
+    for method in ("local_update", "val_loss", "choose_cluster", "fine_tune"):
         assert fedcore._batch_owner(RecordingClient, method) is None
         assert fedcore._batch_owner(FederatedClient, method) is FederatedClient
     config = sgd_config(**IDENTITY_CONFIGS["sampled_dp"])
@@ -616,6 +627,7 @@ def test_mixed_federation_equals_all_plain(mode):
         joined = [r.round_index for r in got.reports if client.client_id in r.participants]
         assert client.rounds == joined and joined
         assert client.val_losses == len(joined) + evaluations
+        assert client.choices == (len(joined) + evaluations if mode == "ifca" else 0)
     tuned = fedcore.personalize(mixed, final_models(got, mixed), 3, 0.05)
     plain_tuned = fedcore.personalize(plain, final_models(want, plain), 3, 0.05)
     assert list(tuned) == list(plain_tuned) == [c.client_id for c in mixed]
