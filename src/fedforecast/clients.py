@@ -26,21 +26,22 @@ gradients, and a copy of the values the optimizer steps in place. Its one
 caller is _train_round, a round of local updates of C clients: they train
 as stacks through run_epochs into one C x P result, which is checked for
 finiteness and, under update-level DP, privatized in one privatize_rows
-call. _train_round's callers:
+call. _train_round's two callers:
 
-* FederatedClient.local_update_batch, which the engine calls once per
-  round, over the participants' _stacks;
-* local_update, the per-handle hook, on a stack of one;
+* FederatedClient.local_update_batch, over the handles' _stacks: the
+  engine calls it once per round, and FederatedClient.local_update is its
+  batch of one;
 * train_lockstep, the one isolated-training loop, behind train_local: it
   stacks handles of equal sample counts through _rows, once and again only
   after one leaves. The centralized baseline trains its pooled handle so.
 
-The other per-client computations have one stacked path each, whose
-per-handle method is its stack-of-one view: val_loss_batch (one stack_loss
-per stack, each row under its own model), choose_cluster_batch (one
-cluster.ifca_assign per stack, the one choice rule: k stack_loss calls,
-each model broadcast over the rows) and fine_tune_batch (personalization
-through _fine_tune_stack, the one backtracking loop).
+Every per-client computation has one stacked path, a static batch method,
+and its per-handle method is that method's batch of one:
+local_update_batch (above), val_loss_batch (one stack_loss per stack, each
+row under its own model), choose_cluster_batch (one cluster.ifca_assign per
+stack, the one choice rule: k stack_loss calls, each model broadcast over
+the rows) and fine_tune_batch (personalization through _fine_tune_stack,
+the one backtracking loop).
 
 Batch order is shuffled deterministically from (config seed, client id,
 round index); with batch_size 0 the full batch is used and no shuffling
@@ -54,7 +55,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import ClientDataset, ClientSplits, Scaler, SupervisedSet, prepare_client
+from .data import ClientDataset, ClientSplits, Scaler, prepare_client
 from .errors import InsufficientDataError, NumericError
 from .fedcore import ClientUpdate, EarlyStop, FLConfig
 from .model import (
@@ -67,7 +68,8 @@ from .model import (
 )
 from .model import loss, loss_and_grad  # noqa: F401  (perfbench/tracer.py wraps both)
 from .optim import make_state, step
-from .privacy import privatize_delta, privatize_rows
+from .privacy import privatize_rows
+from .privacy import privatize_delta  # noqa: F401  (perfbench/tracer.py wraps clients.privatize_delta)
 from .seeds import rng_for  # noqa: F401  (perfbench/tracer.py wraps clients.rng_for)
 from . import cluster as _cluster
 from . import seeds as _seeds
@@ -152,9 +154,10 @@ def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
     inputs and targets, through run_epochs; then, under DP, the delta of
     every row that has not failed is privatized in one privatize_rows call.
 
-    Returns the new C x P params, the C train losses, and, for each row
-    whose new params, delta or privatized params are not finite, the
-    NumericError the one-client code raises, by row index.
+    Returns the new C x P params, the C train losses, and, by row index,
+    the NumericError of each row whose new params or privatized params are
+    not finite (ModelParams' error), or whose delta is (no update can be
+    clipped then). A failed row is not privatized.
     """
     new = np.empty_like(values)
     losses = np.empty(len(ids))
@@ -168,11 +171,8 @@ def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
     if config.dp is None:
         return new, losses, failed
     delta = new - values
-    _reject(
-        ~np.all(np.isfinite(delta), axis=1),
-        failed,
-        lambda i: privatize_delta(delta[i], config.dp, config.seed, round_index, ids[i]),
-    )
+    for i in np.flatnonzero(~np.all(np.isfinite(delta), axis=1)).tolist():
+        failed.setdefault(i, NumericError("cannot clip a non-finite update"))
     ok = [i for i in range(len(ids)) if i not in failed]
     new[ok] = values[ok] + privatize_rows(
         delta[ok], config.dp, config.seed, round_index, [ids[i] for i in ok]
@@ -190,59 +190,6 @@ def _reject(bad: np.ndarray, failed: dict, check) -> None:
                 check(i)
             except NumericError as exc:
                 failed[i] = exc
-
-
-def local_update(
-    train: SupervisedSet,
-    broadcast: ModelParams,
-    config: FLConfig,
-    round_index: int,
-    client_id: str,
-) -> ClientUpdate:
-    """One client's contribution for one round: _train_round on a stack of
-    one. This is the per-handle hook behind FederatedClient.local_update.
-
-    local_epochs = 0 returns the broadcast params bit-identical, with the
-    train loss evaluated at those params. When DP is active the update delta
-    is clipped/noised before the new params are reconstructed.
-    """
-    if train.n_samples < 1:
-        raise InsufficientDataError(f"client {client_id} has no training samples")
-    spec = broadcast.spec
-    stack = (slice(0, 1), train.inputs[None], train.targets[None])
-    new, losses, failed = _train_round(
-        broadcast.values[None], [stack], spec, config, round_index, [client_id]
-    )
-    if failed:
-        raise failed[0]
-    return ClientUpdate(
-        client_id=client_id,
-        new_params=ModelParams(spec, new[0]),
-        n_samples=train.n_samples,
-        train_loss=float(losses[0]),
-    )
-
-
-def fine_tune(
-    params: ModelParams, train: SupervisedSet, epochs: int, lr: float
-) -> ModelParams:
-    """Personalize via full-batch gradient descent with backtracking:
-    _fine_tune_stack on a stack of one.
-
-    Each epoch proposes p - lr*g and halves lr until the train loss does not
-    increase (the halved lr carries into later epochs), so the loss trace is
-    non-increasing. epochs = 0 returns params unchanged.
-    """
-    if train.n_samples < 1:
-        raise InsufficientDataError("fine_tune needs training samples")
-    if epochs == 0:
-        return params
-    new, failed = _fine_tune_stack(
-        params.spec, params.values[None], train.inputs[None], train.targets[None], epochs, lr
-    )
-    if failed:
-        raise failed[0]
-    return ModelParams(params.spec, new[0])
 
 
 def _fine_tune_stack(spec, values, inputs, targets, epochs: int, lr: float):
@@ -447,7 +394,8 @@ class FederatedClient:
     def local_update(
         self, broadcast: ModelParams, config: FLConfig, round_index: int
     ) -> ClientUpdate:
-        return local_update(self._train, broadcast, config, round_index, self.client_id)
+        """This client's update in round ``round_index``, trained from broadcast."""
+        return self.local_update_batch([self], [broadcast], config, round_index)[self.client_id]
 
     @staticmethod
     def local_update_batch(
@@ -459,8 +407,8 @@ class FederatedClient:
         One _train_round over the handles' _stacks, so one privatize_rows
         call applies DP to every update of the round and sets up all of its
         noise streams at once. Bitwise equal to calling each handle alone.
-        When some fail, the error local_update raises for the first of them
-        in id order is raised.
+        When some fail, the error of the first of them in id order is
+        raised.
         """
         if not handles:
             return {}
@@ -516,15 +464,16 @@ class FederatedClient:
         return {h.client_id: j for h, j in zip(handles, chosen)}
 
     def fine_tune(self, params: ModelParams, epochs: int, lr: float) -> ModelParams:
-        return fine_tune(params, self._train, epochs, lr)
+        """params personalized on this client's train samples (see _fine_tune_stack)."""
+        return self.fine_tune_batch([self], [params], epochs, lr)[self.client_id]
 
     @staticmethod
     def fine_tune_batch(handles, params, epochs: int, lr: float) -> dict[str, ModelParams]:
         """fine_tune of every handle, handles[i] from params[i], keyed by
         client id in handles order: the handles personalize as _stacks
         through _fine_tune_stack. Bitwise equal to calling each handle
-        alone. When some fail, the error fine_tune raises for the first of
-        them in handles order is raised.
+        alone. A handle without train samples fails. When some fail, the
+        error of the first of them in handles order is raised.
         """
         failed: dict[int, Exception] = {
             i: InsufficientDataError("fine_tune needs training samples")
@@ -552,6 +501,10 @@ class FederatedClient:
         actual = self._value_scaler.inverse(self._test.targets)
         return pred, actual, self._test.sample_timestamps
 
+
+# Names only for the traced benchmark, which wraps them on this module; the
+# package calls the methods.
+local_update, fine_tune = FederatedClient.local_update, FederatedClient.fine_tune  # perfbench/tracer.py wraps
 
 @dataclass(frozen=True)
 class LocalTrace:

@@ -21,8 +21,11 @@ and choose_cluster_batch) and operate on ClientUpdate values, losses,
 params and model indices; an API-surface test enforces this. A batch method
 serves many handles in one call: it takes handles and their params (or
 model sequences) and returns ClientUpdate values, losses, params or model
-indices. ``_per_client`` calls it for every handle whose class does not
-override the per-handle method, and that method on the others.
+indices, and FederatedClient's per-handle method is its batch of one.
+``_per_client`` calls the batch method for every handle whose class does
+not override the per-handle method, and that method on the others.
+``_val_loss`` is the one sample-weighted validation of routed clients: of
+the participants in each round, of every client at an evaluation.
 
 Byte meters are closed-form and exact:
 
@@ -196,9 +199,11 @@ class RunResult:
 def select_participants(
     client_ids: Sequence[str], participation: float, seed: int, round_index: int
 ) -> list[str]:
-    """ceil(P*N) distinct clients, deterministic in (seed, round), id-sorted."""
+    """ceil(P*N) distinct clients, deterministic in (seed, round), id-sorted.
+    P*N is rounded to 9 decimals first, so 0.07 * 100 = 7.000000000000001
+    selects 7 of 100 clients, not 8; at least one is selected."""
     ids = sorted(client_ids)
-    count = math.ceil(participation * len(ids))
+    count = max(1, math.ceil(round(participation * len(ids), 9)))
     perm = rng_for(seed, "participation", round_index).permutation(len(ids))
     return sorted(ids[j] for j in perm[:count])
 
@@ -306,8 +311,7 @@ def _routed_round(
         fedavg_aggregate(groups[j]) if j in groups else state.models[j]
         for j in range(n_models)
     )
-    routed = {cid: models[route[cid]] for cid in participants}
-    val = _weighted_val_loss(list(_per_client(by_id, "val_loss", routed).values()))
+    val = _val_loss(by_id, models, route)
     pb = param_message_bytes(state.models[0].spec)
     fanout = len(state.models) if state.mode == "ifca" else 1
     report = RoundReport(
@@ -371,12 +375,12 @@ def _route(state: ServerState, by_id: Mapping[str, object], ids: Sequence[str]) 
     return {cid: state.assignment.get(cid, 0) for cid in ids}
 
 
-def _all_client_val_loss(
-    state: ServerState, by_id: Mapping[str, object], route: Mapping[str, int]
+def _val_loss(
+    by_id: Mapping[str, object], models: Sequence[ModelParams], route: Mapping[str, int]
 ) -> float:
-    """Diagnostic sample-weighted validation loss over every client, each
-    under its model in ``route``."""
-    routed = {cid: state.models[j] for cid, j in route.items()}
+    """Sample-weighted validation loss over the clients of ``route``, each
+    under its routed model models[route[cid]]."""
+    routed = {cid: models[j] for cid, j in route.items()}
     return _weighted_val_loss(list(_per_client(by_id, "val_loss", routed).values()))
 
 
@@ -434,7 +438,7 @@ def run_training(
         # The last round is always evaluated: its route is the assignment.
         if stop or (config.eval_every > 0 and round_index % config.eval_every == 0):
             route = _route(state, by_id, sorted(by_id))
-            report = replace(report, all_client_val_loss=_all_client_val_loss(state, by_id, route))
+            report = replace(report, all_client_val_loss=_val_loss(by_id, state.models, route))
         reports.append(report)
         if stop:
             break

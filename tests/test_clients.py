@@ -22,7 +22,7 @@ from helpers import (
 from fedforecast import clients as clients_module
 from fedforecast import cluster as cluster_module
 from fedforecast import fedcore
-from fedforecast.clients import FederatedClient, fine_tune, run_epochs, train_local
+from fedforecast.clients import FederatedClient, run_epochs, train_local
 from fedforecast.data import (
     ClientDataset,
     CsvSchema,
@@ -173,10 +173,12 @@ def test_fine_tune_diverges_across_disjoint_clients():
     assert not np.array_equal(a.values, b.values)
 
 
-def test_fine_tune_needs_samples():
-    params = init_params(population_spec(lag=1), 0)
-    with pytest.raises(InsufficientDataError):
-        fine_tune(params, _EmptySplit(), epochs=1, lr=0.1)
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_fine_tune_needs_samples(epochs):
+    client = FederatedClient(replace(population_splits(2)[0], train=_EmptySplit()))
+    params = init_params(population_spec(), 0)
+    with pytest.raises(InsufficientDataError, match="^fine_tune needs training samples$"):
+        client.fine_tune(params, epochs=epochs, lr=0.1)
 
 
 class _EmptySplit:

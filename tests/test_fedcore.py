@@ -125,6 +125,13 @@ def test_select_participants_ceil_rule():
     assert len(select_participants(ids, 0.5, 0, 1)) == 2
     assert len(select_participants(ids, 0.51, 0, 1)) == 3
     assert select_participants(ids, 1.0, 0, 1) == ["c0", "c1", "c2", "c3"]
+    assert len(select_participants(ids, 1e-12, 0, 1)) == 1
+    # P*N off an integer by float error only: 0.07 * 100 is 7.000000000000001
+    # and 0.29 * 100 is 28.999999999999996.
+    cases = [(0.07, 100, 7), (0.14, 50, 7), (0.28, 25, 7), (0.29, 100, 29), (0.071, 100, 8)]
+    for participation, n, count in cases:
+        ids = [f"c{i:03d}" for i in range(n)]
+        assert len(select_participants(ids, participation, 0, 1)) == count, (participation, n)
 
 
 def test_select_participants_deterministic_and_round_varying():
@@ -480,7 +487,7 @@ def test_server_api_never_accepts_raw_samples():
         fedcore._route,
         fedcore._routed_round,
         fedcore._per_client,
-        fedcore._all_client_val_loss,
+        fedcore._val_loss,
         fedcore.personalize,
         fedcore.run_training,
         fedcore.select_participants,

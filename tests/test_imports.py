@@ -4,7 +4,8 @@ name the traced benchmark wraps exists.
 Deletions tend to leave dead imports behind. The one reason to keep an
 unused import is that perfbench/tracer.py wraps the name as an attribute of
 that module; such an import carries ``# noqa: F401`` on its line, and the
-tracer must patch it there.
+tracer must patch it there. A module-level name kept only for the tracer is
+an assignment marked ``# perfbench/tracer.py wraps``, under the same rule.
 """
 
 import ast
@@ -31,6 +32,20 @@ def kept_imports(source: str) -> list[tuple[str, int]]:
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
         if "# noqa: F401" in lines[alias.lineno - 1]
+    ]
+
+
+def kept_assignments(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each name a top-level assignment marked
+    ``# perfbench/tracer.py wraps`` binds."""
+    lines = source.splitlines()
+    return [
+        (target.id, node.lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any("# perfbench/tracer.py wraps" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        for assigned in node.targets
+        for target in (assigned.elts if isinstance(assigned, ast.Tuple) else [assigned])
     ]
 
 
@@ -87,7 +102,8 @@ def test_tracer_patches_apply_and_restore():
 
 def test_kept_imports_are_names_the_tracer_patches_on_their_module():
     # A ``# noqa: F401`` import that the tracer does not wrap on its module
-    # is an unused import hidden from test_every_import_is_used.
+    # is an unused import hidden from test_every_import_is_used; a marked
+    # assignment the tracer does not wrap is a dead alias.
     tracing = load_tracer()
     tracer = tracing.Tracer()
     try:
@@ -99,7 +115,8 @@ def test_kept_imports_are_names_the_tracer_patches_on_their_module():
     unpatched = [
         f"{path.name}:{line} {name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for name, line in kept_imports(path.read_text(encoding="utf-8"))
+        for kept in (kept_imports, kept_assignments)
+        for name, line in kept(path.read_text(encoding="utf-8"))
         if (f"fedforecast.{path.stem}", name) not in patched
     ]
     assert unpatched == []
@@ -108,3 +125,13 @@ def test_kept_imports_are_names_the_tracer_patches_on_their_module():
 def test_kept_imports_lists_the_noqa_names():
     source = "import os  # noqa: F401\nfrom math import pi, tau  # noqa: F401\nimport sys\n"
     assert kept_imports(source) == [("os", 1), ("pi", 2), ("tau", 2)]
+
+
+def test_kept_assignments_lists_the_marked_names():
+    source = (
+        "a, b = f.a, f.b  # perfbench/tracer.py wraps\n"
+        "c = 1\n"
+        "d = (  # perfbench/tracer.py wraps\n    1\n)\n"
+        "def g():\n    e = 2  # perfbench/tracer.py wraps\n"
+    )
+    assert kept_assignments(source) == [("a", 1), ("b", 1), ("d", 3)]
