@@ -10,9 +10,10 @@ Samples live in stores. FederatedClient.fleet windows the clients and
 copies those of equal series length, so of equal split sizes, into one
 store as they are made: C x n x d inputs and C x n x h targets per split.
 Each handle's splits are views of its row; a lone FederatedClient(splits)
-is a store of one. _stacks hands a batch of handles to the kernels as
-stacks of equal sample counts: a view when the rows are consecutive rows of
-one store, one gather otherwise. STACK_BYTES bounds what a stack allocates,
+is a store of one. _stacks is the one place that makes handles into
+stacks: every kernel call, lockstep's included, gets a batch of handles as
+its stacks of equal sample counts, a view when the rows are consecutive
+rows of one store, one gather otherwise. STACK_BYTES bounds what a stack allocates,
 not its size: a gathered row costs its samples, and so does a row of a
 full-batch call, while a view trained in minibatches costs only the samples
 of a row one kernel step gathers, so a minibatch round's view is usually
@@ -32,8 +33,8 @@ call. _train_round's two callers:
   engine calls it once per round, and FederatedClient.local_update is its
   batch of one;
 * train_lockstep, the one isolated-training loop, behind train_local: it
-  stacks handles of equal sample counts through _rows, once and again only
-  after one leaves. The centralized baseline trains its pooled handle so.
+  takes the live handles' _stacks, once and again only after one leaves.
+  The centralized baseline trains its pooled handle so.
 
 Every per-client computation has one stacked path, a static batch method,
 and its per-handle method is that method's batch of one:
@@ -75,9 +76,10 @@ from . import cluster as _cluster
 from . import seeds as _seeds
 
 # Bytes of samples (inputs plus targets) one stack may allocate for: those
-# it copies, or those one step touches (see _stacks). A larger bucket runs as
-# several stacks, which bounds the copies, minibatches and activations a
-# call allocates at once.
+# it copies, or those one step touches (see _stacks, where every stack,
+# lockstep's included, is made). A larger bucket runs as several stacks,
+# which bounds the copies, minibatches and activations a call allocates at
+# once.
 STACK_BYTES = 1 << 20
 
 # Personalization halves a row's step size at most down to this.
@@ -290,10 +292,14 @@ def _stacks(handles, split: str, batch_size: int = 0):
     touches; in a bucket of consecutive store rows (a view) trained in
     minibatches of 0 < batch_size < n, only the batch_size samples one
     kernel step gathers. Yields (indices into handles, inputs, targets) per
-    stack."""
+    stack. A handle without samples of ``split`` raises
+    InsufficientDataError before any stack is yielded."""
     buckets: dict[int, list[int]] = {}
     for i, handle in enumerate(handles):
-        buckets.setdefault(getattr(handle, f"_{split}").n_samples, []).append(i)
+        n = getattr(handle, f"_{split}").n_samples
+        if n == 0:
+            raise InsufficientDataError(f"client {handle.client_id} has no {split} samples")
+        buckets.setdefault(n, []).append(i)
     for n, bucket in buckets.items():
         first = getattr(handles[bucket[0]], f"_{split}")
         touched = n
@@ -537,66 +543,55 @@ def train_local(
 
 def train_lockstep(handles, init: ModelParams, config: FLConfig):
     """Isolated training of one model per handle, each from init under its
-    own EarlyStop rule. Handles of equal (train, validation) sample counts
-    train in lockstep as one stack, row c of a stack being its handle c on
-    that handle's samples. The live rows of all stacks are one array, in
-    stack order, and each round is one _train_round over it. A handle leaves
-    its stack when it stops or fails, and only then is that stack gathered
-    again, from the handles left.
+    own EarlyStop rule. The live handles train in lockstep, row c of the
+    values being live handle c on its own samples: each round is one
+    _train_round over their train _stacks, then one stack_loss per val
+    stack. A handle leaves when it stops or fails, and only after such a
+    round are the stacks built again, from the handles left.
 
     Returns three dicts by client id: the final params and LocalTrace of
     each handle that trained to its end, and the NumericError of each one
     that failed.
     """
-    spec = init.spec
-    buckets: dict[tuple[int, int], list] = {}
-    for handle in handles:
-        buckets.setdefault((handle.n_train_samples, handle.n_val_samples), []).append(handle)
-    stacks = [(b, *_rows(b, "train"), *_rows(b, "val")) for b in buckets.values()]
-    values = np.tile(init.values, (len(handles), 1))
-    ids = [handle.client_id for handle in handles]
+    spec, live = init.spec, list(handles)
+    values = np.tile(init.values, (len(live), 1))
     stoppers = {
-        cid: EarlyStop(config.early_stop_patience, f"client {cid} validation loss") for cid in ids
+        h.client_id: EarlyStop(config.early_stop_patience, f"client {h.client_id} validation loss")
+        for h in live
     }
-    trace: dict[str, list[float]] = {cid: [] for cid in ids}
+    trace: dict[str, list[float]] = {h.client_id: [] for h in live}
     models: dict[str, ModelParams] = {}
     traces: dict[str, LocalTrace] = {}
     errors: dict[str, NumericError] = {}
+    stacks = list(_stacks(live, "train", config.batch_size)), list(_stacks(live, "val"))
     for round_index in range(1, config.rounds + 1):
-        ids, work = [], []  # the live rows, in stack order
-        for members, x, y, _, _ in stacks:
-            work.append((slice(len(ids), len(ids) + len(members)), x, y))
-            ids += [handle.client_id for handle in members]
-        new, _, failed = _train_round(values, work, spec, config, round_index, ids)
-        kept_stacks, kept_rows = [], []
-        for (part, _, _), stack in zip(work, stacks):
-            rows = new[part]
-            val = stack_loss(spec, rows, *stack[3:]).tolist()
-            keep = []
-            for i, cid in enumerate(ids[part]):
-                if part.start + i in failed:
-                    errors[cid] = failed[part.start + i]
-                    continue
-                try:
-                    stop = stoppers[cid].update(round_index, val[i])
-                except NumericError as exc:
-                    errors[cid] = exc
-                    continue
-                trace[cid].append(val[i])
-                if stop or round_index == config.rounds:
-                    models[cid] = ModelParams(spec, rows[i].copy())
-                    best_round = int(np.argmin(np.asarray(trace[cid]))) + 1
-                    traces[cid] = LocalTrace(tuple(trace[cid]), best_round)
-                else:
-                    keep.append(i)
-            if len(keep) == len(rows):
-                kept_stacks.append(stack)
-            elif keep:
-                kept = [stack[0][i] for i in keep]
-                kept_stacks.append((kept, *_rows(kept, "train"), *_rows(kept, "val")))
-            kept_rows += [part.start + i for i in keep]
-        if not kept_stacks:
+        ids = [h.client_id for h in live]
+        new, _, failed = _train_round(values, stacks[0], spec, config, round_index, ids)
+        val = np.empty(len(live))
+        for rows, x, y in stacks[1]:
+            val[rows] = stack_loss(spec, new[rows], x, y)
+        keep = []
+        for i, (cid, val_loss) in enumerate(zip(ids, val.tolist())):
+            if i in failed:
+                errors[cid] = failed[i]
+                continue
+            try:
+                stop = stoppers[cid].update(round_index, val_loss)
+            except NumericError as exc:
+                errors[cid] = exc
+                continue
+            trace[cid].append(val_loss)
+            if stop or round_index == config.rounds:
+                models[cid] = ModelParams(spec, new[i].copy())
+                best_round = int(np.argmin(np.asarray(trace[cid]))) + 1
+                traces[cid] = LocalTrace(tuple(trace[cid]), best_round)
+            else:
+                keep.append(i)
+        if not keep:
             break
-        stacks = kept_stacks
-        values = new if len(kept_rows) == len(new) else new[kept_rows]
+        if len(keep) < len(live):
+            live, values = [live[i] for i in keep], new[keep]
+            stacks = list(_stacks(live, "train", config.batch_size)), list(_stacks(live, "val"))
+        else:
+            values = new
     return models, traces, errors

@@ -2,16 +2,17 @@
 
 The server-side loop: deterministic participant selection, broadcast,
 sample-weighted FedAvg aggregation, per-round validation, early stopping,
-and exact communication metering. ``run_training`` picks the function
-that runs each round from the mode and the hc schedule. Every mode runs one
-routed round: the public round functions only pick the participants, and
-``_route`` gives each its model index (in ifca mode its lowest-loss model,
-else its assignment, model 0 before any clustering). ``run_round`` trains
-sampled participants (the FedAvg model, also the hc warm-up);
-``ifca_round`` broadcasts all k models to them; ``hc_clustering_round``
-trains every client, then regroups them with hc_partition over their
-weight deltas; ``hc_cluster_round`` trains sampled participants by that
-assignment, so each cluster trains independently.
+and exact communication metering. Every mode runs the same routed round,
+``run_round``: it draws the participants (every client in an hc clustering
+round), ``_route`` gives each its model index (in ifca mode its lowest-loss
+model, else its assignment, model 0 before any clustering) and
+``_routed_round`` trains them from it. So the FedAvg model (also the hc
+warm-up) trains sampled participants, ifca broadcasts all k models to them,
+and an hc cluster round trains each cluster independently. ``run_training``
+passes ``cluster.tau`` on the hc schedule's clustering rounds, where every
+client trains and hc_partition regroups them over their weight deltas. The
+names ``ifca_round``, ``hc_clustering_round`` and ``hc_cluster_round`` are
+one alias line of ``run_round``, kept for the traced benchmark.
 
 Privacy boundary: nothing in this module touches raw samples. Server
 functions consume client handles only through their narrow methods
@@ -242,42 +243,28 @@ def _client_map(clients) -> dict[str, object]:
     return by_id
 
 
-def _participants(by_id: Mapping[str, object], config: FLConfig, round_index: int):
-    return select_participants(list(by_id), config.participation, config.seed, round_index)
-
-
 def run_round(
-    state: ServerState, by_id: Mapping[str, object], config: FLConfig, round_index: int
+    state: ServerState,
+    by_id: Mapping[str, object],
+    config: FLConfig,
+    round_index: int,
+    regroup_tau: float | None = None,
 ) -> tuple[ServerState, RoundReport]:
-    """One global FedAvg round (also the hc warm-up round)."""
-    route = _route(state, by_id, _participants(by_id, config, round_index))
-    return _routed_round(state, by_id, route, config, round_index)
+    """One routed FedAvg round of every mode. Its participants are drawn by
+    select_participants, or, when ``regroup_tau`` is given (an hc
+    clustering round), are every client, so the new assignment is a total
+    map."""
+    if regroup_tau is None:
+        ids = select_participants(list(by_id), config.participation, config.seed, round_index)
+    else:
+        ids = sorted(by_id)
+    route = _route(state, by_id, ids)
+    return _routed_round(state, by_id, route, config, round_index, regroup_tau)
 
 
-def ifca_round(
-    state: ServerState, by_id: Mapping[str, object], config: FLConfig, round_index: int
-) -> tuple[ServerState, RoundReport]:
-    """One iterative cluster-self-selection round: each participant trains
-    from, and reports to, the model with its lowest own-train loss."""
-    route = _route(state, by_id, _participants(by_id, config, round_index))
-    return _routed_round(state, by_id, route, config, round_index)
-
-
-def hc_clustering_round(
-    state: ServerState, by_id: Mapping[str, object], config: FLConfig, tau: float, round_index: int
-) -> tuple[ServerState, RoundReport]:
-    """The (re)clustering round: every client participates, with no
-    participation draw, so the new assignment is a total map."""
-    route = _route(state, by_id, sorted(by_id))
-    return _routed_round(state, by_id, route, config, round_index, regroup_tau=tau)
-
-
-def hc_cluster_round(
-    state: ServerState, by_id: Mapping[str, object], config: FLConfig, round_index: int
-) -> tuple[ServerState, RoundReport]:
-    """Post-clustering hc round: independent FedAvg inside each cluster."""
-    route = _route(state, by_id, _participants(by_id, config, round_index))
-    return _routed_round(state, by_id, route, config, round_index)
+# Names only for the traced benchmark, which wraps them on this module;
+# run_training calls run_round.
+ifca_round = hc_clustering_round = hc_cluster_round = run_round  # perfbench/tracer.py wraps
 
 
 def _routed_round(
@@ -423,15 +410,11 @@ def run_training(
     for round_index in range(1, config.rounds + 1):
         # hc: warm-up rounds, then a clustering round, repeated every recluster_every (0: never).
         since, every = round_index - cluster.warmup - 1, cluster.recluster_every
+        regroup = mode == "hc" and (since == 0 or (since > 0 and every > 0 and since % every == 0))
         try:
-            if mode == "ifca":
-                state, report = ifca_round(state, by_id, config, round_index)
-            elif mode == "global" or since < 0:
-                state, report = run_round(state, by_id, config, round_index)
-            elif since == 0 or (every > 0 and since % every == 0):
-                state, report = hc_clustering_round(state, by_id, config, cluster.tau, round_index)
-            else:
-                state, report = hc_cluster_round(state, by_id, config, round_index)
+            state, report = run_round(
+                state, by_id, config, round_index, cluster.tau if regroup else None
+            )
         except NumericError as exc:
             raise NumericError(f"round {round_index}: {exc}") from None
         stop = stopper.update(round_index, report.val_loss) or round_index == config.rounds

@@ -188,6 +188,35 @@ class _EmptySplit:
     n_samples = 0
 
 
+# The split each client computation reads; lockstep reads both.
+READS = {
+    "local_update": ("train",),
+    "val_loss": ("val",),
+    "choose_cluster": ("train",),
+    "train_local": ("train", "val"),
+}
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("method", list(READS))
+def test_an_empty_split_is_insufficient_data(split, method):
+    splits = population_splits(2)[0]
+    client = FederatedClient(replace(splits, **{split: _EmptySplit()}))
+    params = init_params(population_spec(), 0)
+    calls = {
+        "local_update": lambda: client.local_update(params, config(), 1),
+        "val_loss": lambda: client.val_loss(params),
+        "choose_cluster": lambda: client.choose_cluster([params]),
+        "train_local": lambda: train_local([client], params, config(rounds=2)),
+    }
+    if split not in READS[method]:
+        calls[method]()
+        return
+    message = f"^client {splits.client_id} has no {split} samples$"
+    with pytest.raises(InsufficientDataError, match=message):
+        calls[method]()
+
+
 # -------------------------------------------------------------- local runs
 
 
@@ -350,28 +379,24 @@ def test_lockstep_train_local_equals_one_client_at_a_time(
 @pytest.mark.parametrize("patience", [0, 2], ids=lambda p: f"patience{p}")
 def test_lockstep_gathers_a_stack_again_only_after_a_handle_left(staggered, monkeypatch, patience):
     gathered = []
-    rows = clients_module._rows
+    stacks = clients_module._stacks
 
-    def recorded(handles, split):
+    def recorded(handles, split, *args):
         gathered.append((tuple(h.client_id for h in handles), split))
-        return rows(handles, split)
+        return stacks(handles, split, *args)
 
-    monkeypatch.setattr(clients_module, "_rows", recorded)
+    monkeypatch.setattr(clients_module, "_stacks", recorded)
     cfg = matrix_config("momentum", 16, "dp-off", 1, patience)
     _, traces = train_local(staggered, init_params(matrix_spec("mlp"), 1), cfg)
-    buckets: dict[tuple, list[str]] = {}
-    for c in staggered:
-        buckets.setdefault((c.n_train_samples, c.n_val_samples), []).append(c.client_id)
-    # Every stack before round 1, then after round r each stack that lost a
-    # handle and still has some, from the handles left.
-    stacks = [tuple(bucket) for bucket in buckets.values()]
+    # The stacks of every handle before round 1, then after round r those of
+    # the handles left, when some left in round r and some are left.
+    lives = [tuple(c.client_id for c in staggered)]
     for r in range(1, cfg.rounds):
-        for bucket in buckets.values():
-            left = tuple(cid for cid in bucket if len(traces[cid].val_losses) > r)
-            if 0 < len(left) < sum(len(traces[cid].val_losses) >= r for cid in bucket):
-                stacks.append(left)
-    assert gathered == [(ids, split) for ids in stacks for split in ("train", "val")]
-    assert (len(stacks) > len(buckets)) == (patience > 0)
+        left = tuple(cid for cid in lives[0] if len(traces[cid].val_losses) > r)
+        if 0 < len(left) < sum(len(traces[cid].val_losses) >= r for cid in lives[0]):
+            lives.append(left)
+    assert gathered == [(ids, split) for ids in lives for split in ("train", "val")]
+    assert (len(lives) > 1) == (patience > 0)
 
 
 def test_train_local_privatizes_all_stacks_of_a_round_in_one_call(staggered, monkeypatch):
@@ -524,24 +549,37 @@ STORE_ORDERS = {
 }
 
 
+@pytest.mark.parametrize("trainer", ["run_training", "train_local"])
 @pytest.mark.parametrize("order", list(STORE_ORDERS))
 @pytest.mark.parametrize("batch_size", [0, 8], ids=["full", "minibatch"])
-def test_a_round_is_budgeted_by_what_its_stacks_allocate(monkeypatch, order, batch_size):
+def test_a_round_is_budgeted_by_what_its_stacks_allocate(monkeypatch, order, batch_size, trainer):
     # A view trained in minibatches costs only the minibatch samples of each
     # row, so all twelve rows fit in two rows' bytes; a gather copies whole
     # rows, and a full-batch step touches them, so those take two per stack.
+    # An engine round and a lockstep round stack alike.
     datasets = generate_population(PopulationSpec(n_clients=12, archetypes=3, days=5, seed=8))
     handles = FederatedClient.fleet([datasets[i] for i in STORE_ORDERS[order]], LAG, HORIZON)
     assert 12 * 8 <= 2 * handles[0].n_train_samples
     two_rows_of_bytes(monkeypatch, handles[0])
     sizes = recorded_stack_sizes(monkeypatch, clients_module, "run_epochs", 0)
-    checked = check_rounds_against_reference(monkeypatch)
     cfg = replace(matrix_config("momentum", batch_size, "clip-noise", 2), rounds=2)
-    run_training(handles, matrix_spec("mlp"), cfg)
-    assert checked == [1, 2]
-    # Per round: the batched round's stacks, then the reference's twelve calls.
     batched = [12] if order == "views" and batch_size else [2] * 6
-    assert sizes == (batched + [1] * 12) * 2
+    if trainer == "run_training":
+        checked = check_rounds_against_reference(monkeypatch)
+        run_training(handles, matrix_spec("mlp"), cfg)
+        assert checked == [1, 2]
+        # Per round: the batched round's stacks, then the reference's twelve calls.
+        assert sizes == (batched + [1] * 12) * 2
+        return
+    # In id order, as the engine takes them: a view only in the views order.
+    in_order = sorted(handles, key=lambda h: h.client_id)
+    init = init_params(matrix_spec("mlp"), 1)
+    models, traces = train_local(in_order, init, cfg)
+    assert sizes == batched * 2
+    for client in in_order:
+        want_params, want_trace = reference_train_local(client, init, cfg)
+        assert np.array_equal(models[client.client_id].values, want_params.values)
+        assert traces[client.client_id] == want_trace
 
 
 @pytest.mark.parametrize("method", ["val_loss_batch", "fine_tune_batch", "choose_cluster_batch"])

@@ -197,26 +197,27 @@ def test_ifca_empty_cluster_retains_initial_params():
     "mode, recluster_every, schedule",
     [
         ("global", 0, "rrrrrrr"),
-        ("ifca", 2, "iiiiiii"),
-        ("hc", 0, "rrCcccc"),
-        ("hc", 2, "rrCcCcC"),
-        ("hc", 3, "rrCccCc"),
+        ("ifca", 2, "rrrrrrr"),
+        ("hc", 0, "rrCrrrr"),
+        ("hc", 2, "rrCrCrC"),
+        ("hc", 3, "rrCrrCr"),
     ],
 )
 def test_run_training_picks_each_round_function(monkeypatch, mode, recluster_every, schedule):
-    # r: run_round, i: ifca_round, C: hc_clustering_round, c: hc_cluster_round;
-    # hc warms up for 2 rounds. Each is called through the module, where
-    # a tracer can wrap it.
-    called = []
-    names = ("run_round", "ifca_round", "hc_clustering_round", "hc_cluster_round")
-    for letter, name in zip("riCc", names):
-        def record(*args, _letter=letter, _fn=getattr(fedcore, name)):
-            called.append(_letter)
-            return _fn(*args)
-
-        monkeypatch.setattr(fedcore, name, record)
-    clients = population_clients(n_clients=4, days=7, seed=2)
+    # r: a run_round without regroup_tau, C: one with regroup_tau=cluster.tau
+    # (a clustering round); hc warms up for 2 rounds. Each round is called
+    # through the module, where a tracer can wrap it.
     cluster = ClusterConfig(mode=mode, tau=0.5, warmup=2, k=2, recluster_every=recluster_every)
+    called = []
+    run_round = fedcore.run_round
+
+    def record(state, by_id, config, round_index, regroup_tau=None):
+        assert regroup_tau in (None, cluster.tau)
+        called.append("r" if regroup_tau is None else "C")
+        return run_round(state, by_id, config, round_index, regroup_tau)
+
+    monkeypatch.setattr(fedcore, "run_round", record)
+    clients = population_clients(n_clients=4, days=7, seed=2)
     run_training(clients, population_spec(), sgd_config(rounds=7), mode, cluster)
     assert "".join(called) == schedule
 
@@ -481,9 +482,6 @@ def test_server_api_never_accepts_raw_samples():
     server_entry_points = [
         fedcore.fedavg_aggregate,
         fedcore.run_round,
-        fedcore.ifca_round,
-        fedcore.hc_clustering_round,
-        fedcore.hc_cluster_round,
         fedcore._route,
         fedcore._routed_round,
         fedcore._per_client,
