@@ -60,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run all requested methods")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
+    p.add_argument("--seeds", default=None, help="comma-separated distinct seeds")
 
     p = sub.add_parser("sweep", help="vary one config parameter over a grid")
     p.add_argument("--config", required=True)
     p.add_argument("--param", required=True, help="dotted config path, e.g. dp.sigma")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, help="comma-separated distinct values")
     return parser
 
 
@@ -114,7 +114,15 @@ def _parse_seeds(text: str | None, fallback: int) -> list[int]:
             raise ConfigError(f"--seeds entry {part!r} is not an integer") from None
     if not seeds:
         raise ConfigError("--seeds provided but empty")
-    return seeds
+    return _unique("--seeds", seeds)
+
+
+def _unique(flag: str, entries: list) -> list:
+    """entries, when none repeats: a repeat would run and write twice."""
+    for i, entry in enumerate(entries):
+        if entry in entries[:i]:
+            raise ConfigError(f"{flag} entry {entry!r} is repeated")
+    return entries
 
 
 def _write_comparison_csv(
@@ -191,6 +199,7 @@ def _cmd_sweep(args) -> int:
         base_scenario.output_dir, f"sweep_{args.param.replace('.', '_')}"
     )
     point_dirs = [_point_dir(sweep_dir, literal) for literal in literals]
+    _unique("--values", literals)
     values = [_sweep_value(literal) for literal in literals]
     scenarios = [scenario_from_tree(_override_tree(base_tree, args.param, v)) for v in values]
     tables, source, datasets = [], None, None

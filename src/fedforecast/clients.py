@@ -6,9 +6,10 @@ sample counts through the FederatedClient handle. A local update runs the
 configured epochs of (mini-)batch optimization from the broadcast params,
 applies update-level DP when enabled, and ships back new params.
 
-Samples live in stores. FederatedClient.fleet windows the clients and
-copies those of equal series length, so of equal split sizes, into one
-store as they are made: C x n x d inputs and C x n x h targets per split.
+Samples live in stores. FederatedClient.fleet windows the clients, each
+under its own scalers, and copies those of equal series length, so of equal
+split sizes, into one store as they are made: C x n x d inputs and
+C x n x h targets per split. It is the one fleet of a comparison.
 Each handle's splits are views of its row; a lone FederatedClient(splits)
 is a store of one. _stacks is the one place that makes handles into
 stacks: every kernel call, lockstep's included, gets a batch of handles as
@@ -17,8 +18,8 @@ rows of one store, one gather otherwise. STACK_BYTES bounds what a stack allocat
 not its size: a gathered row costs its samples, and so does a row of a
 full-batch call, while a view trained in minibatches costs only the samples
 of a row one kernel step gathers, so a minibatch round's view is usually
-one stack. FederatedClient.pooled is one handle over all clients' samples,
-the same way.
+one stack. FederatedClient.pooled is one handle over the fleet's samples,
+a view of one store or one copy.
 
 run_epochs is the one training kernel. It steps a stack of models, each on
 its own samples, into arrays it allocates once per call: a gather buffer
@@ -34,7 +35,8 @@ call. _train_round's two callers:
   batch of one;
 * train_lockstep, the one isolated-training loop, behind train_local: it
   takes the live handles' _stacks, once and again only after one leaves.
-  The centralized baseline trains its pooled handle so.
+  The local_only baseline trains the fleet so, and the centralized
+  baseline one pooled handle over it.
 
 Every per-client computation has one stacked path, a static batch method,
 and its per-handle method is that method's batch of one:
@@ -52,11 +54,11 @@ happens, so one epoch is exactly one full-batch gradient step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import ClientDataset, ClientSplits, Scaler, prepare_client
+from .data import ClientDataset, ClientSplits, prepare_client
 from .errors import InsufficientDataError, NumericError
 from .fedcore import ClientUpdate, EarlyStop, FLConfig
 from .model import (
@@ -339,16 +341,10 @@ class FederatedClient:
         self._value_scaler = splits.value_scaler
 
     @classmethod
-    def fleet(
-        cls,
-        datasets: Sequence[ClientDataset],
-        lag: int,
-        horizon: int,
-        value_scaler: Scaler | None = None,
-        covariate_scalers: Mapping[str, Scaler] | None = None,
-    ) -> list:
+    def fleet(cls, datasets: Sequence[ClientDataset], lag: int, horizon: int) -> list:
         """One handle per dataset, in order, over prepare_client(dataset,
-        lag, horizon, value_scaler, covariate_scalers). Series of equal
+        lag, horizon): each client's samples scaled by its own scalers. This
+        is the one fleet every method trains and scores. Series of equal
         length give equal split sizes, so their clients share one store,
         rows in order. Each client's samples are copied into its row as soon
         as they are made, so they are held once, in the store."""
@@ -359,7 +355,7 @@ class FederatedClient:
         for members in groups.values():
             store = None
             for row, i in enumerate(members):
-                splits = prepare_client(datasets[i], lag, horizon, value_scaler, covariate_scalers)
+                splits = prepare_client(datasets[i], lag, horizon)
                 if store is None:
                     store = {
                         name: tuple(np.empty((len(members), *a.shape)) for a in _arrays(splits, name))
@@ -374,9 +370,10 @@ class FederatedClient:
     @classmethod
     def pooled(cls, handles, client_id: str):
         """One handle, ``client_id``, whose train and val samples are those
-        of every handle concatenated in order (the centralized baseline's
-        samples), in a one-row store of its own: a view when the handles are
-        consecutive rows of one store, else one copy. It has no test split."""
+        of every handle concatenated in order, each as its own client scaled
+        it (the centralized baseline's samples), in a one-row store of its
+        own: a view when the handles are consecutive rows of one store, else
+        one copy. It has no test split: the handles score its model."""
         part, pooled = _consecutive(handles), cls.__new__(cls)
         pooled.client_id, pooled._store, pooled._row = client_id, {}, 0
         for split in ("train", "val"):

@@ -252,8 +252,9 @@ def prepare_client(
     """Scale, window, and split one client's series.
 
     Scalers default to statistics of the raw prefix covered by training
-    samples; passing explicit scalers is how the pooled/centralized path
-    shares statistics. Validation/test values never influence the fit.
+    samples; explicit scalers replace that fit, for a caller that shares
+    statistics across clients. Validation/test values never influence the
+    fit.
     """
     try:
         prefix = train_raw_length(len(dataset.series), lag, horizon)

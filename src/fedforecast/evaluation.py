@@ -2,18 +2,23 @@
 harness.
 
 The harness trains each requested method on identical chronological splits
-and evaluates on denormalized kW test values:
+of one fleet of client handles, and every method scores those clients on
+their denormalized kW test values:
 
 * ``local_only``: every client trains alone (same schedule, zero bytes);
-* ``centralized``: one model on the pooled samples under a pooled scaler,
-  trained by ``train_local`` as one pooled client handle, without DP;
+* ``centralized``: the pooled-data reference, one model on every client's
+  own scaled samples, trained by ``train_local`` as one pooled client
+  handle and scored by every client. In the identity regime (full
+  participation, one full-batch epoch) it equals fedavg; outside it, its gap
+  to fedavg measures client drift;
 * ``fedavg`` / ``hc`` / ``ifca``: the federated engine in the matching mode;
 * ``*_personalized``: the base method's models fine-tuned per client.
 
-Each base method is trained once into one record (models, scored clients,
-trace rows, rounds to best validation, engine result), which its
-personalized variant shares; that is safe because runs are pure functions
-of (config, seed). Rows are byte-deterministic in the scenario seed.
+The two isolated baselines send no bytes, so they train without DP.
+Each base method is trained once into one record (models, trace rows,
+rounds to best validation, engine result), which its personalized variant
+shares; that is safe because runs are pure functions of (config, seed).
+Rows are byte-deterministic in the scenario seed.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from .clients import FederatedClient, train_local
 from .clients import run_epochs  # noqa: F401  (perfbench/tracer.py wraps evaluation.run_epochs)
 from .config import METHODS, ScenarioConfig
-from .data import ClientDataset, fit_scaler, train_raw_length
+from .data import ClientDataset
 from .data import prepare_client  # noqa: F401  (perfbench/tracer.py wraps evaluation.prepare_client)
 from .errors import AlignmentError, ConfigError, InsufficientDataError, ShapeError
 from .fedcore import RunResult, _client_map, _weighted_val_loss, personalize, round_csv_rows, run_training
@@ -173,7 +178,6 @@ class _Trained:
     """One trained base method, which its personalized variant shares."""
 
     models: Mapping[str, ModelParams]  # by client id
-    eval_clients: Sequence[FederatedClient]  # whose test forecasts are scored
     trace_rows: list
     rounds_to_best_val: float
     result: RunResult | None  # the engine's run; None when no bytes were sent
@@ -186,10 +190,10 @@ class _Harness:
         if not datasets:
             raise ConfigError("run_methods needs at least one client")
         self.scenario = scenario
-        self.datasets = sorted(datasets, key=lambda d: d.client_id)
-        _client_map(self.datasets)  # the engine's duplicate-id check, for every method
-        names = sorted(self.datasets[0].covariates)
-        for ds in self.datasets:
+        datasets = sorted(datasets, key=lambda d: d.client_id)
+        _client_map(datasets)  # the engine's duplicate-id check, for every method
+        names = sorted(datasets[0].covariates)
+        for ds in datasets:
             if sorted(ds.covariates) != names:
                 raise ShapeError(
                     f"client {ds.client_id} covariates differ; the federation "
@@ -198,7 +202,7 @@ class _Harness:
         m = scenario.model
         self.spec = m.spec(len(names))
         self.fl = scenario.fl
-        self.clients = FederatedClient.fleet(self.datasets, m.lag, m.horizon)
+        self.clients = FederatedClient.fleet(datasets, m.lag, m.horizon)
         self.n_train_total = sum(c.n_train_samples for c in self.clients)
         self._trained: dict[str, _Trained] = {}
 
@@ -207,8 +211,8 @@ class _Harness:
     def trained(self, base: str) -> _Trained:
         """The record of a base method, trained on first use."""
         if base not in self._trained:
-            build = {"local_only": self._local_only, "centralized": self._centralized}
-            self._trained[base] = build.get(base, self._federated)(base)
+            build = self._federated if METHODS[base] else self._isolated
+            self._trained[base] = build(base)
         return self._trained[base]
 
     def _init(self) -> ModelParams:
@@ -229,45 +233,27 @@ class _Harness:
             c.client_id: result.models[result.assignment.get(c.client_id, 0)] for c in self.clients
         }
         rows = round_csv_rows(result)
-        return _Trained(models, self.clients, rows, float(result.rounds_to_best_val), result)
+        return _Trained(models, rows, float(result.rounds_to_best_val), result)
 
-    def _local_only(self, base: str) -> _Trained:
-        models, traces = train_local(self.clients, self._init(), self.fl)
-        val_weights = {c.client_id: c.n_val_samples for c in self.clients}
+    def _isolated(self, base: str) -> _Trained:
+        """local_only trains each client alone; centralized trains one model
+        on every client's train samples pooled, each scaled by its own
+        client's scalers, and every client scores that model. Neither sends
+        a byte, so DP does not apply."""
+        pooled = base == "centralized"
+        handles = [FederatedClient.pooled(self.clients, base)] if pooled else self.clients
+        models, traces = train_local(handles, self._init(), replace(self.fl, dp=None))
+        if pooled:
+            models = dict.fromkeys((c.client_id for c in self.clients), models[base])
         rows = []
         for r in range(max(len(t.val_losses) for t in traces.values())):
-            active = [cid for cid in sorted(traces) if r < len(traces[cid].val_losses)]
-            pairs = [(traces[cid].val_losses[r], val_weights[cid]) for cid in active]
-            rows.append([r + 1, _weighted_val_loss(pairs), 0, 0, len(active), 0])
-        weights = {c.client_id: c.n_train_samples for c in self.clients}
-        best = sum(traces[cid].best_round * weights[cid] for cid in traces)
-        return _Trained(models, self.clients, rows, float(best / sum(weights.values())), None)
-
-    def _centralized(self, base: str) -> _Trained:
-        """One model on every client's samples, each client's split scaled
-        by scalers fit on the pooled train prefixes; DP is not applied."""
-        lag, horizon = self.scenario.model.lag, self.scenario.model.horizon
-        prefixes = [train_raw_length(len(ds.series), lag, horizon) for ds in self.datasets]
-
-        def pooled_scaler(columns):
-            return fit_scaler(np.concatenate([c[:p] for c, p in zip(columns, prefixes)]))
-
-        value_scaler = pooled_scaler([ds.series.values for ds in self.datasets])
-        cov_scalers = {
-            name: pooled_scaler([ds.covariates[name] for ds in self.datasets])
-            for name in sorted(self.datasets[0].covariates)
-        }
-        clients = FederatedClient.fleet(self.datasets, lag, horizon, value_scaler, cov_scalers)
-        pooled = FederatedClient.pooled(clients, base)
-        models, traces = train_local([pooled], self._init(), replace(self.fl, dp=None))
-        trace = traces[base]
-        return _Trained(
-            dict.fromkeys((ds.client_id for ds in self.datasets), models[base]),
-            clients,
-            [[i + 1, v, 0, 0, 1, 0] for i, v in enumerate(trace.val_losses)],
-            float(trace.best_round),
-            None,
-        )
+            active = [h for h in handles if r < len(traces[h.client_id].val_losses)]
+            pairs = [(traces[h.client_id].val_losses[r], h.n_val_samples) for h in active]
+            # The pooled trace is its own row: (v * n) / n is not always v.
+            val = pairs[0][0] if pooled else _weighted_val_loss(pairs)
+            rows.append([r + 1, val, 0, 0, len(active), 0])
+        best = sum(traces[h.client_id].best_round * h.n_train_samples for h in handles)
+        return _Trained(models, rows, float(best / sum(h.n_train_samples for h in handles)), None)
 
     def models_for(self, method: str) -> dict[str, ModelParams]:
         models = dict(self.trained(_base_method(method)).models)
@@ -279,15 +265,12 @@ class _Harness:
 
     # ---- evaluation --------------------------------------------------------
 
-    def eval_clients(self, method: str) -> Sequence[FederatedClient]:
-        return self.trained(_base_method(method)).eval_clients
-
     def outcome(self, method: str) -> MethodOutcome:
         models = self.models_for(method)
         trained = self.trained(_base_method(method))
         per_client: dict[str, Metrics] = {}
         feeders: dict[str, list[tuple]] = {}  # members' (pred, actual, stamps), in id order
-        for client in trained.eval_clients:
+        for client in self.clients:
             pred, actual, ts = client.test_forecast(models[client.client_id])
             per_client[client.client_id] = compute_metrics(pred, actual)
             feeders.setdefault(client.feeder_id, []).append((pred, actual, ts))

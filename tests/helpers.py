@@ -366,8 +366,9 @@ def reference_train_local(client, init, config):
 def reference_centralized(clients, spec, config):
     """The centralized baseline's own round loop, which the harness ran
     before centralized trained through ``clients.train_lockstep``: the
-    kernel on a stack of one over the samples of ``clients`` (the pooled
-    handles), validated with ``loss`` under an EarlyStop rule, without DP.
+    kernel on a stack of one over the samples of ``clients`` concatenated
+    (the harness's own handles, each scaled by its own client's scalers),
+    validated with ``loss`` under an EarlyStop rule, without DP.
     Returns (params, val trace)."""
     train_x = np.concatenate([c._train.inputs for c in clients])
     train_y = np.concatenate([c._train.targets for c in clients])

@@ -194,6 +194,13 @@ def test_compare_multiple_seeds_in_given_order(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["5", "5", "2", "2"]
 
 
+def test_compare_rejects_a_repeated_seed_before_any_run(tmp_path, capsys):
+    config, out_dir = write_config(tmp_path)
+    assert execute(["compare", "--config", config, "--seeds", "3,4,03"]) == 1
+    assert capsys.readouterr().err == "error: --seeds entry 3 is repeated\n"
+    assert not out_dir.exists()
+
+
 def test_compare_rerun_byte_identical(tmp_path):
     config, out_dir = write_config(tmp_path)
     argv = ["compare", "--config", config, "--seeds", "4,9"]
@@ -288,8 +295,9 @@ def test_sweep_invalid_value_exits_one(tmp_path, capsys):
     [
         ("dp.sigma", "0.1,[1", "error: --values entry '[1' is not valid YAML: "),
         ("fl.rounds", "2,0", "error: fl.rounds: must be >= 1, got 0"),
+        ("fl.rounds", "2,3, 2", "error: --values entry '2' is repeated\n"),
     ],
-    ids=["not-yaml", "breaks-a-rule"],
+    ids=["not-yaml", "breaks-a-rule", "repeated"],
 )
 def test_sweep_rejects_a_bad_value_before_any_point(tmp_path, capsys, param, values, message):
     config, out_dir = write_config(tmp_path)

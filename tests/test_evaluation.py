@@ -124,6 +124,46 @@ def test_centralized_pools_all_training_samples(tmp_path):
     assert local.bytes_up == local.bytes_down == 0
 
 
+MIXED = {"fixed_load": 0.4, "pv": 0.2, "hvac": 0.2, "ev_charger": 0.1, "battery": 0.1}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_centralized_equals_fedavg_in_the_identity_regime(tmp_path, seed):
+    # Full participation and one full-batch SGD epoch make a FedAvg round a
+    # pooled gradient step over the clients' own samples, which is what the
+    # pooled-data reference takes.
+    sc = scenario(
+        tmp_path,
+        seed=seed,
+        population={"n_clients": 6, "archetypes": 3, "days": 10, "seed": seed, "der_mix": MIXED},
+        fl={"rounds": 6, "participation": 1.0, "batch_size": 0, "local_epochs": 1,
+            "early_stop_patience": 0, "optimizer": {"kind": "sgd", "lr": 0.05}},
+        methods=["centralized", "fedavg"],
+    )
+    harness = _Harness(load_datasets(sc), sc)
+    assert {c.der_class for c in harness.clients} != {"fixed_load"}
+    central, fedavg = (harness.trained(m).models for m in ("centralized", "fedavg"))
+    for cid, model in central.items():
+        want = fedavg[cid].values
+        assert np.linalg.norm(model.values - want) <= 1e-12 * np.linalg.norm(want)
+    maes = [harness.outcome(m).row.mean.mae for m in ("centralized", "fedavg")]
+    assert maes[0] == pytest.approx(maes[1], rel=1e-12)
+
+
+def test_local_only_is_bitwise_the_same_with_dp_set(tmp_path):
+    # Local models never leave their client, so DP has nothing to protect.
+    runs = []
+    for dp in (None, {"clip_norm": 0.5, "sigma": 0.2}):
+        sc = scenario(tmp_path, methods=["local_only"], **({"dp": dp} if dp else {}))
+        harness = _Harness(load_datasets(sc), sc)
+        trained = harness.trained("local_only")
+        models = {cid: m.values.tobytes() for cid, m in trained.models.items()}
+        runs.append((models, repr(trained.trace_rows), harness.outcome("local_only").row))
+    assert runs[1][0].keys() == {c.client_id for c in harness.clients}
+    assert sc.fl.dp is not None
+    assert runs[0] == runs[1]
+
+
 def test_fl_rows_meter_bytes(tmp_path):
     sc = scenario(tmp_path, methods=["fedavg", "ifca"])
     outcomes = run_methods(load_datasets(sc), sc)
@@ -260,7 +300,7 @@ def feeder_oracle(harness, method):
     actual), in feeder order."""
     models = harness.models_for(method)
     sums = {}
-    for client in harness.eval_clients(method):
+    for client in harness.clients:
         pred, actual, _ = client.test_forecast(models[client.client_id])
         total = sums.setdefault(client.feeder_id, [0.0, 0.0])
         total[0] = total[0] + pred
@@ -323,7 +363,7 @@ def shared_feeder_oracle(harness, method):
     members share none."""
     models = harness.models_for(method)
     members = {}
-    for client in harness.eval_clients(method):
+    for client in harness.clients:
         members.setdefault(client.feeder_id, []).append(
             client.test_forecast(models[client.client_id])
         )
@@ -348,7 +388,7 @@ def test_staggered_ingested_meters_score_the_feeder_on_shared_hours(tmp_path, me
     datasets, sc = ingest(tmp_path, meters, [method])
     harness = _Harness(datasets, sc)
     windows = [c.test_forecast(harness.models_for(method)[c.client_id])[2]
-               for c in harness.eval_clients(method)]
+               for c in harness.clients]
     assert len({w.size for w in windows}) > 1  # the test windows differ
     (feeder,) = shared_feeder_oracle(harness, method)
     assert harness.outcome(method).row.feeder == feeder
@@ -399,10 +439,23 @@ def test_centralized_over_several_stores_equals_its_own_round_loop(tmp_path):
     sc = replace(sc, fl=replace(sc.fl, rounds=12, batch_size=16, early_stop_patience=2))
     harness = _Harness(datasets, sc)
     trained = harness.trained("centralized")
-    assert len({id(c._store) for c in trained.eval_clients}) == 3
-    params, trace = reference_centralized(trained.eval_clients, harness.spec, sc.fl)
+    assert len({id(c._store) for c in harness.clients}) == 3
+    params, trace = reference_centralized(harness.clients, harness.spec, sc.fl)
     assert all(m.values.tobytes() == params.values.tobytes() for m in trained.models.values())
     assert repr([row[1] for row in trained.trace_rows]) == repr(trace)
+
+
+def test_centralized_rows_are_its_pooled_trace_to_the_bit(tmp_path):
+    # At horizon 3 some of this trace's losses v have (v * n) / n != v, so
+    # weighting the one pooled handle's loss by its n would move their rows.
+    sc = scenario(tmp_path, seed=0, model={"kind": "linear", "lag": 8, "horizon": 3},
+                  fl={"rounds": 10, "optimizer": {"kind": "sgd", "lr": 0.05}},
+                  methods=["centralized"])
+    harness = _Harness(load_datasets(sc), sc)
+    params, trace = reference_centralized(harness.clients, harness.spec, sc.fl)
+    n = sum(c.n_val_samples for c in harness.clients)
+    assert any((v * n) / n != v for v in trace)
+    assert repr([row[1] for row in harness.trained("centralized").trace_rows]) == repr(trace)
 
 
 def test_ingested_constant_and_all_zero_meters_compare(tmp_path):

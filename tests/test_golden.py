@@ -54,7 +54,6 @@ SCENARIOS = {
     "mlp": {"model": {"kind": "mlp", "hidden": 4}},
     "dp": {"dp": {"clip_norm": 0.5, "sigma": 0.2}},
     "participation": {"fl": {"participation": 0.5}},
-    # The default sgd lr 0.1 makes centralized diverge on minibatches.
     "minibatch": {
         "fl": {
             "batch_size": 16,
@@ -188,7 +187,7 @@ def test_centralized_equals_its_own_round_loop(name):
     scenario = scenario_from_tree(scenario_tree(name))
     harness = _Harness(load_datasets(scenario), scenario)
     trained = harness.trained("centralized")
-    params, trace = reference_centralized(trained.eval_clients, harness.spec, scenario.fl)
+    params, trace = reference_centralized(harness.clients, harness.spec, scenario.fl)
     assert all(m.values.tobytes() == params.values.tobytes() for m in trained.models.values())
     assert repr([row[1] for row in trained.trace_rows]) == repr(trace)
     assert trained.rounds_to_best_val == float(np.argmin(trace) + 1)
