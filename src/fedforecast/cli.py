@@ -133,11 +133,21 @@ def _write_comparison_csv(
     write_text(path, to_csv_text(names + COMPARISON_CSV_HEADER, rows))
 
 
+def _with_datasets(scenarios):
+    """Each scenario with its datasets, loaded again only when its
+    population or ingest differs from the previous scenario's."""
+    source = datasets = None
+    for scenario in scenarios:
+        if (scenario.population, scenario.ingest) != source:
+            source, datasets = (scenario.population, scenario.ingest), load_datasets(scenario)
+        yield scenario, datasets
+
+
 def _comparison_files(scenario: ScenarioConfig, seeds: list[int], out_dir: str) -> None:
-    tables = []
-    for seed in seeds:
-        sc = with_seed(scenario, seed)
-        tables.append(([seed], run_comparison(load_datasets(sc), sc)))
+    scenarios = [with_seed(scenario, seed) for seed in seeds]
+    tables = [
+        ([sc.seed], run_comparison(datasets, sc)) for sc, datasets in _with_datasets(scenarios)
+    ]
     _write_comparison_csv(os.path.join(out_dir, "comparison.csv"), ["seed"], tables)
     write_text(
         os.path.join(out_dir, "comparison.json"),
@@ -202,11 +212,10 @@ def _cmd_sweep(args) -> int:
     _unique("--values", literals)
     values = [_sweep_value(literal) for literal in literals]
     scenarios = [scenario_from_tree(_override_tree(base_tree, args.param, v)) for v in values]
-    tables, source, datasets = [], None, None
-    for literal, point_dir, scenario in zip(literals, point_dirs, scenarios):
-        # A point reuses its predecessor's datasets when it loads the same ones.
-        if (scenario.population, scenario.ingest) != source:
-            source, datasets = (scenario.population, scenario.ingest), load_datasets(scenario)
+    tables = []
+    for literal, point_dir, (scenario, datasets) in zip(
+        literals, point_dirs, _with_datasets(scenarios)
+    ):
         table = run_comparison(datasets, scenario)
         _write_comparison_csv(os.path.join(point_dir, "comparison.csv"), [], [([], table)])
         write_text(

@@ -39,6 +39,9 @@ DER_CLASSES = ("fixed_load", "hvac", "ev_charger", "battery", "pv")
 TRAIN_FRAC = 0.7
 VAL_FRAC = 0.15
 
+# Characters of text load_csv's block reader splits at a time.
+BLOCK_CHARS = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -346,12 +349,14 @@ def _value_arrays(cells: list[list[str]], columns: list[str], lines) -> list[np.
 
 
 def _read_columns(reader, header: list[str], schema: CsvSchema, value_columns: list[str]):
-    """Stream the data rows of ``reader`` into columns.
+    """Stream the data rows of ``reader`` into columns, one row at a time.
 
     Returns the code of each (stripped) client id, and per data row its
     client code, epoch hour and, as one float64 array per value column, its
     values. Each distinct timestamp or client id text is parsed once. Errors
-    are those of the first bad cell in file order.
+    are those of the first bad cell in file order. This is the reader of the
+    files _read_blocks declines (quoted ones, and those with a bad cell), and
+    the one source of the loader's parse errors and their file lines.
     """
     width = len(header)
     ts_at, cid_at = header.index(schema.timestamp), header.index(schema.client_id)
@@ -396,6 +401,14 @@ def _read_columns(reader, header: list[str], schema: CsvSchema, value_columns: l
     return code_of, np.array(codes, dtype=np.intp), np.array(hours, dtype=np.int64), values
 
 
+def _check_header(header: list[str], path: str, schema: CsvSchema, value_columns: list[str]):
+    for column in [schema.timestamp, schema.client_id] + value_columns:
+        if column not in header:
+            raise SchemaError(f"missing required column {column!r} in {path}")
+        if header.count(column) > 1:
+            raise SchemaError(f"column {column!r} appears {header.count(column)} times in {path}")
+
+
 def _read_table(lines, path: str, schema: CsvSchema, value_columns: list[str]):
     """The header checks, then _read_columns, over an iterable of lines."""
     reader = csv.reader(lines)
@@ -403,12 +416,101 @@ def _read_table(lines, path: str, schema: CsvSchema, value_columns: list[str]):
         header = next(reader, [])
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    for column in [schema.timestamp, schema.client_id] + value_columns:
-        if column not in header:
-            raise SchemaError(f"missing required column {column!r} in {path}")
-        if header.count(column) > 1:
-            raise SchemaError(f"column {column!r} appears {header.count(column)} times in {path}")
+    _check_header(header, path, schema, value_columns)
     return _read_columns(reader, header, schema, value_columns)
+
+
+def _unsplittable(text: str) -> bool:
+    """Whether the csv module may read text otherwise than a split at commas
+    and newlines does: a quote, a NUL or a carriage return."""
+    return '"' in text or "\0" in text or "\r" in text
+
+
+def _read_blocks(handle, path: str, schema: CsvSchema, value_columns: list[str]):
+    """_read_table's result for a clean file, read BLOCK_CHARS of text at a
+    time and split into cells by column; None for a file it declines.
+
+    It declines, from the first block that holds one, a quote, a NUL or a
+    lone CR (CRLF reads as LF), a line longer than the csv field limit, a
+    non-blank row whose width is not the header's, an empty client id, a
+    bad timestamp, or a bad or non-finite value: whatever the csv module
+    could read otherwise, and every parse error. The caller then reads the
+    file again from the start with _read_table.
+    """
+    limit = csv.field_size_limit()
+    line = handle.readline()
+    line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+    if _unsplittable(line) or len(line) > limit:
+        return None
+    header = line.split(",") if line else []
+    _check_header(header, path, schema, value_columns)
+    width = len(header)
+    ts_at, cid_at = header.index(schema.timestamp), header.index(schema.client_id)
+    value_at = [header.index(c) for c in value_columns]
+    hour_of: dict[str, int] = {}  # timestamp text -> epoch hour
+    code_of_text: dict[str, int] = {}  # client id text -> client code
+    code_of: dict[str, int] = {}  # stripped client id -> client code
+    codes = [np.empty(0, dtype=np.intp)]
+    hours = [np.empty(0, dtype=np.int64)]
+    values = [[np.empty(0, dtype=np.float64)] for _ in value_columns]
+
+    def take(text: str) -> bool:
+        """Append the rows of text, whole lines, to the columns; False to decline."""
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+        if _unsplittable(text):
+            return False
+        rows = list(filter(None, text.split("\n")))
+        if not rows:
+            return True
+        if len(text) > limit and max(map(len, rows)) > limit:
+            return False
+        # Each row's cells, then a "\n" cell: the rows are all of the
+        # header's width when the n - 1 "\n" cells fall every width + 1.
+        cells = ",\n,".join(rows).split(",")
+        stride = width + 1
+        if len(cells) != stride * len(rows) - 1:
+            return False
+        if cells[width::stride].count("\n") != len(rows) - 1:
+            return False
+        stamps, ids = cells[ts_at::stride], cells[cid_at::stride]
+        for cell in dict.fromkeys(ids):  # new ids get codes in file order
+            if cell not in code_of_text:
+                cid = cell.strip()
+                if not cid:
+                    return False
+                code_of_text[cell] = code_of.setdefault(cid, len(code_of))
+        try:
+            for cell in set(stamps).difference(hour_of):
+                # The line number is unused: a declined file is read again.
+                hour_of[cell] = _parse_epoch_hour(cell.strip(), 0)
+            columns = [np.array(cells[at::stride], dtype=np.float64) for at in value_at]
+        except (ParseError, ValueError):
+            return False
+        if not all(np.isfinite(col).all() for col in columns):
+            return False
+        codes.append(np.fromiter(map(code_of_text.__getitem__, ids), np.intp, len(ids)))
+        hours.append(np.fromiter(map(hour_of.__getitem__, stamps), np.int64, len(stamps)))
+        for parts, col in zip(values, columns):
+            parts.append(col)
+        return True
+
+    tail = ""  # the line the last block cut
+    while block := handle.read(BLOCK_CHARS):
+        text = tail + block
+        cut = text.rfind("\n") + 1
+        text, tail = text[:cut], text[cut:]
+        # A cut line already over the limit is declined before more of it is read.
+        if len(tail) > limit or not take(text):
+            return None
+    if not take(tail):
+        return None
+    return (
+        code_of,
+        np.concatenate(codes),
+        np.concatenate(hours),
+        [np.concatenate(parts) for parts in values],
+    )
 
 
 def _utf8_lines(raw):
@@ -434,6 +536,12 @@ def load_csv(
     then the timestamp, the value and the covariates). Text that is not
     UTF-8 and lines the csv module cannot read are parse errors too.
 
+    A file without quotes, with LF or CRLF line ends, is read a block at a
+    time by column (_read_blocks). A file it declines (a quote, a lone CR,
+    a row wider or narrower than the header, a bad cell) is read again from
+    the start one row at a time by the csv module (_read_columns), which
+    gives the same datasets and names the errors.
+
     Per client, timestamps must be strictly increasing in file order and
     hourly-contiguous; a missing hour raises GapError naming the client and
     the first missing hour unless ``forward_fill`` repeats the last row
@@ -449,7 +557,10 @@ def load_csv(
         raise IoError(f"cannot read {path}: {exc}") from None
     try:
         with handle:
-            code_of, codes, hours, values = _read_table(handle, path, schema, value_columns)
+            columns = _read_blocks(handle, path, schema, value_columns)
+            if columns is None:
+                handle.seek(0)
+                columns = _read_table(handle, path, schema, value_columns)
     except UnicodeDecodeError:
         # Text is decoded ahead in blocks, so rows before the bad byte may
         # not have been read: reading again line by line raises the first
@@ -457,6 +568,7 @@ def load_csv(
         with open(path, "rb") as raw:
             _read_table(_utf8_lines(raw), path, schema, value_columns)
         raise ParseError(f"{path} is not UTF-8 text") from None
+    code_of, codes, hours, values = columns
     if not code_of:
         raise InsufficientDataError(f"{path} contains no data rows")
 

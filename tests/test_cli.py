@@ -212,6 +212,39 @@ def test_compare_rerun_byte_identical(tmp_path):
     assert read_bytes(out_dir / "comparison.json") == json_first
 
 
+@pytest.mark.parametrize(
+    "source, loader, loads",
+    [("population", "generate_population", 3), ("pinned", "generate_population", 1),
+     ("ingest", "load_csv", 1)],
+)
+def test_compare_loads_data_again_only_when_a_seed_changes_it(
+    tmp_path, monkeypatch, source, loader, loads
+):
+    if source == "ingest":
+        config, out_dir = ingest_config(tmp_path)
+    else:
+        config, out_dir = write_config(tmp_path)
+        if source == "pinned":
+            edit_config(config, "  days: 10\n", "  days: 10\n  seed: 7\n")
+    calls = []
+    load = getattr(config_module, loader)
+
+    def counted(*args):
+        calls.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(config_module, loader, counted)
+    assert execute(["compare", "--config", config, "--seeds", "1,2,3"]) == 0
+    assert len(calls) == loads
+    # Each seed's table is bitwise the comparison of its own freshly loaded data.
+    monkeypatch.setattr(config_module, loader, load)
+    scenarios = [config_module.with_seed(config_module.parse_config(config), s) for s in (1, 2, 3)]
+    tables = [run_comparison(config_module.load_datasets(sc), sc) for sc in scenarios]
+    assert (out_dir / "comparison.json").read_text() == to_json_text(
+        {"seeds": [1, 2, 3], "tables": [table.to_json_obj() for table in tables]}
+    )
+
+
 def test_run_table_row_equals_the_compare_row(tmp_path):
     config, out_dir = write_config(tmp_path)
     assert execute(["compare", "--config", config, "--seeds", "5"]) == 0

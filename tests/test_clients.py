@@ -340,6 +340,27 @@ def test_kernel_stack_equals_each_model_alone(staggered, kind, batch_size, optim
 
 
 @kinds
+def test_momentum_is_sgd_for_one_full_batch_epoch(staggered, kind):
+    # run_epochs starts every call at zero velocity, so its first full-batch
+    # step is p - lr*(beta*0 + g): SGD's, bitwise. The second step differs.
+    spec = matrix_spec(kind)
+    pair = staggered[:2]
+    values = np.stack([init_params(spec, seed).values for seed in (1, 2)])
+    x = np.stack([c._train.inputs for c in pair])
+    y = np.stack([c._train.targets for c in pair])
+    streams = [(c.client_id, 3) for c in pair]
+
+    def trained(optimizer, local_epochs):
+        cfg = FLConfig(rounds=1, local_epochs=local_epochs, batch_size=0, optimizer=optimizer)
+        return run_epochs(values, x, y, spec, cfg, streams)[0]
+
+    sgd = OptimizerConfig(kind="sgd", lr=0.2)
+    momentum = OptimizerConfig(kind="momentum", lr=0.2, beta=0.9)
+    assert trained(momentum, 1).tobytes() == trained(sgd, 1).tobytes()
+    assert not np.array_equal(trained(momentum, 2), trained(sgd, 2))
+
+
+@kinds
 @batches
 @optimizers
 @dps

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_build_supervised, reference_load_csv
+from fedforecast import data
 from fedforecast.population import PopulationSpec, generate_population
 from fedforecast.data import (
     ClientDataset,
@@ -550,7 +551,9 @@ BAD_CELLS = {
 @st.composite
 def meter_files(draw):
     """A small meter CSV: permuted columns, interleaved clients, gaps and
-    reversals, blank lines, a few bad cells and maybe a short row."""
+    reversals, blank lines, a few bad cells, maybe a short or a long row,
+    LF or CRLF line ends, maybe none after the last line, and maybe every
+    cell quoted."""
     n_covs = draw(st.integers(0, 2))
     columns = ["timestamp", "client_id", "value_kw"] + [f"cov{j}" for j in range(n_covs)]
     columns += draw(st.sampled_from([[], ["note"]]))
@@ -583,28 +586,37 @@ def meter_files(draw):
     if rows and draw(st.sampled_from([False] * 7 + [True])):
         i = draw(st.integers(0, len(rows) - 1))
         rows[i] = rows[i][: draw(st.integers(1, len(header) - 1))]
+    if rows and draw(st.sampled_from([False] * 7 + [True])):
+        rows[draw(st.integers(0, len(rows) - 1))].append("surplus")
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL] * 3 + [csv.QUOTE_ALL]))
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator=line_end, quoting=quoting)
     for row in [header] + rows:
         writer.writerow(row)
         if draw(st.sampled_from([False] * 7 + [True])):
-            out.write("\n")
+            out.write(line_end)
+    text = out.getvalue()
+    if draw(st.booleans()):
+        text = text.removesuffix(line_end)  # no line end after the last line
     schema = CsvSchema(covariates={f"x{j}": f"cov{j}" for j in range(n_covs)})
-    return out.getvalue(), schema
+    return text, schema
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(meter_files(), st.booleans())
-def test_load_csv_equals_the_row_loop(tmp_path, meter_file, forward_fill):
+@given(meter_files(), st.booleans(), st.integers(16, 400))
+def test_load_csv_equals_the_row_loop(tmp_path, monkeypatch, meter_file, forward_fill, block):
+    # Blocks of a few hundred characters, so most files span several.
+    monkeypatch.setattr(data, "BLOCK_CHARS", block)
     text, schema = meter_file
-    path = write(tmp_path, text)
+    path = write_bytes(tmp_path, text.encode())
     got = loaded(load_csv, path, schema, forward_fill)
     assert_same_load(got, loaded(reference_load_csv, path, schema, forward_fill))
 
 
-@pytest.mark.parametrize("forward_fill", [False, True])
-def test_load_csv_equals_the_row_loop_on_a_generated_fleet(tmp_path, forward_fill):
+def fleet_csv(tmp_path):
+    """A generated 12-meter fleet saved as CSV, and the schema that reads it."""
     datasets = generate_population(
         PopulationSpec(
             n_clients=12, archetypes=3, days=14, der_mix={"fixed_load": 0.5, "pv": 0.5}, seed=4
@@ -612,7 +624,103 @@ def test_load_csv_equals_the_row_loop_on_a_generated_fleet(tmp_path, forward_fil
     )
     path = str(tmp_path / "fleet.csv")
     save_csv(datasets, path)
-    schema = CsvSchema(covariates={name: name for name in datasets[0].covariates})
+    return path, CsvSchema(covariates={name: name for name in datasets[0].covariates})
+
+
+@pytest.mark.parametrize("forward_fill", [False, True])
+def test_load_csv_equals_the_row_loop_on_a_generated_fleet(tmp_path, forward_fill):
+    path, schema = fleet_csv(tmp_path)
     got = load_csv(path, schema, forward_fill=forward_fill)
     assert_same_load(got, reference_load_csv(path, schema, forward_fill=forward_fill))
     assert len(got) == 12
+
+
+def row_reads(monkeypatch) -> list:
+    """Records each call of the row reader, data._read_columns."""
+    calls = []
+    read_columns = data._read_columns
+
+    def counted(*args):
+        calls.append(args)
+        return read_columns(*args)
+
+    monkeypatch.setattr(data, "_read_columns", counted)
+    return calls
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_load_csv_reads_a_clean_fleet_by_blocks(tmp_path, monkeypatch, line_end):
+    path, schema = fleet_csv(tmp_path)
+    with open(path, newline="") as handle:
+        text = handle.read()
+    assert text.count("\n") > 4000 and len(text) > 4 * data.BLOCK_CHARS
+    path = write_bytes(tmp_path, text.replace("\n", line_end).encode())
+    calls = row_reads(monkeypatch)
+    got = load_csv(path, schema)
+    assert calls == []
+    assert_same_load(got, reference_load_csv(path, schema))
+
+
+def test_load_csv_reads_a_quoted_fleet_by_rows(tmp_path, monkeypatch):
+    path, schema = fleet_csv(tmp_path)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL).writerows(rows)
+    path = write_bytes(tmp_path, out.getvalue().encode())
+    calls = row_reads(monkeypatch)
+    got = load_csv(path, schema)
+    assert len(calls) == 1
+    assert_same_load(got, reference_load_csv(path, schema))
+
+
+def test_load_csv_short_row_is_an_error_though_a_long_row_makes_up_its_width(tmp_path):
+    # Three cells and five: eight, as two rows of four would hold.
+    path = write(
+        tmp_path,
+        "timestamp,client_id,value_kw,note\n"
+        "2024-01-01T00:00:00+00:00,c0,1\n"
+        "x,2024-01-01T01:00:00+00:00,c0,2,n\n",
+    )
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert str(err.value) == "line 2: expected 4 columns, got 3"
+
+
+@pytest.mark.parametrize(
+    "row", ["2024-01-01T01:00:00+00:00,c\r0,2", "2024-01-01T01:00:00+00:00,c0,2\r"]
+)
+def test_load_csv_lone_carriage_return_ends_a_line(tmp_path, row):
+    text = "timestamp,client_id,value_kw\n2024-01-01T00:00:00+00:00,c0,1\n" + row + "\n"
+    path = write_bytes(tmp_path, text.encode())
+    got = loaded(load_csv, path, None, False)
+    assert_same_load(got, loaded(reference_load_csv, path, None, False))
+
+
+def test_load_csv_bad_value_in_a_later_block_names_its_line(tmp_path, monkeypatch):
+    rows = hourly_rows(range(5000)).split("\n")
+    rows[4000] = rows[4000].replace(",1", ",oops")
+    text = "timestamp,client_id,value_kw\n" + "\n".join(rows)
+    assert text.index("oops") > data.BLOCK_CHARS
+    calls = row_reads(monkeypatch)
+    with pytest.raises(ParseError) as err:
+        load_csv(write(tmp_path, text))
+    assert str(err.value) == "line 4002: bad value_kw value 'oops'"
+    assert len(calls) == 1
+
+
+def test_load_csv_nul_byte_is_read_as_the_csv_module_reads_it(tmp_path):
+    # Python 3.11's csv module reads a NUL as a character of its cell; 3.10
+    # raises "line contains NUL". Either way the file line is named.
+    rows = hourly_rows(range(3000)).split("\n")
+    rows[2500] = rows[2500] + "\0"
+    text = "timestamp,client_id,value_kw\n" + "\n".join(rows)
+    try:
+        list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        expected = f"line 2502: {exc}"
+    else:
+        expected = "line 2502: bad value_kw value '1\\x00'"
+    with pytest.raises(ParseError) as err:
+        load_csv(write(tmp_path, text))
+    assert str(err.value) == expected
