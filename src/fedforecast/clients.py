@@ -1,10 +1,10 @@
 """Client-side computations over private data splits.
 
 Everything that touches raw samples lives here (or in the pure model/data
-modules); the server engine only ever sees ClientUpdate values, losses, and
-sample counts through the FederatedClient handle. A local update runs the
-configured epochs of (mini-)batch optimization from the broadcast params,
-applies update-level DP when enabled, and ships back new params.
+modules); the server engine only ever sees parameter stacks, losses, sample
+counts and model indices through the FederatedClient handle. A local update
+runs the configured epochs of (mini-)batch optimization from the broadcast
+params, applies update-level DP when enabled, and ships back new params.
 
 Samples live in stores. FederatedClient.fleet windows the clients, each
 under its own scalers, and copies those of equal series length, so of equal
@@ -31,20 +31,21 @@ finiteness and, under update-level DP, privatized in one privatize_rows
 call. _train_round's two callers:
 
 * FederatedClient.local_update_batch, over the handles' _stacks: the
-  engine calls it once per round, and FederatedClient.local_update is its
-  batch of one;
+  engine calls it once per round and keeps its C x P result as it is, and
+  FederatedClient.local_update is its batch of one;
 * train_lockstep, the one isolated-training loop, behind train_local: it
   takes the live handles' _stacks, once and again only after one leaves.
   The local_only baseline trains the fleet so, and the centralized
   baseline one pooled handle over it.
 
-Every per-client computation has one stacked path, a static batch method,
-and its per-handle method is that method's batch of one:
-local_update_batch (above), val_loss_batch (one stack_loss per stack, each
-row under its own model), choose_cluster_batch (one cluster.ifca_assign per
-stack, the one choice rule: k stack_loss calls, each model broadcast over
-the rows) and fine_tune_batch (personalization through _fine_tune_stack,
-the one backtracking loop).
+Every per-client computation has one stacked path, a static batch method
+that takes handles, the spec and a params stack (row i for handles[i]) and
+returns arrays of one entry per handle; its per-handle method, on
+ModelParams, is its batch of one: local_update_batch (above), val_loss_batch
+(one stack_loss per stack, each row under its own model),
+choose_cluster_batch (one cluster.ifca_assign per stack, the one choice
+rule: k stack_loss calls, model j of every row at once) and fine_tune_batch
+(personalization through _fine_tune_stack, the one backtracking loop).
 
 Batch order is shuffled deterministically from (config seed, client id,
 round index); with batch_size 0 the full batch is used and no shuffling
@@ -63,6 +64,7 @@ from .errors import InsufficientDataError, NumericError
 from .fedcore import ClientUpdate, EarlyStop, FLConfig
 from .model import (
     ModelParams,
+    ModelSpec,
     Workspace,
     _check_batch,
     predict_batch,
@@ -154,7 +156,7 @@ def _batch_orders(seed: int, streams, epochs: int, n: int) -> np.ndarray:
 def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
     """One round of local updates of C clients, row c being client ids[c]
     from values[c]. Each stack (rows, inputs, targets) trains the rows of
-    values it names (a slice or a list of indices), row by row on its
+    values it names (a list of indices), row by row on its
     inputs and targets, through run_epochs; then, under DP, the delta of
     every row that has not failed is privatized in one privatize_rows call.
 
@@ -166,9 +168,8 @@ def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
     new = np.empty_like(values)
     losses = np.empty(len(ids))
     for rows, x, y in stacks:
-        members = range(len(ids))[rows] if isinstance(rows, slice) else rows
         new[rows], losses[rows] = run_epochs(
-            values[rows], x, y, spec, config, [(ids[i], round_index) for i in members]
+            values[rows], x, y, spec, config, [(ids[i], round_index) for i in rows]
         )
     failed: dict[int, NumericError] = {}
     _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
@@ -394,109 +395,89 @@ class FederatedClient:
     def n_val_samples(self) -> int:
         return self._val.n_samples
 
-    def local_update(
-        self, broadcast: ModelParams, config: FLConfig, round_index: int
-    ) -> ClientUpdate:
+    def local_update(self, broadcast: ModelParams, config: FLConfig, round_index: int) -> ClientUpdate:
         """This client's update in round ``round_index``, trained from broadcast."""
-        return self.local_update_batch([self], [broadcast], config, round_index)[self.client_id]
+        spec = broadcast.spec
+        new, counts, losses = self.local_update_batch([self], spec, broadcast.values[None], config, round_index)
+        return ClientUpdate(self.client_id, ModelParams(spec, new[0]), int(counts[0]), float(losses[0]))
 
     @staticmethod
     def local_update_batch(
-        handles, broadcasts, config: FLConfig, round_index: int
-    ) -> dict[str, ClientUpdate]:
-        """local_update of every handle, handles[i] from broadcasts[i],
-        keyed by client id in id order.
-
-        One _train_round over the handles' _stacks, so one privatize_rows
-        call applies DP to every update of the round and sets up all of its
-        noise streams at once. Bitwise equal to calling each handle alone.
-        When some fail, the error of the first of them in id order is
-        raised.
+        handles, spec: ModelSpec, values: np.ndarray, config: FLConfig, round_index: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """local_update of every handle, handles[i] from values[i]: the C x P
+        new params, C train sample counts and C train losses. One
+        _train_round over the handles' _stacks, so one privatize_rows call
+        applies DP to every update of the round and sets up all of its noise
+        streams at once. Bitwise equal to calling each handle alone. When
+        some fail, the error of the first of them in handles order is raised.
         """
-        if not handles:
-            return {}
-        order = sorted(range(len(handles)), key=lambda i: handles[i].client_id)
-        handles = [handles[i] for i in order]
         ids = [h.client_id for h in handles]
-        spec = broadcasts[order[0]].spec
-        values = np.stack([broadcasts[i].values for i in order])
         new, losses, failed = _train_round(
             values, _stacks(handles, "train", config.batch_size), spec, config, round_index, ids
         )
         if failed:
             raise failed[min(failed)]
-        return {
-            cid: ClientUpdate(cid, ModelParams(spec, new[i]), handles[i].n_train_samples, float(losses[i]))
-            for i, cid in enumerate(ids)
-        }
+        return new, np.array([h.n_train_samples for h in handles]), losses
 
     def val_loss(self, params: ModelParams) -> tuple[float, int]:
         """(mean val loss under params, number of val samples)."""
-        return self.val_loss_batch([self], [params])[self.client_id]
+        losses, counts = self.val_loss_batch([self], params.spec, params.values[None])
+        return float(losses[0]), int(counts[0])
 
     @staticmethod
-    def val_loss_batch(handles, params) -> dict[str, tuple[float, int]]:
-        """val_loss of every handle, handles[i] under params[i], keyed by
-        client id in handles order: one stack_loss per stack of _stacks.
+    def val_loss_batch(handles, spec: ModelSpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """val_loss of every handle, handles[i] under values[i]: the C
+        losses and C val sample counts, one stack_loss per stack of _stacks.
         Bitwise equal to calling each handle alone."""
         losses = np.empty(len(handles))
         for rows, x, y in _stacks(handles, "val"):
-            spec = params[rows[0]].spec
             _check_batch(spec, x[0], y[0])
-            losses[rows] = stack_loss(spec, np.stack([params[i].values for i in rows]), x, y)
-        return {h.client_id: (v, h.n_val_samples) for h, v in zip(handles, losses.tolist())}
+            losses[rows] = stack_loss(spec, values[rows], x, y)
+        return losses, np.array([h.n_val_samples for h in handles])
 
-    def choose_cluster(self, models) -> int:
+    def choose_cluster(self, models: Sequence[ModelParams]) -> int:
         """Self-select the cluster model with the lowest own-train loss."""
-        return self.choose_cluster_batch([self], [models])[self.client_id]
+        stacked = np.stack([m.values for m in models])[None]
+        return int(self.choose_cluster_batch([self], models[0].spec, stacked)[0])
 
     @staticmethod
-    def choose_cluster_batch(handles, models) -> dict[str, int]:
-        """choose_cluster of every handle, handles[i] among the models
-        models[i], keyed by client id in handles order: one
-        cluster.ifca_assign per stack of _stacks over the handles given one
-        model sequence. Bitwise equal to calling each handle alone."""
-        groups: dict[int, list[int]] = {}
-        for i, sequence in enumerate(models):
-            groups.setdefault(id(sequence), []).append(i)
-        chosen = [0] * len(handles)
-        for group in groups.values():
-            for rows, x, y in _stacks([handles[i] for i in group], "train"):
-                for r, j in zip(rows, _cluster.ifca_assign(x, y, models[group[0]])):
-                    chosen[group[r]] = j
-        return {h.client_id: j for h, j in zip(handles, chosen)}
+    def choose_cluster_batch(handles, spec: ModelSpec, models: np.ndarray) -> np.ndarray:
+        """choose_cluster of every handle, handles[i] among its K models
+        models[i] (C x K x P; the engine broadcasts its K x P): the C indices
+        chosen, one cluster.ifca_assign per stack of _stacks. Bitwise equal
+        to calling each handle alone."""
+        chosen = np.empty(len(handles), dtype=np.int64)
+        for rows, x, y in _stacks(handles, "train"):
+            chosen[rows] = _cluster.ifca_assign(x, y, spec, models[rows])
+        return chosen
 
     def fine_tune(self, params: ModelParams, epochs: int, lr: float) -> ModelParams:
         """params personalized on this client's train samples (see _fine_tune_stack)."""
-        return self.fine_tune_batch([self], [params], epochs, lr)[self.client_id]
+        new = self.fine_tune_batch([self], params.spec, params.values[None], epochs, lr)
+        return ModelParams(params.spec, new[0])
 
     @staticmethod
-    def fine_tune_batch(handles, params, epochs: int, lr: float) -> dict[str, ModelParams]:
-        """fine_tune of every handle, handles[i] from params[i], keyed by
-        client id in handles order: the handles personalize as _stacks
-        through _fine_tune_stack. Bitwise equal to calling each handle
-        alone. A handle without train samples fails. When some fail, the
-        error of the first of them in handles order is raised.
-        """
+    def fine_tune_batch(handles, spec: ModelSpec, values: np.ndarray, epochs: int, lr: float) -> np.ndarray:
+        """fine_tune of every handle, handles[i] from values[i]: the C x P
+        params the handles personalize as _stacks through _fine_tune_stack.
+        Bitwise equal to calling each handle alone. A handle without train
+        samples fails; when some fail, the first one's error is raised."""
         failed: dict[int, Exception] = {
             i: InsufficientDataError("fine_tune needs training samples")
             for i, h in enumerate(handles)
             if h.n_train_samples < 1
         }
-        out = list(params)
+        new = values.copy()
         trainable = [i for i in range(len(handles)) if i not in failed]
         if epochs > 0:
             for rows, x, y in _stacks([handles[i] for i in trainable], "train"):
                 rows = [trainable[r] for r in rows]
-                spec = params[rows[0]].spec
-                values = np.stack([params[i].values for i in rows])
-                new, stack_failed = _fine_tune_stack(spec, values, x, y, epochs, lr)
+                new[rows], stack_failed = _fine_tune_stack(spec, values[rows], x, y, epochs, lr)
                 failed.update((rows[c], exc) for c, exc in stack_failed.items())
-                for c, i in enumerate(rows):
-                    out[i] = ModelParams(spec, new[c])
         if failed:
             raise failed[min(failed)]
-        return {h.client_id: out[i] for i, h in enumerate(handles)}
+        return new
 
     def test_forecast(self, params: ModelParams):
         """Denormalized (kW) test predictions and actuals, both n x h."""

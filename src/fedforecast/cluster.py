@@ -18,12 +18,12 @@ lives in the engine.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import InsufficientDataError, ShapeError
-from .model import ModelParams, _check_batch, row_norms, stack_loss
+from .model import ModelSpec, _check_batch, row_norms, stack_loss
 from .model import loss  # noqa: F401  (perfbench/tracer.py wraps cluster.loss)
 
 
@@ -103,26 +103,22 @@ def _point_distances(vectors: np.ndarray) -> np.ndarray:
     return dist
 
 
-def ifca_assign(inputs, targets, models: Sequence[ModelParams]) -> list[int]:
+def ifca_assign(inputs, targets, spec: ModelSpec, models: np.ndarray) -> list[int]:
     """For each row c of a stack (inputs C x n x d, targets C x n x h), the
-    index of the cluster model with the lowest mean loss on its samples.
+    index of the model of models[c] (C x K x P, K models of ``spec`` per
+    row) with the lowest mean loss on its samples.
 
-    The models share one spec. Their losses are k stack_loss calls, model j
-    broadcast (not copied) over the C rows; each equals ``loss`` of that
-    model on that row. A later model wins a row only when its loss is
-    strictly lower, so ties go to the lowest index and a NaN loss never
-    wins (unlike np.argmin).
+    The losses are K stack_loss calls, model j of every row at once; each
+    equals ``loss`` of that model on that row. A later model wins a row
+    only when its loss is strictly lower, so ties go to the lowest index
+    and a NaN loss never wins (unlike np.argmin).
     """
-    if len(models) < 1:
+    if models.shape[1] < 1:
         raise InsufficientDataError("ifca_assign needs at least one model")
-    spec = models[0].spec
     _check_batch(spec, inputs[0], targets[0])
-    c, rows = len(inputs), np.arange(len(inputs))
-    losses = np.array([
-        stack_loss(spec, np.broadcast_to(m.values, (c, spec.param_count)), inputs, targets)
-        for m in models
-    ])
-    best = np.zeros(c, dtype=np.int64)
-    for j in range(1, len(models)):
+    rows = np.arange(len(inputs))
+    losses = np.array([stack_loss(spec, models[:, j], inputs, targets) for j in range(models.shape[1])])
+    best = np.zeros(len(inputs), dtype=np.int64)
+    for j in range(1, len(losses)):
         best[losses[j] < losses[best, rows]] = j
     return best.tolist()

@@ -16,17 +16,18 @@ one alias line of ``run_round``, kept for the traced benchmark.
 
 Privacy boundary: nothing in this module touches raw samples. Server
 functions consume client handles only through their narrow methods
-(local_update, val_loss, fine_tune, choose_cluster, n_*_samples and the
-static batch methods local_update_batch, val_loss_batch, fine_tune_batch
-and choose_cluster_batch) and operate on ClientUpdate values, losses,
-params and model indices; an API-surface test enforces this. A batch method
-serves many handles in one call: it takes handles and their params (or
-model sequences) and returns ClientUpdate values, losses, params or model
-indices, and FederatedClient's per-handle method is its batch of one.
-``_per_client`` calls the batch method for every handle whose class does
-not override the per-handle method, and that method on the others.
-``_val_loss`` is the one sample-weighted validation of routed clients: of
-the participants in each round, of every client at an evaluation.
+(local_update, val_loss, fine_tune, choose_cluster, n_*_samples) and their
+static batch methods; an API-surface test enforces this. The server's K
+models are one K x P array (ServerState), and a round stays in arrays: each
+batch method takes handles, the spec and a params stack (row i for handle
+i) and returns arrays of one entry per handle: local_update_batch new
+params, sample counts and train losses, val_loss_batch losses and counts,
+choose_cluster_batch model indices, fine_tune_batch new params.
+``_per_client`` calls it for every handle whose class does not override
+the per-handle method, and that method, on ModelParams, on the others;
+what they return (say, a ClientUpdate) is stacked in. ``_val_loss`` is the
+one sample-weighted validation of routed clients: of the participants in
+each round, of every client at an evaluation.
 
 Byte meters are closed-form and exact:
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -113,7 +115,7 @@ class FLConfig:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Clustering knobs; tau/warmup apply to hc, k to ifca."""
+    """Clustering knobs; tau, warmup and recluster_every (0: never) apply to hc, k to ifca."""
 
     mode: str = "global"
     tau: float = 0.0
@@ -166,10 +168,14 @@ class RoundReport:
     all_client_val_loss: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServerState:
+    """The server's K models, row j of the K x P values being model j, and
+    each clustered client's model index."""
+
     mode: str
-    models: tuple[ModelParams, ...]
+    spec: ModelSpec
+    values: np.ndarray
     assignment: Mapping[str, int]
 
 
@@ -209,22 +215,17 @@ def select_participants(
     return sorted(ids[j] for j in perm[:count])
 
 
-def fedavg_aggregate(updates: Sequence[ClientUpdate]) -> ModelParams:
-    """Sample-count-weighted mean, summed in ascending client_id order."""
-    if len(updates) == 0:
+def fedavg_aggregate(values: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Sample-count-weighted mean of the rows of values, row i of counts[i]
+    samples, adding the weighted rows one at a time in order (client id
+    order): a reduction over the rows may sum columns pairwise, rounding
+    otherwise."""
+    if len(counts) == 0:
         raise EmptyAggregationError("no updates to aggregate")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    spec = ordered[0].new_params.spec
-    for u in ordered:
-        if u.new_params.spec != spec:
-            raise ShapeError(
-                f"update for {u.client_id} has spec {u.new_params.spec}, expected {spec}"
-            )
-    total = sum(u.n_samples for u in ordered)
-    acc = np.zeros(spec.param_count)
-    for u in ordered:
-        acc += (u.n_samples / total) * u.new_params.values
-    return ModelParams(spec, acc)
+    acc = np.zeros(values.shape[1])
+    for weight, row in zip(counts / np.sum(counts), values):
+        acc += weight * row
+    return acc
 
 
 def _weighted_val_loss(pairs: list[tuple[float, int]]) -> float:
@@ -276,72 +277,89 @@ def _routed_round(
     regroup_tau: float | None = None,
 ) -> tuple[ServerState, RoundReport]:
     """Train each participant (in id order) from its routed model, regroup
-    the updates when ``regroup_tau`` is given, FedAvg per model (a model no
-    update routes to keeps its params), validate each participant under its
-    routed model, and meter the bytes."""
+    them over their deltas when ``regroup_tau`` is given, FedAvg per model
+    (a model no participant routes to keeps its params; a non-finite one
+    raises NumericError), validate each under its routed model, and meter."""
     participants = list(route)
-    broadcasts = {cid: state.models[route[cid]] for cid in participants}
-    updates = _per_client(by_id, "local_update", broadcasts, config, round_index)
-    n_models = len(state.models)
+    broadcast = state.values[list(route.values())]
+    new, counts, losses = _per_client(
+        by_id, "local_update", participants, state.spec, broadcast, config, round_index
+    )
+    n_models = len(state.values)
     assignment = route if state.mode == "ifca" else state.assignment
     if regroup_tau is not None:
-        deltas = {
-            cid: u.new_params.values - state.models[route[cid]].values
-            for cid, u in updates.items()
-        }
+        deltas = dict(zip(participants, new - broadcast))
         route = assignment = dict(sorted(hc_partition(deltas, regroup_tau).items()))
         n_models = max(route.values()) + 1
-    groups: dict[int, list[ClientUpdate]] = {}
-    for cid in participants:
-        groups.setdefault(route[cid], []).append(updates[cid])
-    models = tuple(
-        fedavg_aggregate(groups[j]) if j in groups else state.models[j]
-        for j in range(n_models)
-    )
-    val = _val_loss(by_id, models, route)
-    pb = param_message_bytes(state.models[0].spec)
-    fanout = len(state.models) if state.mode == "ifca" else 1
+    groups: dict[int, list[int]] = {}
+    for i, cid in enumerate(participants):
+        groups.setdefault(route[cid], []).append(i)
+    values = np.empty((n_models, state.spec.param_count))
+    for j in range(n_models):
+        rows = groups.get(j)
+        values[j] = state.values[j] if rows is None else fedavg_aggregate(new[rows], counts[rows])
+    if not np.isfinite(values).all():
+        raise NumericError("parameter vector contains non-finite values")
+    val = _val_loss(by_id, state.spec, values, route)
+    pb = param_message_bytes(state.spec)
+    fanout = len(state.values) if state.mode == "ifca" else 1
     report = RoundReport(
         round_index=round_index,
         participants=tuple(participants),
-        train_losses={cid: updates[cid].train_loss for cid in participants},
+        train_losses=dict(zip(participants, losses.tolist())),
         val_loss=val,
         bytes_up=len(participants) * pb,
         bytes_down=len(participants) * fanout * pb,
         assignment=dict(assignment),
         n_clusters=n_models,
     )
-    return replace(state, models=models, assignment=assignment), report
+    return replace(state, values=values, assignment=assignment), report
 
 
-def _per_client(by_id, method: str, params: Mapping[str, object], *args) -> dict:
-    """``by_id[cid].<method>(params[cid], *args)`` for each id of ``params``,
-    by id in that order.
+def _per_client(by_id, method: str, ids: Sequence[str], spec: ModelSpec, values: np.ndarray, *args):
+    """``<method>`` of each client ids[i] from row i of values (K models a
+    row in choose_cluster), as its batch method returns it: arrays of one
+    entry per client, in ids order. Handles whose ``method`` is defined by a
+    class that also defines ``<method>_batch`` go through one call of that
+    static method per such class; the others (say, a subclass that
+    overrides ``method``) go one at a time through ``_one``, after the
+    batches, whose failure is raised before any of them runs."""
+    groups: dict[type | None, list[int]] = {}
+    for i, cid in enumerate(ids):
+        groups.setdefault(_batch_owner(type(by_id[cid]), method), []).append(i)
+    parts = []
+    for owner, rows in sorted(groups.items(), key=lambda group: group[0] is None):
+        if owner is None:
+            out = zip(*(_one(by_id[ids[i]], method, spec, values[i], *args) for i in rows))
+            out = tuple(map(np.array, out))
+        else:
+            part = values if len(rows) == len(ids) else values[rows]
+            out = getattr(owner, f"{method}_batch")([by_id[ids[i]] for i in rows], spec, part, *args)
+        parts.append((rows, out if isinstance(out, tuple) else (out,)))
+    columns = parts[0][1]
+    if len(parts) > 1:
+        order = np.argsort(np.concatenate([rows for rows, _ in parts]))
+        columns = tuple(np.concatenate(c)[order] for c in zip(*(cols for _, cols in parts)))
+    return columns if len(columns) > 1 else columns[0]
 
-    Handles whose ``method`` is defined by a class that also defines
-    ``<method>_batch`` go through one call of that static method per such
-    class; the others (say, a subclass that overrides ``method``) are called
-    one at a time, after the batches, whose failure is raised before any of
-    them runs.
-    """
-    owners: dict[type, type | None] = {}
-    batches: dict[type, list[str]] = {}
-    for cid in params:
-        cls = type(by_id[cid])
-        if cls not in owners:
-            owners[cls] = _batch_owner(cls, method)
-        if owners[cls] is not None:
-            batches.setdefault(owners[cls], []).append(cid)
-    out = {}
-    for owner, ids in batches.items():
-        batch = getattr(owner, f"{method}_batch")
-        out.update(batch([by_id[cid] for cid in ids], [params[cid] for cid in ids], *args))
-    for cid in params:
-        if cid not in out:
-            out[cid] = getattr(by_id[cid], method)(params[cid], *args)
-    return {cid: out[cid] for cid in params}
+
+def _one(handle, method: str, spec: ModelSpec, row: np.ndarray, *args) -> tuple:
+    """``handle.<method>`` at the edge: row goes in as ModelParams (a K x P
+    row as its K models), the result comes back as this client's entries of
+    the batch method's columns; params of another spec raise ShapeError."""
+    params = ModelParams(spec, row) if row.ndim == 1 else tuple(ModelParams(spec, r) for r in row)
+    out = getattr(handle, method)(params, *args)
+    if isinstance(out, ClientUpdate):
+        out = (out.new_params, out.n_samples, out.train_loss)
+    first, *rest = out if isinstance(out, tuple) else (out,)
+    if not isinstance(first, ModelParams):
+        return (first, *rest)
+    if first.spec != spec:
+        raise ShapeError(f"{method} for {handle.client_id} has spec {first.spec}, expected {spec}")
+    return (first.values, *rest)
 
 
+@cache
 def _batch_owner(cls: type, method: str) -> type | None:
     """The class whose ``<method>_batch`` serves handles of ``cls``: the
     nearest class in its MRO that defines ``method``, if that class also
@@ -355,20 +373,21 @@ def _batch_owner(cls: type, method: str) -> type | None:
 def _route(state: ServerState, by_id: Mapping[str, object], ids: Sequence[str]) -> dict[str, int]:
     """The model index of each client of ``ids`` under ``state``, in that
     order: in ifca mode each client self-selects its lowest-loss model
-    through choose_cluster (batched by _per_client), else it gets its
-    assignment (model 0 before any clustering)."""
+    through choose_cluster (batched by _per_client, over a broadcast of the
+    K models), else it gets its assignment (model 0 before any clustering)."""
     if state.mode == "ifca":
-        return _per_client(by_id, "choose_cluster", dict.fromkeys(ids, state.models))
+        models = np.broadcast_to(state.values, (len(ids), *state.values.shape))
+        return dict(zip(ids, _per_client(by_id, "choose_cluster", ids, state.spec, models).tolist()))
     return {cid: state.assignment.get(cid, 0) for cid in ids}
 
 
 def _val_loss(
-    by_id: Mapping[str, object], models: Sequence[ModelParams], route: Mapping[str, int]
+    by_id: Mapping[str, object], spec: ModelSpec, values: np.ndarray, route: Mapping[str, int]
 ) -> float:
     """Sample-weighted validation loss over the clients of ``route``, each
-    under its routed model models[route[cid]]."""
-    routed = {cid: models[j] for cid, j in route.items()}
-    return _weighted_val_loss(list(_per_client(by_id, "val_loss", routed).values()))
+    under its routed model, row route[cid] of the K x P values."""
+    losses, counts = _per_client(by_id, "val_loss", list(route), spec, values[list(route.values())])
+    return _weighted_val_loss(list(zip(losses.tolist(), counts.tolist())))
 
 
 def personalize(
@@ -378,7 +397,9 @@ def personalize(
     personalized variant of a method), by id in ``clients`` order, batched
     by the rule of local updates."""
     by_id = _client_map(clients)
-    return _per_client(by_id, "fine_tune", {cid: models[cid] for cid in by_id}, epochs, lr)
+    spec, values = models[clients[0].client_id].spec, np.stack([models[c].values for c in by_id])
+    new = _per_client(by_id, "fine_tune", list(by_id), spec, values, epochs, lr)
+    return {cid: ModelParams(spec, row) for cid, row in zip(by_id, new)}
 
 
 def run_training(
@@ -399,11 +420,11 @@ def run_training(
     by_id = _client_map(clients)
     cluster = replace(cluster or ClusterConfig(), mode=mode)
 
-    models = tuple(
-        init_params(model_spec, derive_seed(config.seed, "init", j))
+    values = np.stack([
+        init_params(model_spec, derive_seed(config.seed, "init", j)).values
         for j in range(cluster.k if mode == "ifca" else 1)
-    )
-    state = ServerState(mode, models, {})
+    ])
+    state = ServerState(mode, model_spec, values, {})
 
     reports: list[RoundReport] = []
     stopper = EarlyStop(config.early_stop_patience)
@@ -421,13 +442,14 @@ def run_training(
         # The last round is always evaluated: its route is the assignment.
         if stop or (config.eval_every > 0 and round_index % config.eval_every == 0):
             route = _route(state, by_id, sorted(by_id))
-            report = replace(report, all_client_val_loss=_val_loss(by_id, state.models, route))
+            val = _val_loss(by_id, state.spec, state.values, route)
+            report = replace(report, all_client_val_loss=val)
         reports.append(report)
         if stop:
             break
 
     return RunResult(
-        models=state.models,
+        models=tuple(ModelParams(state.spec, row) for row in state.values),
         assignment={} if mode == "global" else route,
         reports=tuple(reports),
         config=config,

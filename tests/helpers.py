@@ -23,12 +23,13 @@ from fedforecast.errors import (
     GapError,
     InsufficientDataError,
     IoError,
+    EmptyAggregationError,
     ParseError,
     SchemaError,
     ShapeError,
 )
 from fedforecast.cluster import hc_partition
-from fedforecast.fedcore import ClientUpdate, EarlyStop, RoundReport, fedavg_aggregate
+from fedforecast.fedcore import ClientUpdate, EarlyStop, RoundReport
 from fedforecast.model import (
     ModelParams,
     ModelSpec,
@@ -391,20 +392,43 @@ def reference_centralized(clients, spec, config):
     return ModelParams(spec, values[0]), trace
 
 
+def reference_fedavg(updates) -> ModelParams:
+    """The object FedAvg the engine's array FedAvg replaced: the
+    sample-count-weighted mean of ClientUpdate values, each update's spec
+    checked, summed in ascending client_id order."""
+    if len(updates) == 0:
+        raise EmptyAggregationError("no updates to aggregate")
+    ordered = sorted(updates, key=lambda u: u.client_id)
+    spec = ordered[0].new_params.spec
+    for u in ordered:
+        if u.new_params.spec != spec:
+            raise ShapeError(
+                f"update for {u.client_id} has spec {u.new_params.spec}, expected {spec}"
+            )
+    total = sum(u.n_samples for u in ordered)
+    acc = np.zeros(spec.param_count)
+    for u in ordered:
+        acc += (u.n_samples / total) * u.new_params.values
+    return ModelParams(spec, acc)
+
+
 def reference_routed_round(state, by_id, route, config, round_index, regroup_tau=None):
-    """The routed round with every participant's ``local_update`` called on
-    its handle, one at a time in id order: the body ``fedcore._routed_round``
-    had before it trained plain handles as stacks."""
+    """The routed round on objects, with every participant's
+    ``local_update`` called on its handle, one at a time in id order: the
+    body ``fedcore._routed_round`` had before it trained plain handles as
+    stacks and kept the round's updates and models as arrays."""
+    spec = state.spec
+    models = [ModelParams(spec, v) for v in state.values]
     participants = list(route)
     updates = {
-        cid: by_id[cid].local_update(state.models[route[cid]], config, round_index)
+        cid: by_id[cid].local_update(models[route[cid]], config, round_index)
         for cid in participants
     }
-    n_models = len(state.models)
+    n_models = len(models)
     assignment = route if state.mode == "ifca" else state.assignment
     if regroup_tau is not None:
         deltas = {
-            cid: u.new_params.values - state.models[route[cid]].values
+            cid: u.new_params.values - models[route[cid]].values
             for cid, u in updates.items()
         }
         route = assignment = dict(sorted(hc_partition(deltas, regroup_tau).items()))
@@ -412,15 +436,15 @@ def reference_routed_round(state, by_id, route, config, round_index, regroup_tau
     groups: dict[int, list[ClientUpdate]] = {}
     for cid in participants:
         groups.setdefault(route[cid], []).append(updates[cid])
-    models = tuple(
-        fedavg_aggregate(groups[j]) if j in groups else state.models[j]
+    models = [
+        reference_fedavg(groups[j]) if j in groups else models[j]
         for j in range(n_models)
-    )
+    ]
     val = fedcore._weighted_val_loss(
         [by_id[cid].val_loss(models[route[cid]]) for cid in participants]
     )
-    pb = param_message_bytes(state.models[0].spec)
-    fanout = len(state.models) if state.mode == "ifca" else 1
+    pb = param_message_bytes(spec)
+    fanout = len(state.values) if state.mode == "ifca" else 1
     report = RoundReport(
         round_index=round_index,
         participants=tuple(participants),
@@ -431,7 +455,8 @@ def reference_routed_round(state, by_id, route, config, round_index, regroup_tau
         assignment=dict(assignment),
         n_clusters=n_models,
     )
-    return replace(state, models=models, assignment=assignment), report
+    values = np.stack([m.values for m in models])
+    return replace(state, values=values, assignment=assignment), report
 
 
 def check_rounds_against_reference(monkeypatch) -> list[int]:
@@ -477,7 +502,9 @@ def same_round(a, b) -> bool:
     repr prints each float exactly, and -0.0 apart from 0.0."""
     (state_a, report_a), (state_b, report_b) = a, b
     return (
-        [m.values.tobytes() for m in state_a.models] == [m.values.tobytes() for m in state_b.models]
-        and (state_a.mode, dict(state_a.assignment)) == (state_b.mode, dict(state_b.assignment))
+        state_a.values.shape == state_b.values.shape
+        and state_a.values.tobytes() == state_b.values.tobytes()
+        and (state_a.mode, state_a.spec) == (state_b.mode, state_b.spec)
+        and dict(state_a.assignment) == dict(state_b.assignment)
         and repr(report_a) == repr(report_b)
     )

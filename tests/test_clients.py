@@ -606,16 +606,17 @@ def test_a_round_is_budgeted_by_what_its_stacks_allocate(monkeypatch, order, bat
 @pytest.mark.parametrize("method", ["val_loss_batch", "fine_tune_batch", "choose_cluster_batch"])
 def test_full_batch_calls_on_a_view_keep_the_budget(wide, monkeypatch, method):
     two_rows_of_bytes(monkeypatch, wide[0], "val" if method == "val_loss_batch" else "train")
-    models = [init_params(matrix_spec("mlp"), seed) for seed in range(2)]
+    spec = matrix_spec("mlp")
+    models = np.stack([init_params(spec, seed).values for seed in range(2)])
     if method == "val_loss_batch":
         sizes = recorded_stack_sizes(monkeypatch, clients_module, "stack_loss", 1)
-        FederatedClient.val_loss_batch(wide, [models[0]] * 12)
+        FederatedClient.val_loss_batch(wide, spec, np.tile(models[0], (12, 1)))
     elif method == "fine_tune_batch":
         sizes = recorded_stack_sizes(monkeypatch, clients_module, "_fine_tune_stack", 1)
-        FederatedClient.fine_tune_batch(wide, [models[0]] * 12, 1, 0.1)
+        FederatedClient.fine_tune_batch(wide, spec, np.tile(models[0], (12, 1)), 1, 0.1)
     else:
         sizes = recorded_stack_sizes(monkeypatch, cluster_module, "ifca_assign", 0)
-        FederatedClient.choose_cluster_batch(wide, [models] * 12)
+        FederatedClient.choose_cluster_batch(wide, spec, np.broadcast_to(models, (12, *models.shape)))
     assert sizes == [2] * 6
 
 
@@ -643,7 +644,7 @@ def test_batched_round_raises_the_first_failing_participants_error(monkeypatch, 
     monkeypatch.setattr(clients_module, "run_epochs", diverging)
     spec = population_spec()
     state = ServerState(
-        "ifca", (init_params(spec, 0), ModelParams(spec, np.full(spec.param_count, 1e308))), {}
+        "ifca", spec, np.stack([init_params(spec, 0).values, np.full(spec.param_count, 1e308)]), {}
     )
     by_id = {c.client_id: c for c in clients}
     route = {cid: int(cid in failing) for cid in sorted(by_id)}
@@ -692,7 +693,7 @@ def test_dp_round_over_several_stacks_privatizes_once_as_the_reference(monkeypat
     monkeypatch.setattr(clients_module, "privatize_rows", counted)
     spec = population_spec()
     state = ServerState(
-        "ifca", (init_params(spec, 0), ModelParams(spec, np.full(spec.param_count, 1e308))), {}
+        "ifca", spec, np.stack([init_params(spec, 0).values, np.full(spec.param_count, 1e308)]), {}
     )
     by_id = {c.client_id: c for c in clients}
     route = {cid: int(cid == "c004" and diverging == "delta") for cid in sorted(by_id)}
@@ -875,11 +876,12 @@ def test_val_loss_batch_equals_each_handle_alone(
     for handles in handle_orders(staggered_datasets, staggered).values():
         # Rows routed to different models.
         params = [models[i % 3] for i in range(len(handles))]
-        got = FederatedClient.val_loss_batch(handles, params)
-        assert list(got) == [h.client_id for h in handles]
-        for handle, model in zip(handles, params):
+        losses, counts = FederatedClient.val_loss_batch(
+            handles, params[0].spec, np.stack([m.values for m in params])
+        )
+        for handle, model, got in zip(handles, params, zip(losses.tolist(), counts.tolist())):
             want = (loss(model, handle._val.inputs, handle._val.targets), handle.n_val_samples)
-            assert got[handle.client_id] == want == handle.val_loss(model)
+            assert got == want == handle.val_loss(model)
 
 
 @kinds
@@ -893,11 +895,12 @@ def test_fine_tune_batch_equals_the_reference(
     models = [init_params(matrix_spec(kind), seed) for seed in range(3)]
     for handles in handle_orders(staggered_datasets, staggered).values():
         params = [models[i % 3] for i in range(len(handles))]
-        got = FederatedClient.fine_tune_batch(handles, params, 4, lr)
-        assert list(got) == [h.client_id for h in handles]
-        for handle, model in zip(handles, params):
+        values = np.stack([m.values for m in params])
+        got = FederatedClient.fine_tune_batch(handles, params[0].spec, values, 4, lr)
+        assert got.shape == values.shape
+        for handle, model, row in zip(handles, params, got):
             want = reference_fine_tune(model, handle._train, 4, lr).values.tobytes()
-            assert got[handle.client_id].values.tobytes() == want
+            assert row.tobytes() == want
             assert handle.fine_tune(model, 4, lr).values.tobytes() == want
 
 
@@ -919,19 +922,21 @@ def test_choose_cluster_batch_equals_each_handle_alone(
     monkeypatch.setattr(cluster_module, "stack_loss", nan_under_nan)
     # a and b repeat, so the lower of the two ties with its copy; NaN comes
     # first, where nothing beats it, and in the middle, where it never wins.
-    sequences = [(a, b, a, b), (nan, a, b), (b, nan, a, a)]
+    # Each row chooses among its own sequence of K = 4 models.
+    sequences = [(a, b, a, b), (nan, a, b, a), (b, nan, a, a)]
     for handles in handle_orders(staggered_datasets, staggered).values():
         models = [sequences[i % 3] for i in range(len(handles))]
-        got = FederatedClient.choose_cluster_batch(handles, models)
-        assert list(got) == [h.client_id for h in handles]
-        for handle, sequence in zip(handles, models):
+        stack = np.stack([[m.values for m in sequence] for sequence in models])
+        got = FederatedClient.choose_cluster_batch(handles, a.spec, stack)
+        assert got.shape == (len(handles),)
+        for handle, sequence, chosen in zip(handles, models, got.tolist()):
             train = handle._train
             losses = [math.nan if m is nan else loss(m, train.inputs, train.targets) for m in sequence]
             want = 0
             for j in range(1, len(losses)):
                 if losses[j] < losses[want]:
                     want = j
-            assert got[handle.client_id] == want == handle.choose_cluster(sequence)
+            assert chosen == want == handle.choose_cluster(sequence)
 
 
 def population_splits(n_clients=3):
@@ -962,16 +967,15 @@ def test_a_row_at_the_backtracking_floor_stops_while_its_stack_mates_go_on(monke
         return kernel(spec, values, *args)
 
     monkeypatch.setattr(clients_module, "_fine_tune_stack", counted)
-    got = FederatedClient.fine_tune_batch(handles, [params] * 3, 3, 0.1)
+    got = FederatedClient.fine_tune_batch(handles, params.spec, np.tile(params.values, (3, 1)), 3, 0.1)
     assert stack_sizes == [3]
-    for handle in handles:
+    for handle, row in zip(handles, got):
         want = reference_fine_tune(params, handle._train, 3, 0.1)
-        assert got[handle.client_id].values.tobytes() == want.values.tobytes()
-    steep, mates = handles[1], handles[::2]
-    assert np.array_equal(got[steep.client_id].values, params.values)
-    for mate in mates:
+        assert row.tobytes() == want.values.tobytes()
+    assert np.array_equal(got[1], params.values)  # the steep row
+    for mate, row in zip(handles[::2], got[::2]):
         one_epoch = reference_fine_tune(params, mate._train, 1, 0.1)
-        assert not np.array_equal(got[mate.client_id].values, one_epoch.values)
+        assert not np.array_equal(row, one_epoch.values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1000,7 +1004,7 @@ def test_fine_tune_batch_raises_the_first_failing_clients_error(layout):
     with pytest.raises((NumericError, InsufficientDataError)) as want:
         one_after_another()
     with pytest.raises((NumericError, InsufficientDataError)) as got:
-        FederatedClient.fine_tune_batch(handles, params, 3, 1e10)
+        FederatedClient.fine_tune_batch(handles, spec, np.stack([p.values for p in params]), 3, 1e10)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
     first = next(kind for kind in layout if kind != "ok")
     assert type(want.value) is {"huge": NumericError, "empty": InsufficientDataError}[first]
@@ -1081,7 +1085,7 @@ def test_a_row_overflowing_mid_epoch_fails_alone(optimizer):
     values = np.stack([init_params(spec, seed).values for seed in range(4)])
     ids = [h.client_id for h in handles]
     cfg = config(batch_size=16, local_epochs=2, optimizer=OPTIMIZERS[optimizer])
-    new, losses, failed = clients_module._train_round(values, [(slice(0, 4), x, y)], spec, cfg, 5, ids)
+    new, losses, failed = clients_module._train_round(values, [([0, 1, 2, 3], x, y)], spec, cfg, 5, ids)
     assert list(failed) == [2]
     for c, handle in enumerate(handles):
         args = (values[c], handle._train.inputs, handle._train.targets, spec, cfg, (ids[c], 5))

@@ -176,9 +176,15 @@ def doubling_data():
     return SupervisedSet(x, 2.0 * x, np.arange(12))
 
 
+def stacked(models, rows=1):
+    """The values of ``models`` as the C x K x P stack ifca_assign takes,
+    the same K models for each of ``rows`` rows, and their spec."""
+    return models[0].spec, np.broadcast_to(np.stack([m.values for m in models]), (rows, len(models), 2))
+
+
 def choose(data, models):
     """ifca_assign on a stack of one: ``data``'s samples."""
-    return ifca_assign(data.inputs[None], data.targets[None], models)[0]
+    return ifca_assign(data.inputs[None], data.targets[None], *stacked(models))[0]
 
 
 def test_single_model_selected():
@@ -219,7 +225,7 @@ def test_stacked_choice_ties_to_the_lowest_index_and_never_picks_nan(monkeypatch
     x, y = (np.broadcast_to(a, (4, *a.shape)) for a in (data.inputs, data.targets))
     # Row 1's NaN comes first, where nothing beats it (np.argmin gives 0 too);
     # in rows 2 and 3 it never wins, where np.argmin would pick it.
-    assert ifca_assign(x, y, [linear_params(1.0)] * 3) == [2, 0, 2, 1]
+    assert ifca_assign(x, y, *stacked([linear_params(1.0)] * 3, rows=4)) == [2, 0, 2, 1]
 
 
 def test_empty_supervised_sets_unrepresentable():

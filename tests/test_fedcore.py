@@ -7,12 +7,19 @@ degenerate cases where both are defined.
 
 import inspect
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import population_clients, population_spec, synthetic_linear_client
+from helpers import (
+    population_clients,
+    population_spec,
+    reference_fedavg,
+    reference_routed_round,
+    synthetic_linear_client,
+)
 from fedforecast import fedcore
 from fedforecast.clients import FederatedClient, train_local
 from fedforecast.data import SupervisedSet, prepare_client
@@ -47,15 +54,6 @@ from fedforecast.seeds import derive_seed
 from fedforecast.serialize import to_json_text
 
 
-def update(client_id, values, n, spec=None):
-    spec = spec or ModelSpec(kind="linear", input_dim=len(values) - 1, horizon=1)
-    return ClientUpdate(
-        client_id=client_id,
-        new_params=ModelParams(spec, np.asarray(values, dtype=float)),
-        n_samples=n,
-    )
-
-
 def sgd_config(**kwargs):
     defaults = dict(rounds=3, optimizer=OptimizerConfig(kind="sgd", lr=0.05), seed=0)
     defaults.update(kwargs)
@@ -66,55 +64,120 @@ def sgd_config(**kwargs):
 
 
 def test_aggregate_equal_weights():
-    out = fedavg_aggregate([update("a", [1, 3], 2), update("b", [3, 5], 2)])
-    np.testing.assert_allclose(out.values, [2.0, 4.0])
+    out = fedavg_aggregate(np.array([[1.0, 3.0], [3.0, 5.0]]), np.array([2, 2]))
+    np.testing.assert_allclose(out, [2.0, 4.0])
 
 
 def test_aggregate_sample_weighted():
-    spec = ModelSpec(kind="linear", input_dim=1, horizon=1)
-    out = fedavg_aggregate(
-        [
-            ClientUpdate("a", ModelParams(spec, np.array([0.0, 0.0])), 1),
-            ClientUpdate("b", ModelParams(spec, np.array([3.0, 3.0])), 3),
-        ]
-    )
-    np.testing.assert_allclose(out.values, [2.25, 2.25])
+    out = fedavg_aggregate(np.array([[0.0, 0.0], [3.0, 3.0]]), np.array([1, 3]))
+    np.testing.assert_allclose(out, [2.25, 2.25])
 
 
 def test_aggregate_single_update_identity():
-    u = update("a", [1.5, -2.5], 7)
-    np.testing.assert_array_equal(fedavg_aggregate([u]).values, u.new_params.values)
+    values = np.array([[1.5, -2.5]])
+    np.testing.assert_array_equal(fedavg_aggregate(values, np.array([7])), values[0])
 
 
 def test_aggregate_empty_rejected():
     with pytest.raises(EmptyAggregationError):
-        fedavg_aggregate([])
+        fedavg_aggregate(np.empty((0, 2)), np.array([], dtype=np.int64))
 
 
-def test_aggregate_spec_mismatch_rejected():
-    a = update("a", [1.0, 2.0], 1)
-    b = update("b", [1.0, 2.0, 3.0], 1)
-    with pytest.raises(ShapeError):
-        fedavg_aggregate([a, b])
+@pytest.mark.parametrize(
+    "other",
+    [ModelSpec("linear", input_dim=1, horizon=2), ModelSpec("linear", input_dim=4, horizon=1)],
+    ids=["same-size", "other-size"],
+)
+def test_aggregate_spec_mismatch_rejected(other):
+    # The round's spec is linear with 3 inputs and 1 step, 4 params; c002's
+    # handle returns its update under ``other``: 1 input and 2 steps, also 4
+    # params, or 4 inputs, 5 params. Either is rejected, naming the client.
+    datasets = generate_population(PopulationSpec(n_clients=3, archetypes=2, days=7, seed=0))
+    splits = [prepare_client(ds, 1, 1) for ds in datasets]
+
+    class OtherSpecClient(FederatedClient):
+        def local_update(self, broadcast, config, round_index):
+            update = super().local_update(broadcast, config, round_index)
+            values = np.resize(update.new_params.values, other.param_count)
+            return replace(update, new_params=ModelParams(other, values))
+
+    clients = [FederatedClient(s) for s in splits[:2]] + [OtherSpecClient(splits[2])]
+    spec = population_spec(lag=1)
+    assert spec.param_count == 4 and clients[2].client_id == "c002"
+    expected = f"local_update for c002 has spec {other}, expected {spec}"
+    for mode in fedcore.MODES:
+        cluster = ClusterConfig(mode=mode, tau=0.5, warmup=1, k=2)
+        with pytest.raises(ShapeError, match=re.escape(expected)):
+            run_training(clients, spec, sgd_config(), mode, cluster)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_aggregate_raises_the_params_error():
+    # Updates of the largest double from 1, 2 and 2 samples: their weighted
+    # mean rounds past it to inf. The round's one isfinite check on its
+    # models raises the error ModelParams raised on the object path.
+    biggest = np.finfo(float).max
+    datasets = generate_population(PopulationSpec(n_clients=3, archetypes=2, days=7, seed=0))
+
+    class Saturating(FederatedClient):
+        def local_update(self, broadcast, config, round_index):
+            values = np.full(broadcast.spec.param_count, biggest)
+            n = 1 if self.client_id == "c000" else 2
+            return ClientUpdate(self.client_id, ModelParams(broadcast.spec, values), n)
+
+    clients = [Saturating(prepare_client(ds, 6, 1)) for ds in datasets]
+    spec = population_spec()
+    by_id = {c.client_id: c for c in clients}
+    state = fedcore.ServerState("global", spec, init_params(spec, 0).values[None], {})
+    text = "parameter vector contains non-finite values"
+    for round_fn in (fedcore._routed_round, reference_routed_round):
+        with pytest.raises(NumericError, match=f"^{text}$"):
+            round_fn(state, by_id, dict.fromkeys(sorted(by_id), 0), sgd_config(), 1)
+    with pytest.raises(NumericError, match=f"^round 1: {text}$"):
+        run_training(clients, spec, sgd_config())
 
 
 def test_aggregate_matches_manual_weighted_mean():
     rng = np.random.default_rng(0)
-    spec = ModelSpec(kind="linear", input_dim=4, horizon=1)
-    updates = [
-        ClientUpdate(f"c{i}", ModelParams(spec, rng.normal(size=5)), int(rng.integers(1, 9)))
-        for i in range(6)
-    ]
-    total = sum(u.n_samples for u in updates)
-    manual = sum((u.n_samples / total) * u.new_params.values for u in updates)
-    np.testing.assert_allclose(fedavg_aggregate(updates).values, manual, atol=1e-12)
+    rows, counts = [], []
+    for _ in range(6):
+        rows.append(rng.normal(size=5))
+        counts.append(int(rng.integers(1, 9)))
+    values, counts = np.array(rows), np.array(counts)
+    manual = sum((n / counts.sum()) * v for n, v in zip(counts, values))
+    np.testing.assert_allclose(fedavg_aggregate(values, counts), manual, atol=1e-12)
 
 
 def test_aggregate_of_identical_params_is_identity():
-    spec = ModelSpec(kind="linear", input_dim=2, horizon=1)
     values = np.array([0.3, -0.7, 1.1])
-    updates = [ClientUpdate(f"c{i}", ModelParams(spec, values), i + 1) for i in range(4)]
-    np.testing.assert_allclose(fedavg_aggregate(updates).values, values, atol=1e-15)
+    out = fedavg_aggregate(np.tile(values, (4, 1)), np.arange(1, 5))
+    np.testing.assert_allclose(out, values, atol=1e-15)
+
+
+def test_aggregate_equals_the_object_reference_bitwise():
+    # The engine adds each model's weighted rows one at a time in client id
+    # order, as the object FedAvg did, whatever the stack's memory layout.
+    # A reduction such as np.add.reduce(w[:, None] * V, axis=0) adds the
+    # rows in order only when they are C-contiguous; over column-major rows
+    # it sums pairwise and rounds differently. Each case draws P <= 27
+    # params, 1-12 rows in shuffled id order and 1-10^4 samples a row, one
+    # scale from 1e-300 to 1e300, and, every other case, column-major rows.
+    rng = np.random.default_rng(26)
+    for case in range(2400):
+        p, r = int(rng.integers(2, 28)), int(rng.integers(1, 13))
+        spec = ModelSpec("linear", input_dim=p - 1, horizon=1)
+        values = rng.normal(size=(r, p)) * 10.0 ** rng.uniform(-300, 300)
+        counts = rng.integers(1, 10_001, size=r)
+        ids = [f"c{i:02d}" for i in rng.permutation(r)]
+        updates = [
+            ClientUpdate(cid, ModelParams(spec, v), int(n)) for cid, v, n in zip(ids, values, counts)
+        ]
+        in_id_order = np.argsort(ids)
+        rows = values[in_id_order]
+        if case % 2:
+            rows = np.asfortranarray(rows)
+        got = fedavg_aggregate(rows, counts[in_id_order])
+        assert got.tobytes() == reference_fedavg(updates).values.tobytes(), case
 
 
 # ------------------------------------------------------------ participation
@@ -248,10 +311,10 @@ def test_ifca_final_route_chosen_once(monkeypatch, eval_every, evaluated_rounds)
     calls, batches = [], []
     choose = FederatedClient.choose_cluster_batch
 
-    def counted(handles, models):
+    def counted(handles, spec, models):
         calls.extend(h.client_id for h in handles)
         batches.append(len(handles))
-        return choose(handles, models)
+        return choose(handles, spec, models)
 
     monkeypatch.setattr(FederatedClient, "choose_cluster_batch", staticmethod(counted))
     clients = population_clients(n_clients=4, days=7, seed=1)
@@ -476,15 +539,27 @@ def test_client_input_order_is_irrelevant(mode):
 # ------------------------------------------------------------- api surface
 
 
+# Server entry points that take a C x P or K x P parameter stack, and the
+# argument that holds it: models and updates are params, not samples, so
+# these may be arrays.
+PARAMETER_STACKS = {
+    ("fedavg_aggregate", "values"),
+    ("_per_client", "values"),
+    ("_one", "row"),
+    ("_val_loss", "values"),
+}
+
+
 def test_server_api_never_accepts_raw_samples():
-    # Server-side entry points must consume client handles or ClientUpdate
-    # values, never supervised sample arrays: raw data stays client-side.
+    # Server-side entry points must consume client handles, parameter stacks
+    # and counts, never supervised sample arrays: raw data stays client-side.
     server_entry_points = [
         fedcore.fedavg_aggregate,
         fedcore.run_round,
         fedcore._route,
         fedcore._routed_round,
         fedcore._per_client,
+        fedcore._one,
         fedcore._val_loss,
         fedcore.personalize,
         fedcore.run_training,
@@ -494,7 +569,57 @@ def test_server_api_never_accepts_raw_samples():
         for name, param in inspect.signature(fn).parameters.items():
             annotation = str(param.annotation)
             assert "SupervisedSet" not in annotation, f"{fn.__name__}({name})"
-            assert "ndarray" not in annotation, f"{fn.__name__}({name})"
+            if (fn.__name__, name) not in PARAMETER_STACKS:
+                assert "ndarray" not in annotation, f"{fn.__name__}({name})"
+    for fn_name, name in PARAMETER_STACKS:
+        assert "ndarray" in str(inspect.signature(getattr(fedcore, fn_name)).parameters[name].annotation)
+
+
+def store_arrays(clients):
+    """Every sample array of the handles' stores."""
+    return [a for c in clients for pair in c._store.values() for a in pair]
+
+
+@pytest.mark.parametrize("mode", ["hc", "ifca"])
+def test_no_fedcore_call_is_given_a_view_of_client_samples(mode):
+    # Behavioural side of the boundary: under sys.setprofile, every argument
+    # of every call of a fedcore function (an array, or an array held by a
+    # container or by ModelParams) shares no memory with a handle's samples.
+    datasets = generate_population(PopulationSpec(n_clients=6, archetypes=2, days=7, seed=2))
+    clients = FederatedClient.fleet(datasets, 6, 1)
+    samples = store_arrays(clients)
+    checked = []
+
+    def arrays(value):
+        if isinstance(value, ModelParams):
+            value = value.values
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from arrays(item)
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_globals.get("__name__") != "fedforecast.fedcore":
+            return
+        code = frame.f_code
+        names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount + bool(code.co_flags & 4)]
+        for name in names:
+            for array in arrays(frame.f_locals.get(name)):
+                checked.append(code.co_name)
+                for sample in samples:
+                    assert not np.shares_memory(array, sample), (code.co_name, name)
+
+    cluster = ClusterConfig(mode=mode, tau=0.05, warmup=1, k=2, recluster_every=1)
+    sys.setprofile(profile)
+    try:
+        run_training(clients, population_spec(), sgd_config(rounds=3), mode, cluster)
+    finally:
+        sys.setprofile(None)
+    assert {"fedavg_aggregate", "_per_client", "_val_loss"} <= set(checked)
 
 
 def test_client_handle_exposes_no_raw_arrays():
@@ -523,29 +648,34 @@ def test_client_update_carries_only_params_and_scalars():
 
 
 def test_local_update_batch_takes_handles_and_returns_only_updates():
-    params = inspect.signature(FederatedClient.local_update_batch).parameters
-    assert list(params) == ["handles", "broadcasts", "config", "round_index"]
+    # The batch takes handles and a C x P stack of broadcast params, and
+    # returns only what updates carry: the C x P new params, the C sample
+    # counts and the C train losses, row i being handles[i]'s update alone.
+    batch = FederatedClient.local_update_batch
+    params = inspect.signature(batch).parameters
+    assert list(params) == ["handles", "spec", "values", "config", "round_index"]
     for name, param in params.items():
         annotation = str(param.annotation)
         assert "SupervisedSet" not in annotation, name
-        assert "ndarray" not in annotation, name
-    clients = population_clients(n_clients=3, days=7)
+        assert "ndarray" not in annotation or name == "values", name
+    assert "SupervisedSet" not in str(inspect.signature(batch).return_annotation)
+    clients = population_clients(n_clients=3, days=7)[::-1]
     spec = population_spec()
-    out = FederatedClient.local_update_batch(
-        clients[::-1], [init_params(spec, j) for j in range(3)], sgd_config(), 1
-    )
-    assert list(out) == sorted(c.client_id for c in clients)
-    for cid, update in out.items():
-        assert type(update) is ClientUpdate and update.client_id == cid
-        assert isinstance(update.new_params, ModelParams)
-        assert isinstance(update.n_samples, int)
-        assert isinstance(update.train_loss, float)
+    values = np.stack([init_params(spec, j).values for j in range(3)])
+    new, counts, losses = batch(clients, spec, values, sgd_config(), 1)
+    assert new.shape == values.shape and counts.shape == losses.shape == (3,)
+    for i, client in enumerate(clients):
+        update = client.local_update(ModelParams(spec, values[i]), sgd_config(), 1)
+        assert new[i].tobytes() == update.new_params.values.tobytes()
+        assert (counts[i], losses[i]) == (update.n_samples, update.train_loss) == (
+            client.n_train_samples, update.train_loss
+        )
 
 
 BATCH_METHODS = {
-    "val_loss_batch": (["handles", "params"], ()),
-    "fine_tune_batch": (["handles", "params", "epochs", "lr"], (3, 0.1)),
-    "choose_cluster_batch": (["handles", "models"], ()),
+    "val_loss_batch": (["handles", "spec", "values"], ()),
+    "fine_tune_batch": (["handles", "spec", "values", "epochs", "lr"], (3, 0.1)),
+    "choose_cluster_batch": (["handles", "spec", "models"], ()),
 }
 
 
@@ -559,18 +689,18 @@ def test_batch_methods_take_handles_and_params_and_return_only_scalars_or_params
     for name, param in params.items():
         annotation = str(param.annotation)
         assert "SupervisedSet" not in annotation, name
-        assert "ndarray" not in annotation, name
-    returned = str(inspect.signature(batch).return_annotation)
-    assert "SupervisedSet" not in returned and "ndarray" not in returned
+        # Only the parameter stack may be an array.
+        assert "ndarray" not in annotation or name == names[2], name
+    assert "SupervisedSet" not in str(inspect.signature(batch).return_annotation)
     clients = population_clients(n_clients=3, days=7)
     spec = population_spec()
-    models = [init_params(spec, j) for j in range(3)]
-    # choose_cluster_batch takes each handle's sequence of models.
-    out = batch(clients[::-1], [models] * 3 if names[1] == "models" else models, *args)
-    assert list(out) == [c.client_id for c in clients[::-1]]
-    for value in out.values():
-        leaves = value if isinstance(value, tuple) else (value,)
-        assert all(type(leaf) in (ModelParams, float, int) for leaf in leaves), value
+    models = np.stack([init_params(spec, j).values for j in range(3)])
+    # choose_cluster_batch takes each handle's K models.
+    stack = np.broadcast_to(models, (3, *models.shape)) if names[2] == "models" else models
+    out = batch(clients[::-1], spec, stack, *args)
+    # One entry per handle: a scalar, or one row of params.
+    for column in out if isinstance(out, tuple) else (out,):
+        assert column.shape in ((3,), (3, spec.param_count)), column.shape
 
 
 # ------------------------------------------------------- mixed federations

@@ -135,3 +135,32 @@ def test_kept_assignments_lists_the_marked_names():
         "def g():\n    e = 2  # perfbench/tracer.py wraps\n"
     )
     assert kept_assignments(source) == [("a", 1), ("b", 1), ("d", 3)]
+
+
+def test_a_traced_comparison_records_the_engine_spans():
+    # The traced benchmark reads these spans and the byte counter; an engine
+    # that stopped calling a wrapped name through its module would leave
+    # them at 0.
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tree = {
+        "seed": 3,
+        "output_dir": "unused",
+        "population": {"n_clients": 6, "archetypes": 2, "days": 7},
+        "model": {"lag": 6},
+        "fl": {"rounds": 4},
+        "cluster": {"tau": 0.05, "warmup": 1, "recluster_every": 2, "k": 2},
+        "methods": ["hc", "ifca"],
+    }
+    scenario = fedforecast.config.scenario_from_tree(tree)
+    datasets = fedforecast.config.load_datasets(scenario)
+    try:
+        tracing.comparison_patches(tracer, fedforecast)
+        outcomes = fedforecast.evaluation.run_methods(datasets, scenario)
+    finally:
+        tracer.restore()
+    spans = {span[0] for span in tracer.spans}
+    engine = {"fedcore.aggregate", "fedcore.select", "fedcore.round"}
+    assert engine | {"cluster.hc_partition", "cluster.ifca_assign"} <= spans
+    sent = sum(outcome.run_result.bytes_up_total for outcome in outcomes.values())
+    assert tracer.counters["fedcore.bytes_up"] == sent > 0
