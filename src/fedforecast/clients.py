@@ -12,7 +12,7 @@ split sizes, into one store as they are made: C x n x d inputs and
 C x n x h targets per split. It is the one fleet of a comparison.
 Each handle's splits are views of its row; a lone FederatedClient(splits)
 is a store of one. _stacks is the one place that makes handles into
-stacks: every kernel call, lockstep's included, gets a batch of handles as
+stacks: every kernel call, train_local's included, gets a batch of handles as
 its stacks of equal sample counts, a view when the rows are consecutive
 rows of one store, one gather otherwise. STACK_BYTES bounds what a stack allocates,
 not its size: a gathered row costs its samples, and so does a row of a
@@ -33,10 +33,10 @@ call. _train_round's two callers:
 * FederatedClient.local_update_batch, over the handles' _stacks: the
   engine calls it once per round and keeps its C x P result as it is, and
   FederatedClient.local_update is its batch of one;
-* train_lockstep, the one isolated-training loop, behind train_local: it
-  takes the live handles' _stacks, once and again only after one leaves.
-  The local_only baseline trains the fleet so, and the centralized
-  baseline one pooled handle over it.
+* train_local, the one isolated trainer: it takes the live handles'
+  _stacks, once and again only after one leaves. The local_only baseline
+  trains the fleet so, and the centralized baseline one pooled handle over
+  it.
 
 Every per-client computation has one stacked path, a static batch method
 that takes handles, the spec and a params stack (row i for handles[i]) and
@@ -54,7 +54,6 @@ happens, so one epoch is exactly one full-batch gradient step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,6 +62,7 @@ from .data import ClientDataset, ClientSplits, prepare_client
 from .errors import InsufficientDataError, NumericError
 from .fedcore import ClientUpdate, EarlyStop, FLConfig
 from .model import (
+    NON_FINITE_PARAMS,
     ModelParams,
     ModelSpec,
     Workspace,
@@ -81,7 +81,7 @@ from . import seeds as _seeds
 
 # Bytes of samples (inputs plus targets) one stack may allocate for: those
 # it copies, or those one step touches (see _stacks, where every stack,
-# lockstep's included, is made). A larger bucket runs as several stacks,
+# train_local's included, is made). A larger bucket runs as several stacks,
 # which bounds the copies, minibatches and activations a call allocates at
 # once.
 STACK_BYTES = 1 << 20
@@ -162,8 +162,8 @@ def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
 
     Returns the new C x P params, the C train losses, and, by row index,
     the NumericError of each row whose new params or privatized params are
-    not finite (ModelParams' error), or whose delta is (no update can be
-    clipped then). A failed row is not privatized.
+    not finite (ModelParams' text, NON_FINITE_PARAMS), or whose delta is
+    (no update can be clipped then). A failed row is not privatized.
     """
     new = np.empty_like(values)
     losses = np.empty(len(ids))
@@ -171,30 +171,24 @@ def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
         new[rows], losses[rows] = run_epochs(
             values[rows], x, y, spec, config, [(ids[i], round_index) for i in rows]
         )
-    failed: dict[int, NumericError] = {}
-    _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
+    failed = {i: NumericError(NON_FINITE_PARAMS) for i in _non_finite(new)}
     if config.dp is None:
         return new, losses, failed
     delta = new - values
-    for i in np.flatnonzero(~np.all(np.isfinite(delta), axis=1)).tolist():
+    for i in _non_finite(delta):
         failed.setdefault(i, NumericError("cannot clip a non-finite update"))
     ok = [i for i in range(len(ids)) if i not in failed]
     new[ok] = values[ok] + privatize_rows(
         delta[ok], config.dp, config.seed, round_index, [ids[i] for i in ok]
     )
-    _reject(~np.all(np.isfinite(new), axis=1), failed, lambda i: ModelParams(spec, new[i]))
+    for i in _non_finite(new):
+        failed.setdefault(i, NumericError(NON_FINITE_PARAMS))
     return new, losses, failed
 
 
-def _reject(bad: np.ndarray, failed: dict, check) -> None:
-    """Record, for each flagged row i not yet failed, the NumericError
-    ``check(i)`` raises."""
-    for i in np.flatnonzero(bad).tolist():
-        if i not in failed:
-            try:
-                check(i)
-            except NumericError as exc:
-                failed[i] = exc
+def _non_finite(rows: np.ndarray) -> list[int]:
+    """The indices of the rows of a stack that hold a non-finite value."""
+    return np.flatnonzero(~np.all(np.isfinite(rows), axis=1)).tolist()
 
 
 def _fine_tune_stack(spec, values, inputs, targets, epochs: int, lr: float):
@@ -205,8 +199,8 @@ def _fine_tune_stack(spec, values, inputs, targets, epochs: int, lr: float):
     rise or s reaches BACKTRACK_FLOOR; s carries into later epochs. A row
     whose loss would still rise stops there, while its stack-mates go on.
     Returns the new C x P values and, for each row whose candidate params
-    are not finite, the NumericError the one-client code raises; such a row
-    stops too.
+    are not finite, a NumericError of ModelParams' text; such a row stops
+    too.
     """
     _check_batch(spec, inputs[0], targets[0])
     values = values.copy()
@@ -223,10 +217,9 @@ def _fine_tune_stack(spec, values, inputs, targets, epochs: int, lr: float):
         stopped: dict[int, NumericError] = {}
         pending = np.arange(len(live))
         while pending.size:
-            bad = np.zeros(len(live), dtype=bool)
-            bad[pending] = ~np.all(np.isfinite(candidate[pending]), axis=1)
-            _reject(bad, stopped, lambda i: ModelParams(spec, candidate[i]))
-            pending = pending[~bad[pending]]
+            finite = np.all(np.isfinite(candidate[pending]), axis=1)
+            stopped.update((i, NumericError(NON_FINITE_PARAMS)) for i in pending[~finite].tolist())
+            pending = pending[finite]
             part = slice(None) if len(pending) == len(live) else pending
             candidate_loss[pending] = stack_loss(spec, candidate[pending], x[part], y[part])
             rose = candidate_loss[pending] > current[pending]
@@ -490,46 +483,21 @@ class FederatedClient:
 # package calls the methods.
 local_update, fine_tune = FederatedClient.local_update, FederatedClient.fine_tune  # perfbench/tracer.py wraps
 
-@dataclass(frozen=True)
-class LocalTrace:
-    """Per-round validation trace of an isolated local training run."""
 
-    val_losses: tuple[float, ...]
-    best_round: int
-
-
-def train_local(
-    clients, init: ModelParams, config: FLConfig
-) -> tuple[dict[str, ModelParams], dict[str, LocalTrace]]:
-    """Isolated local training of every client through train_lockstep: the
-    same per-round schedule as federation, minus any communication, each
-    client under its own EarlyStop rule. Returns each client's final params
-    and trace by id.
-
-    Results are bitwise those of training each client alone. A client that
-    diverges is dropped, and after training the error of the first such
-    client in ``clients`` order is raised, as training them one after
-    another would raise it.
-    """
-    models, traces, errors = train_lockstep(clients, init, config)
-    ids = [client.client_id for client in clients]
-    for cid in ids:
-        if cid in errors:
-            raise errors[cid]
-    return {cid: models[cid] for cid in ids}, {cid: traces[cid] for cid in ids}
-
-
-def train_lockstep(handles, init: ModelParams, config: FLConfig):
-    """Isolated training of one model per handle, each from init under its
-    own EarlyStop rule. The live handles train in lockstep, row c of the
+def train_local(handles, init: ModelParams, config: FLConfig):
+    """Isolated local training of one model per handle, each from init under
+    its own EarlyStop rule: the same per-round schedule as federation, minus
+    any communication. The live handles train in lockstep, row c of the
     values being live handle c on its own samples: each round is one
     _train_round over their train _stacks, then one stack_loss per val
     stack. A handle leaves when it stops or fails, and only after such a
     round are the stacks built again, from the handles left.
 
-    Returns three dicts by client id: the final params and LocalTrace of
-    each handle that trained to its end, and the NumericError of each one
-    that failed.
+    Returns two dicts by client id, in handles order: each handle's final
+    params and its tuple of per-round validation losses. Results are bitwise
+    those of training each handle alone. When some fail, the error of the
+    first of them in handles order is raised after training, as training
+    them one after another would raise it.
     """
     spec, live = init.spec, list(handles)
     values = np.tile(init.values, (len(live), 1))
@@ -537,9 +505,8 @@ def train_lockstep(handles, init: ModelParams, config: FLConfig):
         h.client_id: EarlyStop(config.early_stop_patience, f"client {h.client_id} validation loss")
         for h in live
     }
-    trace: dict[str, list[float]] = {h.client_id: [] for h in live}
+    traces: dict[str, list[float]] = {h.client_id: [] for h in live}
     models: dict[str, ModelParams] = {}
-    traces: dict[str, LocalTrace] = {}
     errors: dict[str, NumericError] = {}
     stacks = list(_stacks(live, "train", config.batch_size)), list(_stacks(live, "val"))
     for round_index in range(1, config.rounds + 1):
@@ -558,11 +525,9 @@ def train_lockstep(handles, init: ModelParams, config: FLConfig):
             except NumericError as exc:
                 errors[cid] = exc
                 continue
-            trace[cid].append(val_loss)
+            traces[cid].append(val_loss)
             if stop or round_index == config.rounds:
                 models[cid] = ModelParams(spec, new[i].copy())
-                best_round = int(np.argmin(np.asarray(trace[cid]))) + 1
-                traces[cid] = LocalTrace(tuple(trace[cid]), best_round)
             else:
                 keep.append(i)
         if not keep:
@@ -572,4 +537,7 @@ def train_lockstep(handles, init: ModelParams, config: FLConfig):
             stacks = list(_stacks(live, "train", config.batch_size)), list(_stacks(live, "val"))
         else:
             values = new
-    return models, traces, errors
+    for cid in traces:
+        if cid in errors:
+            raise errors[cid]
+    return {cid: models[cid] for cid in traces}, {cid: tuple(t) for cid, t in traces.items()}

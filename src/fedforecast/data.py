@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Mapping
@@ -327,48 +326,25 @@ def _parse_float(text: str, column: str, line_no: int) -> float:
     return value
 
 
-def _value_arrays(cells: list[list[str]], columns: list[str], lines) -> list[np.ndarray]:
-    """Each column of value cells as one float64 array.
-
-    numpy parses a str with float(), so it accepts exactly what _parse_float
-    does. If any cell fails or is non-finite, the cells are rechecked row by
-    row, in column order within a row, and the first bad one's ParseError is
-    raised.
-    """
-    arrays = []
-    try:
-        for col in cells:
-            arrays.append(np.array(col, dtype=np.float64))
-            if not np.isfinite(arrays[-1]).all():
-                raise ValueError
-    except ValueError:
-        for i, line_no in enumerate(lines):
-            for col, column in zip(cells, columns):
-                _parse_float(col[i], column, line_no)
-    return arrays
-
-
 def _read_columns(reader, header: list[str], schema: CsvSchema, value_columns: list[str]):
-    """Stream the data rows of ``reader`` into columns, one row at a time.
+    """Read the data rows of ``reader`` into columns, parsing each row as it
+    is read: its width, client id, timestamp, then each value cell.
 
     Returns the code of each (stripped) client id, and per data row its
     client code, epoch hour and, as one float64 array per value column, its
-    values. Each distinct timestamp or client id text is parsed once. Errors
-    are those of the first bad cell in file order. This is the reader of the
-    files _read_blocks declines (quoted ones, and those with a bad cell), and
-    the one source of the loader's parse errors and their file lines.
+    values. Each distinct timestamp text is parsed once. Errors are those of
+    the first bad cell in file order. This is the reader of the files
+    _read_blocks declines (quoted ones, and those with a bad cell), and the
+    one source of the loader's parse errors and their file lines.
     """
     width = len(header)
     ts_at, cid_at = header.index(schema.timestamp), header.index(schema.client_id)
-    cells: list[list[str]] = [[] for _ in value_columns]
-    sinks = [(col.append, header.index(c)) for col, c in zip(cells, value_columns)]
+    value_at = [(header.index(c), c) for c in value_columns]
     hour_of: dict[str, int] = {}  # timestamp text -> epoch hour
-    code_of_text: dict[str, int] = {}  # client id text -> client code
     code_of: dict[str, int] = {}  # stripped client id -> client code
     hours: list[int] = []
     codes: list[int] = []
-    lines = array("q")  # file line of each data row
-    error: ParseError | None = None
+    values: list[list[float]] = [[] for _ in value_columns]
     try:
         for row in reader:
             line_no = reader.line_num
@@ -376,29 +352,24 @@ def _read_columns(reader, header: list[str], schema: CsvSchema, value_columns: l
                 if not row:
                     continue
                 raise ParseError(f"line {line_no}: expected {width} columns, got {len(row)}")
-            code = code_of_text.get(row[cid_at])
-            if code is None:
-                cid = row[cid_at].strip()
-                if not cid:
-                    raise ParseError(f"line {line_no}: empty client id")
-                code = code_of_text[row[cid_at]] = code_of.setdefault(cid, len(code_of))
+            cid = row[cid_at].strip()
+            if not cid:
+                raise ParseError(f"line {line_no}: empty client id")
             hour = hour_of.get(row[ts_at])
             if hour is None:
                 hour = hour_of[row[ts_at]] = _parse_epoch_hour(row[ts_at].strip(), line_no)
-            codes.append(code)
+            codes.append(code_of.setdefault(cid, len(code_of)))
             hours.append(hour)
-            lines.append(line_no)
-            for append, at in sinks:
-                append(row[at])
+            for col, (at, column) in zip(values, value_at):
+                col.append(_parse_float(row[at], column, line_no))
     except csv.Error as exc:
-        error = ParseError(f"line {reader.line_num}: {exc}")
-    except ParseError as exc:
-        error = exc
-    # A bad value on a row before the one that stopped the stream comes first.
-    values = _value_arrays(cells, value_columns, lines)
-    if error is not None:
-        raise error
-    return code_of, np.array(codes, dtype=np.intp), np.array(hours, dtype=np.int64), values
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    return (
+        code_of,
+        np.array(codes, dtype=np.intp),
+        np.array(hours, dtype=np.int64),
+        [np.array(col, dtype=np.float64) for col in values],
+    )
 
 
 def _check_header(header: list[str], path: str, schema: CsvSchema, value_columns: list[str]):
@@ -539,8 +510,8 @@ def load_csv(
     A file without quotes, with LF or CRLF line ends, is read a block at a
     time by column (_read_blocks). A file it declines (a quote, a lone CR,
     a row wider or narrower than the header, a bad cell) is read again from
-    the start one row at a time by the csv module (_read_columns), which
-    gives the same datasets and names the errors.
+    the start by the csv module, each row parsed as it is read
+    (_read_columns), which gives the same datasets and names the errors.
 
     Per client, timestamps must be strictly increasing in file order and
     hourly-contiguous; a missing hour raises GapError naming the client and

@@ -246,13 +246,14 @@ class _Harness:
         if pooled:
             models = dict.fromkeys((c.client_id for c in self.clients), models[base])
         rows = []
-        for r in range(max(len(t.val_losses) for t in traces.values())):
-            active = [h for h in handles if r < len(traces[h.client_id].val_losses)]
-            pairs = [(traces[h.client_id].val_losses[r], h.n_val_samples) for h in active]
+        for r in range(max(map(len, traces.values()))):
+            active = [h for h in handles if r < len(traces[h.client_id])]
+            pairs = [(traces[h.client_id][r], h.n_val_samples) for h in active]
             # The pooled trace is its own row: (v * n) / n is not always v.
             val = pairs[0][0] if pooled else _weighted_val_loss(pairs)
             rows.append([r + 1, val, 0, 0, len(active), 0])
-        best = sum(traces[h.client_id].best_round * h.n_train_samples for h in handles)
+        # A handle's best round is the first with its lowest val loss.
+        best = sum((int(np.argmin(traces[h.client_id])) + 1) * h.n_train_samples for h in handles)
         return _Trained(models, rows, float(best / sum(h.n_train_samples for h in handles)), None)
 
     def models_for(self, method: str) -> dict[str, ModelParams]:

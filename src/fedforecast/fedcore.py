@@ -49,7 +49,7 @@ import numpy as np
 
 from .cluster import hc_partition
 from .errors import ConfigError, EmptyAggregationError, NumericError, ShapeError
-from .model import ModelParams, ModelSpec, init_params, param_message_bytes
+from .model import NON_FINITE_PARAMS, ModelParams, ModelSpec, init_params, param_message_bytes
 from .optim import OptimizerConfig
 from .privacy import DpConfig
 from .seeds import derive_seed, rng_for
@@ -223,8 +223,10 @@ def fedavg_aggregate(values: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     if len(counts) == 0:
         raise EmptyAggregationError("no updates to aggregate")
     acc = np.zeros(values.shape[1])
-    for weight, row in zip(counts / np.sum(counts), values):
-        acc += weight * row
+    # An overflow is the caller's NumericError, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, row in zip(counts / np.sum(counts), values):
+            acc += weight * row
     return acc
 
 
@@ -299,7 +301,7 @@ def _routed_round(
         rows = groups.get(j)
         values[j] = state.values[j] if rows is None else fedavg_aggregate(new[rows], counts[rows])
     if not np.isfinite(values).all():
-        raise NumericError("parameter vector contains non-finite values")
+        raise NumericError(NON_FINITE_PARAMS)
     val = _val_loss(by_id, state.spec, values, route)
     pb = param_message_bytes(state.spec)
     fanout = len(state.values) if state.mode == "ifca" else 1

@@ -41,6 +41,9 @@ KINDS = ("linear", "mlp")
 PARAM_HEADER = struct.Struct("<IIII")
 PARAM_HEADER_BYTES = PARAM_HEADER.size
 
+# The error text of a parameter vector that is not finite, wherever found.
+NON_FINITE_PARAMS = "parameter vector contains non-finite values"
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -85,7 +88,7 @@ class ModelParams:
                 f"spec requires {self.spec.param_count}"
             )
         if not np.all(np.isfinite(values)):
-            raise NumericError("parameter vector contains non-finite values")
+            raise NumericError(NON_FINITE_PARAMS)
         object.__setattr__(self, "values", values)
 
 

@@ -8,7 +8,7 @@ from typing import Mapping
 import numpy as np
 
 from fedforecast import evaluation, fedcore
-from fedforecast.clients import FederatedClient, LocalTrace, run_epochs
+from fedforecast.clients import FederatedClient, run_epochs
 from fedforecast.data import (
     IDENTITY_SCALER,
     ClientDataset,
@@ -345,7 +345,8 @@ def reference_fine_tune(params, train, epochs, lr):
 
 
 def reference_train_local(client, init, config):
-    """Isolated local training of one client, round after round."""
+    """Isolated local training of one client, round after round.
+    Returns (final params, tuple of per-round val losses)."""
     params = init
     stopper = EarlyStop(
         config.early_stop_patience, f"client {client.client_id} validation loss"
@@ -360,13 +361,12 @@ def reference_train_local(client, init, config):
         trace.append(val)
         if stop:
             break
-    best_round = int(np.argmin(np.asarray(trace))) + 1
-    return params, LocalTrace(tuple(trace), best_round)
+    return params, tuple(trace)
 
 
 def reference_centralized(clients, spec, config):
     """The centralized baseline's own round loop, which the harness ran
-    before centralized trained through ``clients.train_lockstep``: the
+    before centralized trained through ``clients.train_local``: the
     kernel on a stack of one over the samples of ``clients`` concatenated
     (the harness's own handles, each scaled by its own client's scalers),
     validated with ``loss`` under an EarlyStop rule, without DP.

@@ -188,7 +188,7 @@ class _EmptySplit:
     n_samples = 0
 
 
-# The split each client computation reads; lockstep reads both.
+# The split each client computation reads; train_local reads both.
 READS = {
     "local_update": ("train",),
     "val_loss": ("val",),
@@ -226,8 +226,8 @@ def test_train_local_trace_and_best_round():
     init = init_params(population_spec(), 0)
     models, traces = train_local([client], init, cfg)
     params, trace = models[client.client_id], traces[client.client_id]
-    assert len(trace.val_losses) == 6
-    assert trace.best_round == int(np.argmin(trace.val_losses)) + 1
+    assert type(trace) is tuple and len(trace) == 6
+    assert all(type(v) is float for v in trace)
     assert not np.array_equal(params.values, init.values)
 
 
@@ -235,7 +235,7 @@ def test_train_local_early_stops():
     client = one_client()
     cfg = config(rounds=50, local_epochs=0, early_stop_patience=2)
     _, traces = train_local([client], init_params(population_spec(), 0), cfg)
-    assert len(traces[client.client_id].val_losses) == 3
+    assert len(traces[client.client_id]) == 3
 
 
 def test_train_local_divergence_names_client_and_round():
@@ -413,8 +413,8 @@ def test_lockstep_gathers_a_stack_again_only_after_a_handle_left(staggered, monk
     # the handles left, when some left in round r and some are left.
     lives = [tuple(c.client_id for c in staggered)]
     for r in range(1, cfg.rounds):
-        left = tuple(cid for cid in lives[0] if len(traces[cid].val_losses) > r)
-        if 0 < len(left) < sum(len(traces[cid].val_losses) >= r for cid in lives[0]):
+        left = tuple(cid for cid in lives[0] if len(traces[cid]) > r)
+        if 0 < len(left) < sum(len(traces[cid]) >= r for cid in lives[0]):
             lives.append(left)
     assert gathered == [(ids, split) for ids in lives for split in ("train", "val")]
     assert (len(lives) > 1) == (patience > 0)
@@ -441,7 +441,7 @@ def test_oracle_matrix_has_buckets_and_staggered_stops(staggered):
     assert sum(size > 1 for size in stacks) >= 2
     cfg = matrix_config("momentum", 16, "dp-off", 1, patience=2)
     _, traces = train_local(staggered, init_params(matrix_spec("mlp"), 1), cfg)
-    lengths = [len(t.val_losses) for t in traces.values()]
+    lengths = [len(t) for t in traces.values()]
     # Both two-client stacks lose one client before the other.
     assert lengths[0] != lengths[1] and lengths[2] != lengths[3]
 
@@ -743,21 +743,26 @@ def test_lockstep_dp_round_with_a_failing_row_equals_the_reference(staggered, mo
         diverge(new, values, *labels)
         return new, train_loss
 
-    privatized, results = [], []
-    privatize_rows, lockstep = clients_module.privatize_rows, clients_module.train_lockstep
+    privatized = []
+    rows: dict[str, list[np.ndarray]] = {}  # each client's new params, round by round
+    failures: list[list[str]] = []  # the clients each round failed
+    privatize_rows, train_round = clients_module.privatize_rows, clients_module._train_round
 
     def counted(deltas, *args):
         privatized.append(len(deltas))
         return privatize_rows(deltas, *args)
 
-    def recorded(*args):
-        results.append(lockstep(*args))
-        return results[-1]
+    def recorded(values, stacks, spec, config, round_index, ids):
+        new, losses, failed = train_round(values, stacks, spec, config, round_index, ids)
+        for i, cid in enumerate(ids):
+            rows.setdefault(cid, []).append(new[i].copy())
+        failures.append([ids[i] for i in sorted(failed)])
+        return new, losses, failed
 
     monkeypatch.setattr(clients_module, "run_epochs", kernel_with_divergence)
     monkeypatch.setattr(helpers, "reference_run_epochs", reference_with_divergence)
     monkeypatch.setattr(clients_module, "privatize_rows", counted)
-    monkeypatch.setattr(clients_module, "train_lockstep", recorded)
+    monkeypatch.setattr(clients_module, "_train_round", recorded)
     spec = matrix_spec("mlp")
     values = init_params(spec, 1).values.copy()
     values[0] = 1e308
@@ -780,13 +785,14 @@ def test_lockstep_dp_round_with_a_failing_row_equals_the_reference(staggered, mo
     assert (type(got), str(got)) == (type(want), str(want))
     # One call per round: all six rows until c001 fails in round 2, then five.
     assert privatized == [6, 5, 5, 5, 5, 5]
-    models, traces, errors = results[0]
-    assert list(errors) == ["c001"]
+    assert failures == [[], ["c001"], [], [], [], []]
+    # Each survivor's rows, to its last, are its reference's, round by round.
     for client in staggered:
         if client.client_id != "c001":
             want_params, want_trace = reference_train_local(client, init, cfg)
-            assert models[client.client_id].values.tobytes() == want_params.values.tobytes()
-            assert traces[client.client_id] == want_trace
+            got_rows = rows[client.client_id]
+            assert got_rows[-1].tobytes() == want_params.values.tobytes()
+            assert tuple(client.val_loss(ModelParams(spec, r))[0] for r in got_rows) == want_trace
 
 
 def test_batch_orders_are_the_rng_for_draws_of_every_epoch():

@@ -300,7 +300,7 @@ def test_load_csv_short_row_names_the_column_counts(tmp_path):
 
 
 def test_load_csv_earlier_bad_value_wins_over_later_bad_timestamp(tmp_path):
-    # Values are parsed after the rows are read; the error is still the
+    # Each row's values are parsed as the row is read: the error is the
     # first bad cell in file order.
     path = write(
         tmp_path,
@@ -672,6 +672,33 @@ def test_load_csv_reads_a_quoted_fleet_by_rows(tmp_path, monkeypatch):
     got = load_csv(path, schema)
     assert len(calls) == 1
     assert_same_load(got, reference_load_csv(path, schema))
+
+
+# Ways to spoil a (timestamp, client id, value) row other than its value.
+ROW_ERRORS = {
+    "short-row": lambda row: row[:2],
+    "empty-id": lambda row: [row[0], " ", row[2]],
+    "bad-timestamp": lambda row: ["not-a-date", *row[1:]],
+}
+
+
+@pytest.mark.parametrize("value", ["oops", "nan"])
+@pytest.mark.parametrize("offset", [-1, 1], ids=["before", "after"])
+@pytest.mark.parametrize("spoil", list(ROW_ERRORS))
+def test_load_csv_quoted_file_raises_the_earlier_lines_error(tmp_path, monkeypatch, spoil, offset, value):
+    # A bad value on line 4 and another kind of error on line 3 or 5 of a
+    # file the row reader reads: the earlier line's error is raised.
+    rows = [[(EPOCH + timedelta(hours=h)).isoformat(), "c0", "1.5"] for h in range(6)]
+    rows[2][2] = value  # line 4
+    rows[2 + offset] = ROW_ERRORS[spoil](rows[2 + offset])
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL).writerows([["timestamp", "client_id", "value_kw"], *rows])
+    path = write_bytes(tmp_path, out.getvalue().encode())
+    calls = row_reads(monkeypatch)
+    got = loaded(load_csv, path, None, False)
+    assert len(calls) == 1
+    assert got == loaded(reference_load_csv, path, None, False)
+    assert got[0] is ParseError and got[1].startswith(f"line {min(4, 4 + offset)}: ")
 
 
 def test_load_csv_short_row_is_an_error_though_a_long_row_makes_up_its_width(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import check_personalization_against_reference, reference_centralized
+from fedforecast.clients import FederatedClient, train_local
 from fedforecast.config import METHODS, load_datasets, scenario_from_tree
 from fedforecast.data import ClientDataset, TimeSeries, save_csv
 from fedforecast.errors import (
@@ -122,6 +123,24 @@ def test_centralized_pools_all_training_samples(tmp_path):
     assert central.n_train_samples == local.n_train_samples  # both report the total
     assert central.bytes_up == central.bytes_down == 0
     assert local.bytes_up == local.bytes_down == 0
+
+
+@pytest.mark.parametrize("base", ["local_only", "centralized"])
+def test_isolated_rounds_to_best_is_each_traces_first_lowest_round(tmp_path, base):
+    # A handle's best round is the first round of its lowest val loss; the
+    # method's is their mean weighted by train samples.
+    fl = {"rounds": 30, "early_stop_patience": 3, "optimizer": {"kind": "sgd", "lr": 0.5}}
+    sc = scenario(tmp_path, methods=[base], fl=fl)
+    harness = _Harness(load_datasets(sc), sc)
+    pooled = [FederatedClient.pooled(harness.clients, base)]
+    handles = pooled if base == "centralized" else harness.clients
+    _, traces = train_local(handles, harness._init(), replace(sc.fl, dp=None))
+    lows = [traces[h.client_id] for h in handles]
+    best = [min(range(len(t)), key=t.__getitem__) + 1 for t in lows]
+    assert any(b < len(t) for b, t in zip(best, lows))
+    weighted = sum(b * h.n_train_samples for b, h in zip(best, handles))
+    want = weighted / sum(h.n_train_samples for h in handles)
+    assert harness.trained(base).rounds_to_best_val == want
 
 
 MIXED = {"fixed_load": 0.4, "pv": 0.2, "hvac": 0.2, "ev_charger": 0.1, "battery": 0.1}

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-name the traced benchmark wraps exists.
+"""Every name a package module imports is used in that module, every
+private top-level name is read somewhere in the package, and every name the
+traced benchmark wraps exists.
 
 Deletions tend to leave dead imports behind. The one reason to keep an
 unused import is that perfbench/tracer.py wraps the name as an attribute of
@@ -72,6 +73,79 @@ def test_every_import_is_used(module):
 def test_checker_flags_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(os, tau)\n"
     assert unused_imports(source) == ["pi (line 3)"]
+
+
+def private_definitions(tree: ast.Module):
+    """(statement, name) of each ``_``-prefixed, non-dunder name a top-level
+    function, class or assignment of tree binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                target.id
+                for assigned in targets
+                for target in (assigned.elts if isinstance(assigned, ast.Tuple) else [assigned])
+                if isinstance(target, ast.Name)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node, name
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """The names node reads, as a name, an attribute or an imported name."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in child.names)
+    return names
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:line name`` of each private top-level name of the modules
+    (name -> source) that no other top-level statement of any of them reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    statements = [(node, referenced_names(node)) for tree in trees.values() for node in tree.body]
+    return [
+        f"{module}:{node.lineno} {name}"
+        for module, tree in trees.items()
+        for node, name in private_definitions(tree)
+        if not any(name in names for other, names in statements if other is not node)
+    ]
+
+
+def test_every_private_name_is_used():
+    # A private name has no callers outside the package, so one the package
+    # no longer reads is dead code.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
+
+
+def test_checker_flags_an_unused_private_name():
+    first = (
+        "import os\n"
+        "def _used():\n    return _LATER\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Kept:\n    pass\n"
+        "_A, _B = 1, 2\n"
+        "_LATER: int = 3\n"
+        "__version__ = '1'\n"
+        "def public():\n    _shadow = 4\n    return _used(), _A, os._exit\n"
+    )
+    second = "from first import _Kept\n_shadow = 5\n"
+    assert unused_private_names({"first.py": first, "second.py": second}) == [
+        "first.py:4 _recursive",
+        "first.py:8 _B",
+        "second.py:2 _shadow",
+    ]
 
 
 def load_tracer():
