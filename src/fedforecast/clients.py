@@ -6,10 +6,11 @@ counts and model indices through the FederatedClient handle. A local update
 runs the configured epochs of (mini-)batch optimization from the broadcast
 params, applies update-level DP when enabled, and ships back new params.
 
-Samples live in stores. FederatedClient.fleet windows the clients, each
-under its own scalers, and copies those of equal series length, so of equal
-split sizes, into one store as they are made: C x n x d inputs and
-C x n x h targets per split. It is the one fleet of a comparison.
+Samples live in stores. FederatedClient.fleet groups the clients by series
+length, so by split sizes, and has data.window_clients window each group,
+each client under its own scalers, in one pass that writes the group's one
+store: C x n x d inputs and C x n x h targets per split. It is the one
+fleet of a comparison.
 Each handle's splits are views of its row; a lone FederatedClient(splits)
 is a store of one. _stacks is the one place that makes handles into
 stacks: every kernel call, train_local's included, gets a batch of handles as
@@ -58,8 +59,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import ClientDataset, ClientSplits, prepare_client
-from .errors import InsufficientDataError, NumericError
+from .data import SPLITS, ClientDataset, ClientSplits, window_clients
+from .errors import InsufficientDataError, NumericError, ShapeError
 from .fedcore import ClientUpdate, EarlyStop, FLConfig
 from .model import (
     NON_FINITE_PARAMS,
@@ -73,7 +74,7 @@ from .model import (
 )
 from .model import loss, loss_and_grad  # noqa: F401  (perfbench/tracer.py wraps both)
 from .optim import make_state, step
-from .privacy import privatize_rows
+from .privacy import NON_FINITE_UPDATE, privatize_rows
 from .privacy import privatize_delta  # noqa: F401  (perfbench/tracer.py wraps clients.privatize_delta)
 from .seeds import rng_for  # noqa: F401  (perfbench/tracer.py wraps clients.rng_for)
 from . import cluster as _cluster
@@ -88,8 +89,6 @@ STACK_BYTES = 1 << 20
 
 # Personalization halves a row's step size at most down to this.
 BACKTRACK_FLOOR = 1e-18
-
-SPLITS = ("train", "val", "test")
 
 
 def run_epochs(
@@ -176,7 +175,7 @@ def _train_round(values, stacks, spec, config: FLConfig, round_index, ids):
         return new, losses, failed
     delta = new - values
     for i in _non_finite(delta):
-        failed.setdefault(i, NumericError("cannot clip a non-finite update"))
+        failed.setdefault(i, NumericError(NON_FINITE_UPDATE))
     ok = [i for i in range(len(ids)) if i not in failed]
     new[ok] = values[ok] + privatize_rows(
         delta[ok], config.dp, config.seed, round_index, [ids[i] for i in ok]
@@ -250,11 +249,6 @@ class _Split(NamedTuple):
         return len(self.inputs)
 
 
-def _arrays(splits: ClientSplits, name: str) -> tuple[np.ndarray, np.ndarray]:
-    split = getattr(splits, name)
-    return split.inputs, split.targets
-
-
 def _consecutive(handles) -> slice | None:
     """The rows of handles as a slice of their store, when they are
     consecutive rows of one store, in order; else None."""
@@ -315,50 +309,65 @@ class FederatedClient:
     engine's API-surface contract: server code receives this handle and may
     call only the methods below, none of which return raw samples. The
     handle's samples are row ``row`` of ``store``, a dict of (C x n x d
-    inputs, C x n x h targets) per split name; by default a store of one
-    holds views of ``splits``.
+    inputs, C x n x h targets) per split name: a fleet store, or, for a
+    handle made of its ClientSplits, a store of one that holds views of
+    them.
     """
 
-    def __init__(self, splits: ClientSplits, store=None, row: int = 0):
-        self.client_id = splits.client_id
-        self.feeder_id = splits.feeder_id
-        self.archetype_id = splits.archetype_id
-        self.der_class = splits.der_class
-        if store is None:
-            store = {name: tuple(a[None] for a in _arrays(splits, name)) for name in SPLITS}
+    def __init__(self, splits: ClientSplits):
+        sets = {name: getattr(splits, name) for name in SPLITS}
+        store = {name: (s.inputs[None], s.targets[None]) for name, s in sets.items()}
+        stamps = {name: s.sample_timestamps[None] for name, s in sets.items()}
+        self._bind(splits, store, stamps, 0, splits.value_scaler)
+
+    def _bind(self, source, store, stamps, row: int, value_scaler) -> None:
+        """Make this the handle of row ``row`` of ``store``, its sample
+        timestamps row ``row`` of ``stamps`` (split name -> C x m), with the
+        id and metadata of ``source`` (its ClientSplits or ClientDataset)."""
+        self.client_id = source.client_id
+        self.feeder_id = source.feeder_id
+        self.archetype_id = source.archetype_id
+        self.der_class = source.der_class
         self._store = store
         self._row = row
         self._train, self._val, self._test = (
-            _Split(*(a[row] for a in store[name]), getattr(splits, name).sample_timestamps)
-            for name in SPLITS
+            _Split(*(a[row] for a in store[name]), stamps[name][row]) for name in SPLITS
         )
-        self._value_scaler = splits.value_scaler
+        self._value_scaler = value_scaler
 
     @classmethod
     def fleet(cls, datasets: Sequence[ClientDataset], lag: int, horizon: int) -> list:
-        """One handle per dataset, in order, over prepare_client(dataset,
-        lag, horizon): each client's samples scaled by its own scalers. This
-        is the one fleet every method trains and scores. Series of equal
-        length give equal split sizes, so their clients share one store,
-        rows in order. Each client's samples are copied into its row as soon
-        as they are made, so they are held once, in the store."""
+        """One handle per dataset, in order, each client's samples scaled by
+        its own scalers as prepare_client(dataset, lag, horizon) scales them.
+        This is the one fleet every method trains and scores. Series of
+        equal length give equal split sizes, so their clients share one
+        store, rows in order, which one window_clients pass writes: the
+        samples are held once, in the store. Every client must have the
+        covariate names of the first, so that the fleet has one input
+        layout. When some clients fail, the error of the first of them in
+        datasets order is raised."""
+        names = sorted(datasets[0].covariates) if datasets else []
+        for ds in datasets:
+            if sorted(ds.covariates) != names:
+                raise ShapeError(
+                    f"client {ds.client_id} covariates differ; the federation "
+                    f"needs one shared input layout"
+                )
         groups: dict[int, list[int]] = {}
         for i, ds in enumerate(datasets):
             groups.setdefault(len(ds.series), []).append(i)
+        stores = [
+            (members, window_clients([datasets[i] for i in members], lag, horizon))
+            for members in groups.values()
+        ]
+        failed = {members[c]: exc for members, windows in stores for c, exc in windows.failed.items()}
+        if failed:
+            raise failed[min(failed)]
         handles = [None] * len(datasets)
-        for members in groups.values():
-            store = None
+        for members, (store, stamps, scalers, _) in stores:
             for row, i in enumerate(members):
-                splits = prepare_client(datasets[i], lag, horizon)
-                if store is None:
-                    store = {
-                        name: tuple(np.empty((len(members), *a.shape)) for a in _arrays(splits, name))
-                        for name in SPLITS
-                    }
-                for name in SPLITS:
-                    for stacked, own in zip(store[name], _arrays(splits, name)):
-                        stacked[row] = own
-                handles[i] = cls(splits, store, row)
+                handles[i] = cls.__new__(cls)
+                handles[i]._bind(datasets[i], store, stamps, row, scalers[row])
         return handles
 
     @classmethod

@@ -8,6 +8,13 @@ The pipeline is deliberately rigid about time-series hygiene:
 * CSV ingestion refuses gapped or non-monotone timestamps unless the caller
   explicitly opts into forward-filling.
 
+There is one windowing pass, _window: it scales each signal of C series of
+one length in one reused C x L buffer and writes each split's sliding
+windows straight into that split's C x n x d inputs and C x n x h targets.
+window_clients runs it over the clients of one fleet store, fitting every
+client's scalers on its own train prefix at once; prepare_client and
+build_supervised are its batch of one.
+
 All series are hourly, and timestamps are integer epoch hours (hours since
 1970-01-01T00:00Z).
 """
@@ -18,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +44,10 @@ DER_CLASSES = ("fixed_load", "hvac", "ev_charger", "battery", "pv")
 
 TRAIN_FRAC = 0.7
 VAL_FRAC = 0.15
+SPLITS = ("train", "val", "test")
+
+# The one error text of samples that hold a non-finite value.
+NON_FINITE_SAMPLES = "supervised set contains non-finite values"
 
 # Characters of text load_csv's block reader splits at a time.
 BLOCK_CHARS = 1 << 16
@@ -118,7 +129,7 @@ class SupervisedSet:
                 f"timestamps {stamps.shape}"
             )
         if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
-            raise NumericError("supervised set contains non-finite values")
+            raise NumericError(NON_FINITE_SAMPLES)
         if n > 1 and not np.all(np.diff(stamps) > 0):
             raise ShapeError("sample timestamps must be strictly increasing")
         object.__setattr__(self, "inputs", inputs)
@@ -161,6 +172,59 @@ def fit_scaler(values: np.ndarray) -> Scaler:
     return Scaler(float(np.mean(values)), std)
 
 
+def _window(signals, lag: int, horizon: int, bounds, scalers, prefix: int = 0):
+    """The one windowing pass: the samples of C rows of 1 + k signals of one
+    length L, signal 0 a row's values and signals 1..k its covariates by
+    sorted name (signals[s][c] is row c's signal s).
+
+    Each signal of every row is copied into one reused C x L buffer and
+    scaled there in place, by scalers[s] or, where that is None, each row by
+    fit_scaler of its first ``prefix`` values (np.mean and np.std along the
+    rows are fit_scaler's, bitwise). Sample t takes the scaled values over
+    [t, t + lag), then each covariate's value at t + lag, as inputs, and the
+    values over [t + lag, t + lag + horizon) as targets. The samples from
+    bounds[i] to bounds[i + 1] are written straight into part i's
+    C x m x (lag + k) inputs and C x m x horizon targets.
+
+    Returns the parts, the value Scaler of each row, and for each row
+    whether every value its samples hold is finite.
+    """
+    c, length = len(signals[0]), len(signals[0][0])
+    n, k = length - lag - horizon + 1, len(signals) - 1
+    parts = [
+        (np.empty((c, hi - lo, lag + k)), np.empty((c, hi - lo, horizon)))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    buffer = np.empty((c, length))
+    finite = np.ones(c, dtype=bool)
+    for s, (rows, scaler) in enumerate(zip(signals, scalers)):
+        for row, values in zip(buffer, rows):
+            row[:] = values
+        if scaler is None:
+            mean, std = np.mean(buffer[:, :prefix], axis=1), np.std(buffer[:, :prefix], axis=1)
+            std[std < 1e-12] = 1.0
+            buffer -= mean[:, None]
+            buffer /= std[:, None]
+        else:
+            buffer -= scaler.mean
+            buffer /= scaler.std
+        if s == 0:
+            if scaler is None:
+                value_scalers = list(map(Scaler, mean.tolist(), std.tolist()))
+            else:
+                value_scalers = [scaler] * c
+            finite &= np.isfinite(buffer).all(axis=1)
+            windows = sliding_window_view(buffer, lag + horizon, axis=1)
+            for (x, y), lo, hi in zip(parts, bounds, bounds[1:]):
+                x[:, :, :lag] = windows[:, lo:hi, :lag]
+                y[:] = windows[:, lo:hi, lag:]
+        else:
+            finite &= np.isfinite(buffer[:, lag : lag + n]).all(axis=1)
+            for (x, _), lo, hi in zip(parts, bounds, bounds[1:]):
+                x[:, :, lag + s - 1] = buffer[:, lag + lo : lag + hi]
+    return parts, value_scalers, finite
+
+
 def build_supervised(
     series: TimeSeries,
     covariates: Mapping[str, np.ndarray],
@@ -169,16 +233,16 @@ def build_supervised(
     scaler: Scaler,
     covariate_scalers: Mapping[str, Scaler] | None = None,
 ) -> SupervisedSet:
-    """Sliding-window supervised samples from one series.
+    """Sliding-window supervised samples from one series: _window's pass
+    over a batch of one, as one part.
 
     Sample t uses the scaled values over [t-lag, t) plus each covariate's
-    value at time t (covariates ordered by sorted name), and predicts the
-    scaled values over [t, t+horizon). Yields n = len - lag - horizon + 1
-    samples.
+    value at time t (covariates ordered by sorted name; a covariate without
+    a scaler is left as it is), and predicts the scaled values over
+    [t, t+horizon). Yields n = len - lag - horizon + 1 samples.
     """
     if lag < 1 or horizon < 1:
         raise InsufficientDataError(f"lag and horizon must be >= 1, got {lag}, {horizon}")
-    values = series.values
     n = len(series) - lag - horizon + 1
     if n < 1:
         raise InsufficientDataError(
@@ -186,37 +250,15 @@ def build_supervised(
         )
     names = sorted(covariates)
     cov_scalers = covariate_scalers or {}
-    scaled = scaler.transform(values)
-    windows = sliding_window_view(scaled, lag + horizon)
-    inputs = np.empty((n, lag + len(names)), dtype=np.float64)
-    inputs[:, :lag] = windows[:, :lag]
-    targets = windows[:, lag:].copy()
-    for j, name in enumerate(names):
+    signals = [[series.values]]
+    for name in names:
         cov = np.asarray(covariates[name], dtype=np.float64)
         if cov.shape != (len(series),):
             raise ShapeError(f"covariate {name!r} not aligned to series")
-        col = cov_scalers.get(name, IDENTITY_SCALER).transform(cov)
-        inputs[:, lag + j] = col[lag : lag + n]
-    stamps = series.timestamps()[lag : lag + n]
-    return SupervisedSet(inputs, targets, stamps)
-
-
-def split_dataset(sset: SupervisedSet) -> tuple[SupervisedSet, SupervisedSet, SupervisedSet]:
-    """Chronological train/val/test split: floor(0.7n), floor(0.15n), rest."""
-    n = sset.n_samples
-    if n < 3:
-        raise InsufficientDataError(f"need >= 3 samples to split, got {n}")
-    n_train = math.floor(TRAIN_FRAC * n)
-    n_val = math.floor(VAL_FRAC * n)
-    if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
-        raise InsufficientDataError(f"{n} samples leave an empty split")
-
-    def piece(lo: int, hi: int) -> SupervisedSet:
-        return SupervisedSet(
-            sset.inputs[lo:hi], sset.targets[lo:hi], sset.sample_timestamps[lo:hi]
-        )
-
-    return piece(0, n_train), piece(n_train, n_train + n_val), piece(n_train + n_val, n)
+        signals.append([cov])
+    scalers = [scaler] + [cov_scalers.get(name, IDENTITY_SCALER) for name in names]
+    ((inputs, targets),), _, _ = _window(signals, lag, horizon, (0, n), scalers)
+    return SupervisedSet(inputs[0], targets[0], series.timestamps()[lag : lag + n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +286,70 @@ def train_raw_length(n_values: int, lag: int, horizon: int) -> int:
     return lag + n_train + horizon - 1
 
 
+class Windows(NamedTuple):
+    """The supervised samples of C clients of one series length (see
+    window_clients), row c being client c."""
+
+    store: dict[str, tuple[np.ndarray, np.ndarray]]  # split -> (C x m x d, C x m x h)
+    stamps: dict[str, np.ndarray]  # split -> C x m sample epoch hours
+    value_scalers: list[Scaler]
+    failed: dict[int, Exception]  # row -> the error prepare_client raises
+
+
+def window_clients(
+    datasets: Sequence[ClientDataset],
+    lag: int,
+    horizon: int,
+    value_scaler: Scaler | None = None,
+    covariate_scalers: Mapping[str, Scaler] | None = None,
+) -> Windows:
+    """prepare_client of C clients whose series share one length and whose
+    covariates share their names, in one _window pass over one C x L buffer
+    that writes each split's samples straight into the split's store.
+
+    A client whose windows hold a non-finite value fails with
+    SupervisedSet's error; a series too short to split fails every client,
+    naming each (then the store is empty). Failed rows are in ``failed``,
+    and their samples are not to be used.
+    """
+    length = len(datasets[0].series)
+    names = sorted(datasets[0].covariates)
+    try:
+        prefix = train_raw_length(length, lag, horizon)
+        if lag < 1 or horizon < 1:
+            raise InsufficientDataError(f"lag and horizon must be >= 1, got {lag}, {horizon}")
+    except InsufficientDataError as exc:
+        return Windows({}, {}, [], {
+            c: InsufficientDataError(f"client {ds.client_id}: {exc}") for c, ds in enumerate(datasets)
+        })
+    n = length - lag - horizon + 1
+    n_train, n_val = math.floor(TRAIN_FRAC * n), math.floor(VAL_FRAC * n)
+    bounds = (0, n_train, n_train + n_val, n)  # chronological train, val, test
+    signals = [[ds.series.values for ds in datasets]]
+    signals += [[ds.covariates[name] for ds in datasets] for name in names]
+    scalers = [value_scaler] + [
+        None if covariate_scalers is None else covariate_scalers.get(name, IDENTITY_SCALER)
+        for name in names
+    ]
+    parts, value_scalers, finite = _window(signals, lag, horizon, bounds, scalers, prefix)
+    # Each row fails as prepare_client failed: non-finite samples, then an empty split.
+    failed: dict[int, Exception] = {
+        c: NumericError(NON_FINITE_SAMPLES) for c in np.flatnonzero(~finite).tolist()
+    }
+    if min(np.diff(bounds)) < 1:
+        for c, ds in enumerate(datasets):
+            text = f"client {ds.client_id}: {n} samples leave an empty split"
+            failed.setdefault(c, InsufficientDataError(text))
+    starts = np.array([ds.series.start_epoch_hours for ds in datasets], dtype=np.int64)
+    stamps = starts[:, None] + np.arange(lag, lag + n)
+    return Windows(
+        dict(zip(SPLITS, parts)),
+        {name: stamps[:, lo:hi] for name, lo, hi in zip(SPLITS, bounds, bounds[1:])},
+        value_scalers,
+        failed,
+    )
+
+
 def prepare_client(
     dataset: ClientDataset,
     lag: int,
@@ -251,33 +357,27 @@ def prepare_client(
     value_scaler: Scaler | None = None,
     covariate_scalers: Mapping[str, Scaler] | None = None,
 ) -> ClientSplits:
-    """Scale, window, and split one client's series.
+    """Scale, window, and split one client's series: window_clients over a
+    batch of one.
 
     Scalers default to statistics of the raw prefix covered by training
     samples; explicit scalers replace that fit, for a caller that shares
-    statistics across clients. Validation/test values never influence the
-    fit.
+    statistics across clients (a covariate the explicit mapping lacks is
+    left unscaled). Validation/test values never influence the fit.
     """
-    try:
-        prefix = train_raw_length(len(dataset.series), lag, horizon)
-        if value_scaler is None:
-            value_scaler = fit_scaler(dataset.series.values[:prefix])
-        if covariate_scalers is None:
-            covariate_scalers = {
-                name: fit_scaler(cov[:prefix]) for name, cov in dataset.covariates.items()
-            }
-        sset = build_supervised(
-            dataset.series, dataset.covariates, lag, horizon, value_scaler, covariate_scalers
-        )
-        train, val, test = split_dataset(sset)
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"client {dataset.client_id}: {exc}") from None
+    windows = window_clients([dataset], lag, horizon, value_scaler, covariate_scalers)
+    if windows.failed:
+        raise windows.failed[0]
+    train, val, test = (
+        SupervisedSet(*(a[0] for a in windows.store[name]), windows.stamps[name][0])
+        for name in SPLITS
+    )
     return ClientSplits(
         client_id=dataset.client_id,
         train=train,
         val=val,
         test=test,
-        value_scaler=value_scaler,
+        value_scaler=windows.value_scalers[0],
         feeder_id=dataset.feeder_id,
         archetype_id=dataset.archetype_id,
         der_class=dataset.der_class,

@@ -192,17 +192,10 @@ class _Harness:
         self.scenario = scenario
         datasets = sorted(datasets, key=lambda d: d.client_id)
         _client_map(datasets)  # the engine's duplicate-id check, for every method
-        names = sorted(datasets[0].covariates)
-        for ds in datasets:
-            if sorted(ds.covariates) != names:
-                raise ShapeError(
-                    f"client {ds.client_id} covariates differ; the federation "
-                    f"needs one shared input layout"
-                )
         m = scenario.model
-        self.spec = m.spec(len(names))
-        self.fl = scenario.fl
         self.clients = FederatedClient.fleet(datasets, m.lag, m.horizon)
+        self.spec = m.spec(len(datasets[0].covariates))
+        self.fl = scenario.fl
         self.n_train_total = sum(c.n_train_samples for c in self.clients)
         self._trained: dict[str, _Trained] = {}
 

@@ -1,8 +1,9 @@
 """The federated simulation engine.
 
 The server-side loop: deterministic participant selection, broadcast,
-sample-weighted FedAvg aggregation, per-round validation, early stopping,
-and exact communication metering. Every mode runs the same routed round,
+sample-weighted FedAvg aggregation (one ``fedavg_aggregate`` call a round
+averages every routed model), per-round validation, early stopping, and
+exact communication metering. Every mode runs the same routed round,
 ``run_round``: it draws the participants (every client in an hc clustering
 round), ``_route`` gives each its model index (in ifca mode its lowest-loss
 model, else its assignment, model 0 before any clustering) and
@@ -215,19 +216,52 @@ def select_participants(
     return sorted(ids[j] for j in perm[:count])
 
 
-def fedavg_aggregate(values: np.ndarray, counts: Sequence[int]) -> np.ndarray:
-    """Sample-count-weighted mean of the rows of values, row i of counts[i]
-    samples, adding the weighted rows one at a time in order (client id
-    order): a reduction over the rows may sum columns pairwise, rounding
-    otherwise."""
+def fedavg_aggregate(
+    values: np.ndarray, counts: Sequence[int], models: Sequence[int], prior: np.ndarray | None = None
+) -> np.ndarray:
+    """The FedAvg of every model of a round in one pass: row j is the
+    sample-count-weighted mean of the rows i of values routed to it
+    (models[i] == j, row i of counts[i] samples). A model no row routes to
+    keeps its row of the K x P ``prior``; without a prior there are
+    max(models) + 1 models, each routed to.
+
+    Each model adds its weighted rows to zero one at a time, in the order
+    of values (client id order): a reduction over the rows may sum columns
+    pairwise, rounding otherwise. The rows are gathered member-major, models
+    by size, largest first, so position p of every model with more than p
+    members is one slice, and one add covers them all: a round takes as
+    many adds as its largest model has members.
+    """
+    counts, models = np.asarray(counts), np.asarray(models, dtype=np.intp)
     if len(counts) == 0:
         raise EmptyAggregationError("no updates to aggregate")
-    acc = np.zeros(values.shape[1])
+    k = int(models.max()) + 1 if prior is None else len(prior)
+    sizes = np.bincount(models, minlength=k)
+    if prior is None and not sizes.all():
+        raise EmptyAggregationError(f"no updates to aggregate for model {int(np.argmin(sizes))}")
+    totals = np.zeros(k, dtype=counts.dtype)
+    np.add.at(totals, models, counts)
+    # Row i is member position[i] of its model, counting in row order.
+    by_model = np.argsort(models, kind="stable")
+    position = np.empty_like(models)
+    position[by_model] = np.arange(len(models)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # Models by size, largest first, then by index: the widths[p] models
+    # with more than p members come first, and the rows are gathered by
+    # position, then in that model order.
+    by_size = np.argsort(-sizes, kind="stable")
+    gather = np.lexsort((models, -sizes[models], position))
+    widths = np.bincount(position)
     # An overflow is the caller's NumericError, not a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for weight, row in zip(counts / np.sum(counts), values):
-            acc += weight * row
-    return acc
+        weighted = (counts / totals[models])[gather, None] * values[gather]
+        acc = np.zeros((widths[0], values.shape[1]))
+        start = 0
+        for width in widths.tolist():
+            acc[:width] += weighted[start : start + width]
+            start += width
+    out = np.empty((k, values.shape[1])) if prior is None else prior.copy()
+    out[by_size[: widths[0]]] = acc
+    return out
 
 
 def _weighted_val_loss(pairs: list[tuple[float, int]]) -> float:
@@ -279,27 +313,22 @@ def _routed_round(
     regroup_tau: float | None = None,
 ) -> tuple[ServerState, RoundReport]:
     """Train each participant (in id order) from its routed model, regroup
-    them over their deltas when ``regroup_tau`` is given, FedAvg per model
-    (a model no participant routes to keeps its params; a non-finite one
-    raises NumericError), validate each under its routed model, and meter."""
+    them over their deltas when ``regroup_tau`` is given, FedAvg every
+    model in one fedavg_aggregate call (a model no participant routes to
+    keeps its params; a non-finite one raises NumericError), validate each
+    under its routed model, and meter."""
     participants = list(route)
     broadcast = state.values[list(route.values())]
     new, counts, losses = _per_client(
         by_id, "local_update", participants, state.spec, broadcast, config, round_index
     )
-    n_models = len(state.values)
     assignment = route if state.mode == "ifca" else state.assignment
+    prior = state.values
     if regroup_tau is not None:
         deltas = dict(zip(participants, new - broadcast))
         route = assignment = dict(sorted(hc_partition(deltas, regroup_tau).items()))
-        n_models = max(route.values()) + 1
-    groups: dict[int, list[int]] = {}
-    for i, cid in enumerate(participants):
-        groups.setdefault(route[cid], []).append(i)
-    values = np.empty((n_models, state.spec.param_count))
-    for j in range(n_models):
-        rows = groups.get(j)
-        values[j] = state.values[j] if rows is None else fedavg_aggregate(new[rows], counts[rows])
+        prior = None  # the regrouped clusters are new models, each with members
+    values = fedavg_aggregate(new, counts, [route[cid] for cid in participants], prior)
     if not np.isfinite(values).all():
         raise NumericError(NON_FINITE_PARAMS)
     val = _val_loss(by_id, state.spec, values, route)
@@ -313,7 +342,7 @@ def _routed_round(
         bytes_up=len(participants) * pb,
         bytes_down=len(participants) * fanout * pb,
         assignment=dict(assignment),
-        n_clusters=n_models,
+        n_clusters=len(values),
     )
     return replace(state, values=values, assignment=assignment), report
 

@@ -26,6 +26,9 @@ from .errors import ConfigError, NumericError
 from .model import row_norms
 from .seeds import rng_for, streams
 
+# The one error text of an update delta that holds a non-finite value.
+NON_FINITE_UPDATE = "cannot clip a non-finite update"
+
 
 @dataclass(frozen=True)
 class DpConfig:
@@ -67,7 +70,7 @@ def clip_update(delta: np.ndarray, clip_norm: float) -> np.ndarray:
     if not clip_norm > 0:
         raise ConfigError(f"clip_norm must be > 0, got {clip_norm}")
     if not np.all(np.isfinite(delta)):
-        raise NumericError("cannot clip a non-finite update")
+        raise NumericError(NON_FINITE_UPDATE)
     return clip_rows(delta[None], clip_norm)[0]
 
 

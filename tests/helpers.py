@@ -2,6 +2,7 @@
 reference implementations that faster code is tested against."""
 
 import csv
+import math
 from dataclasses import replace
 from typing import Mapping
 
@@ -17,6 +18,7 @@ from fedforecast.data import (
     TimeSeries,
     _parse_epoch_hour,
     _parse_float,
+    fit_scaler,
     prepare_client,
 )
 from fedforecast.errors import (
@@ -178,6 +180,35 @@ def reference_build_supervised(series, covariates, lag, horizon, scaler, covaria
         inputs[:, lag + j] = col[lag : lag + n]
     stamps = series.timestamps()[lag : lag + n]
     return SupervisedSet(inputs, targets, stamps)
+
+
+def reference_prepare_client(dataset, lag, horizon):
+    """One client's splits as prepare_client composed them before the fleet
+    windowed a store in one pass: fit_scaler on the raw prefix the train
+    samples cover, reference_build_supervised, then the chronological
+    0.7/0.15 split, with the same error texts. Returns the (train, val,
+    test) SupervisedSets and the value scaler."""
+    n = len(dataset.series) - lag - horizon + 1
+    if n < 3:
+        raise InsufficientDataError(
+            f"client {dataset.client_id}: {len(dataset.series)} values yield {n} samples; "
+            f"need >= 3 to split"
+        )
+    n_train, n_val = math.floor(0.7 * n), math.floor(0.15 * n)
+    prefix = lag + n_train + horizon - 1
+    scaler = fit_scaler(dataset.series.values[:prefix])
+    cov_scalers = {name: fit_scaler(cov[:prefix]) for name, cov in dataset.covariates.items()}
+    sset = reference_build_supervised(
+        dataset.series, dataset.covariates, lag, horizon, scaler, cov_scalers
+    )
+    if n_val < 1:
+        raise InsufficientDataError(f"client {dataset.client_id}: {n} samples leave an empty split")
+    bounds = (0, n_train, n_train + n_val, n)
+    splits = tuple(
+        SupervisedSet(sset.inputs[lo:hi], sset.targets[lo:hi], sset.sample_timestamps[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    return splits, scaler
 
 
 def reference_load_csv(path, schema=None, forward_fill=False):

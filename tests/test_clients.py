@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import (
@@ -812,20 +814,129 @@ def test_batch_orders_are_the_rng_for_draws_of_every_epoch():
 # is a view of a store, a gather from one, or stacked from lone handles.
 
 
+def assert_same_splits(handle, splits, scaler):
+    """The handle's three splits, their store rows and its value scaler are,
+    bitwise, those of a reference_prepare_client."""
+    for name, want in zip(("train", "val", "test"), splits):
+        got = getattr(handle, f"_{name}")
+        store = tuple(a[handle._row] for a in handle._store[name])
+        wants = (want.inputs, want.targets, want.sample_timestamps, want.inputs, want.targets)
+        for a, b in zip((*got, *store), wants):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (handle.client_id, name)
+    assert repr(handle._value_scaler) == repr(scaler)
+
+
 def test_fleet_holds_each_clients_samples_once_in_a_store_per_length(
     staggered_datasets, staggered
 ):
-    lone = [FederatedClient(prepare_client(ds, LAG, HORIZON)) for ds in staggered_datasets]
-    for got, want in zip(staggered, lone):
-        assert got.client_id == want.client_id
-        for name in ("_train", "_val", "_test"):
-            for a, b in zip(getattr(got, name), getattr(want, name)):
-                assert np.array_equal(a, b)
+    for got, ds in zip(staggered, staggered_datasets):
+        assert got.client_id == ds.client_id
+        assert_same_splits(got, *helpers.reference_prepare_client(ds, LAG, HORIZON))
         x, y = got._store["train"]
         assert np.shares_memory(got._train.inputs, x) and np.shares_memory(got._train.targets, y)
     assert len({id(c._store) for c in staggered}) == 4
     assert staggered[0]._store is staggered[1]._store
     assert (staggered[0]._row, staggered[1]._row) == (0, 1)
+
+
+@st.composite
+def fleets(draw):
+    """Datasets of two or three series lengths in shuffled order, with 0-2
+    shared covariates, maybe a constant series, one whose last value
+    overflows when scaled, or one too short to split; and a lag/horizon."""
+    lag, horizon = draw(st.sampled_from([(1, 1), (3, 1), (6, 2), (2, 5)]))
+    lengths = draw(st.lists(st.integers(lag + horizon - 1, 70), min_size=2, max_size=3, unique=True))
+    n_covs = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datasets = []
+    for c in range(draw(st.integers(1, 8))):
+        length = draw(st.sampled_from(lengths))
+        values = rng.normal(rng.uniform(-5, 5), rng.uniform(0.01, 10), size=length)
+        kind = draw(st.sampled_from(["plain"] * 12 + ["constant", "overflow"]))
+        if kind == "constant":
+            values[:] = values[0]  # std 0 becomes 1.0
+        elif kind == "overflow":  # the last (test) value, scaled by a std below 1
+            values = rng.normal(size=length) * 0.1
+            values[-1] = -np.finfo(float).max
+        covs = {f"x{j}": rng.normal(size=length) * 10.0 ** rng.uniform(-3, 3) for j in range(n_covs)}
+        series = TimeSeries(int(rng.integers(0, 10_000)), values)
+        datasets.append(ClientDataset(f"c{c}", series, covs, archetype_id=c % 3))
+    return draw(st.permutations(datasets)), lag, horizon
+
+
+def reference_fleet(datasets, lag, horizon):
+    """reference_prepare_client of each dataset, or the (type, text) of the
+    first error in datasets order."""
+    out = []
+    for ds in datasets:
+        try:
+            out.append(helpers.reference_prepare_client(ds, lag, horizon))
+        except (InsufficientDataError, NumericError) as exc:
+            return type(exc), str(exc)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow, as before
+@settings(max_examples=200, deadline=None)
+@given(fleets())
+def test_a_fleet_built_in_one_pass_per_store_equals_the_oracle_bitwise(fleet):
+    datasets, lag, horizon = fleet
+    want = reference_fleet(datasets, lag, horizon)
+    try:
+        handles = FederatedClient.fleet(datasets, lag, horizon)
+    except (InsufficientDataError, NumericError) as exc:
+        assert (type(exc), str(exc)) == want
+        return
+    assert not isinstance(want, tuple), want
+    for handle, ds, (splits, scaler) in zip(handles, datasets, want):
+        assert (handle.client_id, handle.archetype_id) == (ds.client_id, ds.archetype_id)
+        assert_same_splits(handle, splits, scaler)
+    stores = {len(ds.series): h._store for ds, h in zip(datasets, handles)}
+    assert all(h._store is stores[len(ds.series)] for ds, h in zip(datasets, handles))
+
+
+def test_a_fleet_raises_the_first_failing_client_in_datasets_order():
+    # c1 is too short to split, c2 (in c0's store) overflows when scaled
+    # and c3 leaves an empty val split: whatever the order of the stores,
+    # the fleet raises the first failure in datasets order.
+    rng = np.random.default_rng(3)
+    overflowing = rng.normal(size=40) * 0.1
+    overflowing[-1] = np.finfo(float).max
+    datasets = {
+        "c0": ClientDataset("c0", TimeSeries(0, rng.normal(size=40))),
+        "c1": ClientDataset("c1", TimeSeries(0, rng.normal(size=8))),
+        "c2": ClientDataset("c2", TimeSeries(0, overflowing)),
+        "c3": ClientDataset("c3", TimeSeries(0, rng.normal(size=11))),
+    }
+    short = "client c1: 8 values yield 2 samples; need >= 3 to split"
+    cases = {
+        ("c0", "c1", "c2", "c3"): (InsufficientDataError, short),
+        ("c0", "c2", "c1", "c3"): (NumericError, "supervised set contains non-finite values"),
+        ("c3", "c2", "c1", "c0"): (InsufficientDataError, "client c3: 5 samples leave an empty split"),
+    }
+    for order, (kind, text) in cases.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(kind) as err:
+                FederatedClient.fleet([datasets[cid] for cid in order], 6, 1)
+        assert str(err.value) == text, order
+
+
+@pytest.mark.parametrize(
+    "other",
+    [{"x0": 1.0}, {"x0": 1.0, "x1": 2.0, "x2": 3.0}, {"x0": 1.0, "x9": 2.0}],
+    ids=["fewer", "more", "other-names"],
+)
+def test_a_fleet_rejects_clients_of_another_covariate_layout(other):
+    # Two 100-hour meters at lag 6. Another count of covariates used to
+    # reach numpy's broadcast error; other names of the same count were
+    # mixed into one column without a word.
+    values = np.linspace(0.0, 1.0, 100)
+    first = ClientDataset("a", TimeSeries(0, values), {"x0": values, "x1": values})
+    second = ClientDataset("b", TimeSeries(0, values), {name: values * v for name, v in other.items()})
+    text = "client b covariates differ; the federation needs one shared input layout"
+    with pytest.raises(ShapeError, match=f"^{text}$"):
+        FederatedClient.fleet([first, second], 6, 1)
 
 
 def test_pooled_samples_are_a_view_of_one_store_and_a_copy_of_several(staggered):

@@ -24,7 +24,6 @@ from fedforecast.data import (
     load_csv,
     prepare_client,
     save_csv,
-    split_dataset,
     train_raw_length,
 )
 from fedforecast.errors import (
@@ -133,31 +132,32 @@ def test_values_scaled_covariates_use_their_own_scalers():
 # --------------------------------------------------------------- splitting
 
 
+def split_sizes(splits):
+    return splits.train.n_samples, splits.val.n_samples, splits.test.n_samples
+
+
 def test_split_100_into_70_15_15():
-    out = build_supervised(series(np.arange(102.0)), {}, 2, 1, IDENTITY_SCALER)
-    assert out.n_samples == 100
-    train, val, test = split_dataset(out)
-    assert (train.n_samples, val.n_samples, test.n_samples) == (70, 15, 15)
+    splits = prepare_client(ClientDataset("c0", series(np.arange(102.0))), 2, 1)
+    assert split_sizes(splits) == (70, 15, 15)
 
 
 def test_split_10_into_7_1_2():
-    out = build_supervised(series(np.arange(12.0)), {}, 2, 1, IDENTITY_SCALER)
-    assert out.n_samples == 10
-    train, val, test = split_dataset(out)
-    assert (train.n_samples, val.n_samples, test.n_samples) == (7, 1, 2)
+    splits = prepare_client(ClientDataset("c0", series(np.arange(12.0))), 2, 1)
+    assert split_sizes(splits) == (7, 1, 2)
 
 
 def test_split_chronological_order():
-    out = build_supervised(series(np.arange(30.0)), {}, 3, 2, IDENTITY_SCALER)
-    train, val, test = split_dataset(out)
-    assert train.sample_timestamps[-1] < val.sample_timestamps[0]
-    assert val.sample_timestamps[-1] < test.sample_timestamps[0]
+    splits = prepare_client(ClientDataset("c0", series(np.arange(30.0))), 3, 2)
+    assert splits.train.sample_timestamps[-1] < splits.val.sample_timestamps[0]
+    assert splits.val.sample_timestamps[-1] < splits.test.sample_timestamps[0]
 
 
 def test_split_too_small_rejected():
-    out = build_supervised(series([1.0, 2, 3, 4]), {}, 2, 1, IDENTITY_SCALER)
-    with pytest.raises(InsufficientDataError):
-        split_dataset(out)
+    # Two samples cannot split; five leave the validation split empty.
+    for n_values, text in ((4, "4 values yield 2 samples; need >= 3 to split"),
+                           (7, "5 samples leave an empty split")):
+        with pytest.raises(InsufficientDataError, match=f"^client c0: {text}$"):
+            prepare_client(ClientDataset("c0", series(np.arange(float(n_values)))), 2, 1)
 
 
 def test_prepare_client_scaler_sees_only_train_prefix():

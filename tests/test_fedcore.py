@@ -19,6 +19,7 @@ from helpers import (
     population_spec,
     reference_fedavg,
     reference_routed_round,
+    same_round,
     synthetic_linear_client,
 )
 from fedforecast import fedcore
@@ -64,24 +65,34 @@ def sgd_config(**kwargs):
 # -------------------------------------------------------------- aggregation
 
 
+def one_model(values, counts):
+    """fedavg_aggregate of rows that all route to one model, its one row."""
+    (out,) = fedavg_aggregate(values, counts, [0] * len(counts))
+    return out
+
+
 def test_aggregate_equal_weights():
-    out = fedavg_aggregate(np.array([[1.0, 3.0], [3.0, 5.0]]), np.array([2, 2]))
+    out = one_model(np.array([[1.0, 3.0], [3.0, 5.0]]), np.array([2, 2]))
     np.testing.assert_allclose(out, [2.0, 4.0])
 
 
 def test_aggregate_sample_weighted():
-    out = fedavg_aggregate(np.array([[0.0, 0.0], [3.0, 3.0]]), np.array([1, 3]))
+    out = one_model(np.array([[0.0, 0.0], [3.0, 3.0]]), np.array([1, 3]))
     np.testing.assert_allclose(out, [2.25, 2.25])
 
 
 def test_aggregate_single_update_identity():
     values = np.array([[1.5, -2.5]])
-    np.testing.assert_array_equal(fedavg_aggregate(values, np.array([7])), values[0])
+    np.testing.assert_array_equal(one_model(values, np.array([7])), values[0])
 
 
 def test_aggregate_empty_rejected():
-    with pytest.raises(EmptyAggregationError):
-        fedavg_aggregate(np.empty((0, 2)), np.array([], dtype=np.int64))
+    for prior in (None, np.ones((2, 2))):
+        with pytest.raises(EmptyAggregationError, match="^no updates to aggregate$"):
+            fedavg_aggregate(np.empty((0, 2)), np.array([], dtype=np.int64), [], prior)
+    # Without a prior, every model up to the largest index needs a row.
+    with pytest.raises(EmptyAggregationError, match="^no updates to aggregate for model 1$"):
+        fedavg_aggregate(np.ones((2, 2)), np.array([1, 1]), [0, 2])
 
 
 @pytest.mark.parametrize(
@@ -149,12 +160,12 @@ def test_aggregate_matches_manual_weighted_mean():
         counts.append(int(rng.integers(1, 9)))
     values, counts = np.array(rows), np.array(counts)
     manual = sum((n / counts.sum()) * v for n, v in zip(counts, values))
-    np.testing.assert_allclose(fedavg_aggregate(values, counts), manual, atol=1e-12)
+    np.testing.assert_allclose(one_model(values, counts), manual, atol=1e-12)
 
 
 def test_aggregate_of_identical_params_is_identity():
     values = np.array([0.3, -0.7, 1.1])
-    out = fedavg_aggregate(np.tile(values, (4, 1)), np.arange(1, 5))
+    out = one_model(np.tile(values, (4, 1)), np.arange(1, 5))
     np.testing.assert_allclose(out, values, atol=1e-15)
 
 
@@ -180,8 +191,74 @@ def test_aggregate_equals_the_object_reference_bitwise():
         rows = values[in_id_order]
         if case % 2:
             rows = np.asfortranarray(rows)
-        got = fedavg_aggregate(rows, counts[in_id_order])
+        got = one_model(rows, counts[in_id_order])
         assert got.tobytes() == reference_fedavg(updates).values.tobytes(), case
+
+
+def test_one_pass_fedavg_equals_the_object_reference_per_model_bitwise():
+    # One call averages every model of a round. Each case routes 1-240 rows,
+    # in client id order, and checks each model against reference_fedavg of
+    # its own updates; a model no row routes to keeps its prior row. Routes
+    # are random (some models empty), all singletons, one model holding
+    # every row, or 80-120 models; counts reach 2**40 (their sums stay exact
+    # doubles), values span 1e-300 to 1e300 as above, and every other stack
+    # is column-major.
+    rng = np.random.default_rng(28)
+    for case in range(400):
+        p = int(rng.integers(2, 28))
+        spec = ModelSpec("linear", input_dim=p - 1, horizon=1)
+        route = case % 4
+        if route == 0:
+            k, r = int(rng.integers(1, 20)), int(rng.integers(1, 151))
+            models = rng.integers(0, k, size=r)
+        elif route == 1:
+            k = r = int(rng.integers(1, 151))
+            models = rng.permutation(r)
+        elif route == 2:
+            k, r = int(rng.integers(1, 5)), int(rng.integers(1, 151))
+            models = np.full(r, rng.integers(0, k))
+        else:
+            k = int(rng.integers(80, 121))
+            r = int(rng.integers(k, 2 * k + 1))
+            models = rng.integers(0, k, size=r)
+        values = rng.normal(size=(r, p)) * 10.0 ** rng.uniform(-300, 300)
+        if case % 2:
+            values = np.asfortranarray(values)
+        counts = rng.integers(1, 2**40, size=r)
+        prior = rng.normal(size=(k, p))
+        got = fedavg_aggregate(values, counts, models.tolist(), prior)
+        assert got.shape == (k, p)
+        for j in range(k):
+            updates = [
+                ClientUpdate(f"c{i:03d}", ModelParams(spec, values[i]), int(counts[i]))
+                for i in np.flatnonzero(models == j)
+            ]
+            want = reference_fedavg(updates).values if updates else prior[j]
+            assert got[j].tobytes() == want.tobytes(), (case, j)
+        if len(set(models.tolist())) == k:  # without a prior, every model has rows
+            assert fedavg_aggregate(values, counts, models).tobytes() == got.tobytes(), case
+
+
+def test_a_regroup_into_many_clusters_and_the_round_after_equal_the_reference():
+    # At tau 0.01 the 64 clients regroup into 51 clusters, 40 of them
+    # singletons; the next round, at participation 0.5, leaves some cluster
+    # models without a participant, so they keep their params.
+    datasets = generate_population(PopulationSpec(n_clients=64, archetypes=3, days=5, seed=3))
+    by_id = {c.client_id: c for c in FederatedClient.fleet(datasets, 6, 1)}
+    spec = population_spec()
+    state = fedcore.ServerState("hc", spec, init_params(spec, 0).values[None], {})
+    route = dict.fromkeys(sorted(by_id), 0)
+    got = fedcore._routed_round(state, by_id, route, sgd_config(), 1, 0.01)
+    assert same_round(got, reference_routed_round(state, by_id, route, sgd_config(), 1, 0.01))
+    state, report = got
+    sizes = np.bincount(list(state.assignment.values()))
+    assert report.n_clusters == 51 and sizes.max() > 1 and (sizes == 1).sum() == 40
+    config = sgd_config(participation=0.5)
+    ids = fedcore.select_participants(list(by_id), 0.5, config.seed, 2)
+    route = {cid: state.assignment[cid] for cid in ids}
+    assert len(set(route.values())) < report.n_clusters
+    got = fedcore._routed_round(state, by_id, route, config, 2)
+    assert same_round(got, reference_routed_round(state, by_id, route, config, 2))
 
 
 # ------------------------------------------------------------ participation
@@ -548,6 +625,7 @@ def test_client_input_order_is_irrelevant(mode):
 # these may be arrays.
 PARAMETER_STACKS = {
     ("fedavg_aggregate", "values"),
+    ("fedavg_aggregate", "prior"),
     ("_per_client", "values"),
     ("_one", "row"),
     ("_val_loss", "values"),
