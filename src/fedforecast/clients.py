@@ -14,8 +14,8 @@ fleet of a comparison.
 Each handle's splits are views of its row; a lone FederatedClient(splits)
 is a store of one. _stacks is the one place that makes handles into
 stacks: every kernel call, train_local's included, gets a batch of handles as
-its stacks of equal sample counts, a view when the rows are consecutive
-rows of one store, one gather otherwise. STACK_BYTES bounds what a stack allocates,
+its stacks, each a chunk of the rows of one store, a view when the rows are
+consecutive and in order, one gather otherwise. STACK_BYTES bounds what a stack allocates,
 not its size: a gathered row costs its samples, and so does a row of a
 full-batch call, while a view trained in minibatches costs only the samples
 of a row one kernel step gathers, so a minibatch round's view is usually
@@ -259,47 +259,35 @@ def _consecutive(handles) -> slice | None:
     return slice(first, first + len(handles))
 
 
-def _rows(handles, split: str) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs and targets of ``split`` of handles of equal sample counts,
-    stacked, row c being handles[c]: a view when they are consecutive rows
-    of one store, one gather when they are other rows of one store, else
-    their rows stacked."""
-    part = _consecutive(handles)
-    store = handles[0]._store
-    if part is not None:
-        return tuple(a[part] for a in store[split])
-    if all(h._store is store for h in handles):
-        rows = [h._row for h in handles]
-        return tuple(a[rows] for a in store[split])
-    sets = [getattr(h, f"_{split}") for h in handles]
-    return np.stack([s.inputs for s in sets]), np.stack([s.targets for s in sets])
-
-
 def _stacks(handles, split: str, batch_size: int = 0):
-    """The samples of ``split`` of handles as stacks: handles of equal
-    sample counts n, in order, in chunks that allocate at most STACK_BYTES.
-    A row costs its samples, which a gather copies and a full-batch step
-    touches; in a bucket of consecutive store rows (a view) trained in
-    minibatches of 0 < batch_size < n, only the batch_size samples one
-    kernel step gathers. Yields (indices into handles, inputs, targets) per
-    stack. A handle without samples of ``split`` raises
-    InsufficientDataError before any stack is yielded."""
-    buckets: dict[int, list[int]] = {}
+    """The samples of ``split`` of handles as stacks: chunks of the rows of
+    one store, the stores in the order of their first handle, each chunk
+    allocating at most STACK_BYTES. A chunk is a view when its rows are
+    consecutive rows of the store, in order, and one gather otherwise. A row
+    costs its n samples, which a gather copies and a full-batch step
+    touches; in a store's rows that are all one view trained in minibatches
+    of 0 < batch_size < n, only the batch_size samples one kernel step
+    gathers. Yields (indices into handles, inputs, targets) per stack. A
+    handle without samples of ``split`` raises InsufficientDataError before
+    any stack is yielded."""
+    groups: dict[int, list[int]] = {}
     for i, handle in enumerate(handles):
-        n = getattr(handle, f"_{split}").n_samples
-        if n == 0:
-            raise InsufficientDataError(f"client {handle.client_id} has no {split} samples")
-        buckets.setdefault(n, []).append(i)
-    for n, bucket in buckets.items():
-        first = getattr(handles[bucket[0]], f"_{split}")
-        touched = n
-        if 0 < batch_size < n and _consecutive([handles[i] for i in bucket]) is not None:
+        groups.setdefault(id(handle._store), []).append(i)
+    for members in groups.values():
+        first = handles[members[0]]
+        if first._store[split][0].shape[1] == 0:
+            raise InsufficientDataError(f"client {first.client_id} has no {split} samples")
+    for members in groups.values():
+        store = handles[members[0]]._store[split]
+        n = touched = store[0].shape[1]
+        if 0 < batch_size < n and _consecutive([handles[i] for i in members]) is not None:
             touched = batch_size
-        row = first.inputs[:touched].nbytes + first.targets[:touched].nbytes
-        size = max(1, STACK_BYTES // row)
-        for start in range(0, len(bucket), size):
-            indices = bucket[start : start + size]
-            yield (indices, *_rows([handles[i] for i in indices], split))
+        size = max(1, STACK_BYTES // sum(a[0, :touched].nbytes for a in store))
+        for start in range(0, len(members), size):
+            indices = members[start : start + size]
+            part = _consecutive([handles[i] for i in indices])
+            rows = [handles[i]._row for i in indices] if part is None else part
+            yield (indices, *(a[rows] for a in store))
 
 
 class FederatedClient:

@@ -12,8 +12,8 @@ There is one windowing pass, _window: it scales each signal of C series of
 one length in one reused C x L buffer and writes each split's sliding
 windows straight into that split's C x n x d inputs and C x n x h targets.
 window_clients runs it over the clients of one fleet store, fitting every
-client's scalers on its own train prefix at once; prepare_client and
-build_supervised are its batch of one.
+client's scalers on its own train prefix at once; prepare_client is its
+batch of one.
 
 All series are hourly, and timestamps are integer epoch hours (hours since
 1970-01-01T00:00Z).
@@ -172,7 +172,7 @@ def fit_scaler(values: np.ndarray) -> Scaler:
     return Scaler(float(np.mean(values)), std)
 
 
-def _window(signals, lag: int, horizon: int, bounds, scalers, prefix: int = 0):
+def _window(signals, lag: int, horizon: int, bounds, scalers, prefix: int):
     """The one windowing pass: the samples of C rows of 1 + k signals of one
     length L, signal 0 a row's values and signals 1..k its covariates by
     sorted name (signals[s][c] is row c's signal s).
@@ -223,42 +223,6 @@ def _window(signals, lag: int, horizon: int, bounds, scalers, prefix: int = 0):
             for (x, _), lo, hi in zip(parts, bounds, bounds[1:]):
                 x[:, :, lag + s - 1] = buffer[:, lag + lo : lag + hi]
     return parts, value_scalers, finite
-
-
-def build_supervised(
-    series: TimeSeries,
-    covariates: Mapping[str, np.ndarray],
-    lag: int,
-    horizon: int,
-    scaler: Scaler,
-    covariate_scalers: Mapping[str, Scaler] | None = None,
-) -> SupervisedSet:
-    """Sliding-window supervised samples from one series: _window's pass
-    over a batch of one, as one part.
-
-    Sample t uses the scaled values over [t-lag, t) plus each covariate's
-    value at time t (covariates ordered by sorted name; a covariate without
-    a scaler is left as it is), and predicts the scaled values over
-    [t, t+horizon). Yields n = len - lag - horizon + 1 samples.
-    """
-    if lag < 1 or horizon < 1:
-        raise InsufficientDataError(f"lag and horizon must be >= 1, got {lag}, {horizon}")
-    n = len(series) - lag - horizon + 1
-    if n < 1:
-        raise InsufficientDataError(
-            f"series of length {len(series)} too short for lag {lag} + horizon {horizon}"
-        )
-    names = sorted(covariates)
-    cov_scalers = covariate_scalers or {}
-    signals = [[series.values]]
-    for name in names:
-        cov = np.asarray(covariates[name], dtype=np.float64)
-        if cov.shape != (len(series),):
-            raise ShapeError(f"covariate {name!r} not aligned to series")
-        signals.append([cov])
-    scalers = [scaler] + [cov_scalers.get(name, IDENTITY_SCALER) for name in names]
-    ((inputs, targets),), _, _ = _window(signals, lag, horizon, (0, n), scalers)
-    return SupervisedSet(inputs[0], targets[0], series.timestamps()[lag : lag + n])
 
 
 @dataclass(frozen=True, eq=False)

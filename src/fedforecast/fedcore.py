@@ -227,10 +227,8 @@ def fedavg_aggregate(
 
     Each model adds its weighted rows to zero one at a time, in the order
     of values (client id order): a reduction over the rows may sum columns
-    pairwise, rounding otherwise. The rows are gathered member-major, models
-    by size, largest first, so position p of every model with more than p
-    members is one slice, and one add covers them all: a round takes as
-    many adds as its largest model has members.
+    pairwise, rounding otherwise. np.add.at is unbuffered and applies its
+    indices in order, so it is that row loop.
     """
     counts, models = np.asarray(counts), np.asarray(models, dtype=np.intp)
     if len(counts) == 0:
@@ -241,26 +239,12 @@ def fedavg_aggregate(
         raise EmptyAggregationError(f"no updates to aggregate for model {int(np.argmin(sizes))}")
     totals = np.zeros(k, dtype=counts.dtype)
     np.add.at(totals, models, counts)
-    # Row i is member position[i] of its model, counting in row order.
-    by_model = np.argsort(models, kind="stable")
-    position = np.empty_like(models)
-    position[by_model] = np.arange(len(models)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    # Models by size, largest first, then by index: the widths[p] models
-    # with more than p members come first, and the rows are gathered by
-    # position, then in that model order.
-    by_size = np.argsort(-sizes, kind="stable")
-    gather = np.lexsort((models, -sizes[models], position))
-    widths = np.bincount(position)
+    out = np.zeros((k, values.shape[1]))
     # An overflow is the caller's NumericError, not a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = (counts / totals[models])[gather, None] * values[gather]
-        acc = np.zeros((widths[0], values.shape[1]))
-        start = 0
-        for width in widths.tolist():
-            acc[:width] += weighted[start : start + width]
-            start += width
-    out = np.empty((k, values.shape[1])) if prior is None else prior.copy()
-    out[by_size[: widths[0]]] = acc
+        np.add.at(out, models, (counts / totals[models])[:, None] * values)
+    if prior is not None:
+        out[sizes == 0] = prior[sizes == 0]
     return out
 
 

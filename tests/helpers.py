@@ -8,6 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
+from fedforecast import clients as clients_module
 from fedforecast import evaluation, fedcore
 from fedforecast.clients import FederatedClient, run_epochs
 from fedforecast.data import (
@@ -19,7 +20,6 @@ from fedforecast.data import (
     _parse_epoch_hour,
     _parse_float,
     fit_scaler,
-    prepare_client,
 )
 from fedforecast.errors import (
     GapError,
@@ -60,11 +60,12 @@ def population_spec(lag=6, horizon=1, kind="linear", hidden=0):
 
 
 def population_clients(lag=6, horizon=1, **spec_kwargs):
-    """FederatedClient handles over a small generated population."""
+    """The fleet of a small generated population: one store, as its series
+    share one length, rows in client id order."""
     defaults = dict(n_clients=4, archetypes=2, days=7, seed=0)
     defaults.update(spec_kwargs)
     datasets = generate_population(PopulationSpec(**defaults))
-    return [FederatedClient(prepare_client(ds, lag, horizon)) for ds in datasets]
+    return FederatedClient.fleet(datasets, lag, horizon)
 
 
 def synthetic_linear_client(client_id, weights, bias, n_values, noise_std, seed, lag=None):
@@ -163,7 +164,8 @@ def reference_pairwise_distances(vectors) -> np.ndarray:
 
 
 def reference_build_supervised(series, covariates, lag, horizon, scaler, covariate_scalers=None):
-    """The per-row windowing loop ``data.build_supervised`` replaced."""
+    """One series' samples under the given scalers, built by a per-row
+    loop: the oracle of the windows ``data.prepare_client`` writes."""
     values = series.values
     n = len(series) - lag - horizon + 1
     names = sorted(covariates)
@@ -506,6 +508,21 @@ def check_rounds_against_reference(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(fedcore, "_routed_round", both)
     return checked
+
+
+def record_stacks(monkeypatch) -> list[tuple[str, int]]:
+    """Make ``clients._stacks`` also append (split, rows) for each stack it
+    yields, and return that list."""
+    stacks = clients_module._stacks
+    sizes: list[tuple[str, int]] = []
+
+    def recorded(handles, split, batch_size=0):
+        for stack in stacks(handles, split, batch_size):
+            sizes.append((split, len(stack[0])))
+            yield stack
+
+    monkeypatch.setattr(clients_module, "_stacks", recorded)
+    return sizes
 
 
 def check_personalization_against_reference(monkeypatch) -> list[str]:

@@ -19,6 +19,7 @@ from helpers import (
     reference_routed_round,
     reference_run_epochs,
     reference_train_local,
+    record_stacks,
     same_round,
 )
 from fedforecast import clients as clients_module
@@ -450,7 +451,8 @@ def test_oracle_matrix_has_buckets_and_staggered_stops(staggered):
 
 def _diverging_clients():
     """c002's smooth series diverges before c001's at a large step size;
-    c000's white noise does not diverge within the run."""
+    c000's white noise does not diverge within the run. One fleet store,
+    so the three train in lockstep as one stack."""
     rng = np.random.default_rng(0)
     t = np.arange(200.0)
     series = {
@@ -458,10 +460,8 @@ def _diverging_clients():
         "c001": np.sin(t / 6) + 0.3 * rng.normal(size=200),
         "c002": np.sin(t / 24) + 0.01 * rng.normal(size=200),
     }
-    return [
-        FederatedClient(prepare_client(ClientDataset(cid, TimeSeries(0, v)), LAG, 1))
-        for cid, v in series.items()
-    ]
+    datasets = [ClientDataset(cid, TimeSeries(0, v)) for cid, v in series.items()]
+    return FederatedClient.fleet(datasets, LAG, 1)
 
 
 def _raised(fn, *args):
@@ -476,7 +476,7 @@ def _raised(fn, *args):
     [(10.0, 1, "round 78: client c001 validation loss"), (1e308, 2, "parameter vector")],
     ids=["val-loss", "params"],
 )
-def test_lockstep_divergence_raises_the_sequential_error(lr, local_epochs, first):
+def test_lockstep_divergence_raises_the_sequential_error(monkeypatch, lr, local_epochs, first):
     clients = _diverging_clients()
     spec = ModelSpec("linear", LAG, 1)
     cfg = FLConfig(
@@ -496,7 +496,11 @@ def test_lockstep_divergence_raises_the_sequential_error(lr, local_epochs, first
             reference_train_local(client, init, cfg)
 
     want = _raised(one_after_another)
+    stacks = record_stacks(monkeypatch)
     got = _raised(train_local, clients, init, cfg)
+    # The three train as one lockstep stack, which loses c002 at round 74.
+    assert stacks[:2] == [("train", 3), ("val", 3)]
+    assert (("train", 2) in stacks) == (lr == 10.0)
     assert str(want).startswith(first)
     assert (type(got), str(got)) == (type(want), str(want))
 
@@ -519,8 +523,16 @@ def test_engine_rounds_on_staggered_clients_equal_the_reference(staggered, monke
     assert checked == [r.round_index for r in result.reports] == list(range(1, 7))
 
 
+def gathering_fleet(n_clients, seed):
+    """A fleet in client id order whose store holds its rows in reverse id
+    order, so that the engine's stack of them, in id order, gathers whole
+    rows even when it trains in minibatches."""
+    datasets = generate_population(PopulationSpec(n_clients=n_clients, archetypes=2, days=7, seed=seed))
+    return FederatedClient.fleet(datasets[::-1], 6, 1)[::-1]
+
+
 def test_bucket_over_the_byte_budget_trains_as_several_stacks(monkeypatch):
-    clients = population_clients(n_clients=5, days=7, seed=3)
+    clients = gathering_fleet(5, seed=3)
     train = clients[0]._train
     monkeypatch.setattr(
         clients_module, "STACK_BYTES", 2 * (train.inputs.nbytes + train.targets.nbytes)
@@ -662,10 +674,10 @@ def test_batched_round_raises_the_first_failing_participants_error(monkeypatch, 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("diverging", [None, "params", "delta"])
 def test_dp_round_over_several_stacks_privatizes_once_as_the_reference(monkeypatch, diverging):
-    # Seven participants in stacks of at most two; c004, in the third stack,
-    # fails the given check ("params": non-finite params, "delta": a delta
-    # from its 1e308 broadcast that overflows) or none.
-    clients = population_clients(n_clients=7, days=7, seed=3)
+    # Seven participants in stacks of at most two gathered rows; c004, in
+    # the third stack, fails the given check ("params": non-finite params,
+    # "delta": a delta from its 1e308 broadcast that overflows) or none.
+    clients = gathering_fleet(7, seed=3)
     train = clients[0]._train
     monkeypatch.setattr(
         clients_module, "STACK_BYTES", 2 * (train.inputs.nbytes + train.targets.nbytes)
@@ -950,7 +962,7 @@ def test_pooled_samples_are_a_view_of_one_store_and_a_copy_of_several(staggered)
             x, y = getattr(pooled, f"_{split}")[:2]
             assert np.array_equal(x, np.concatenate([s.inputs for s in sets]))
             assert np.array_equal(y, np.concatenate([s.targets for s in sets]))
-            stacked = clients_module._rows([pooled], split)
+            stacked = next(clients_module._stacks([pooled], split))[1:]
             assert all(np.shares_memory(a, b) for a, b in zip(stacked, (x, y)))
             assert [a.shape[0] for a in stacked] == [1, 1]
             store_x = handles[0]._store[split][0]
@@ -969,7 +981,8 @@ def test_batched_evaluation_rejects_a_model_of_another_shape(staggered):
 
 def handle_orders(staggered_datasets, staggered):
     """Batches of handles whose stacks are store views (in order), store
-    gathers (reversed, interleaved) and stacked lone handles (mixed)."""
+    gathers (reversed, interleaved) and a lone handle, a store of its own,
+    among the rows of another store of equal sample counts (mixed)."""
     lone = FederatedClient(prepare_client(staggered_datasets[0], LAG, HORIZON))
     return {
         "views": staggered,
@@ -1056,6 +1069,59 @@ def test_choose_cluster_batch_equals_each_handle_alone(
             assert chosen == want == handle.choose_cluster(sequence)
 
 
+def test_a_stack_never_spans_stores():
+    # Seven handles of equal train and val counts from three stores: A, a
+    # fleet of four in order; B, a fleet of two taken in reverse; and a lone
+    # handle. Each store is one stack, in the order its first handle comes.
+    datasets = generate_population(PopulationSpec(n_clients=7, archetypes=3, days=5, seed=8))
+    a = FederatedClient.fleet(datasets[:4], LAG, HORIZON)
+    b = FederatedClient.fleet(datasets[4:6], LAG, HORIZON)
+    lone = FederatedClient(prepare_client(datasets[6], LAG, HORIZON))
+    handles = [a[0], b[1], a[1], lone, b[0], a[2], a[3]]
+    assert len({(h.n_train_samples, h.n_val_samples) for h in handles}) == 1
+    for split in ("train", "val"):
+        stacks = list(clients_module._stacks(handles, split, 8))
+        assert [indices for indices, _, _ in stacks] == [[0, 2, 5, 6], [1, 4], [3]]
+        for (indices, x, y), shared in zip(stacks, (True, False, True)):
+            samples = [getattr(handles[i], f"_{split}") for i in indices]
+            assert np.array_equal(x, np.stack([s.inputs for s in samples]))
+            assert np.array_equal(y, np.stack([s.targets for s in samples]))
+            assert np.shares_memory(x, samples[0].inputs) == shared
+    spec = matrix_spec("mlp")
+    models = [init_params(spec, seed) for seed in range(3)]
+    params = [models[i % 3] for i in range(len(handles))]
+    values = np.stack([m.values for m in params])
+    cfg = matrix_config("momentum", 8, "clip-noise", 2)
+    new, counts, losses = FederatedClient.local_update_batch(handles, spec, values, cfg, 3)
+    for i, (handle, model) in enumerate(zip(handles, params)):
+        alone = handle.local_update(model, cfg, 3)
+        assert new[i].tobytes() == alone.new_params.values.tobytes()
+        assert (counts[i], losses[i]) == (alone.n_samples, alone.train_loss)
+    losses, counts = FederatedClient.val_loss_batch(handles, spec, values)
+    want = [h.val_loss(m) for h, m in zip(handles, params)]
+    assert list(zip(losses.tolist(), counts.tolist())) == want
+    stack = np.broadcast_to(values[:3], (len(handles), *values[:3].shape))
+    chosen = FederatedClient.choose_cluster_batch(handles, spec, stack)
+    assert chosen.tolist() == [h.choose_cluster(models) for h in handles]
+    tuned = FederatedClient.fine_tune_batch(handles, spec, values, 4, 20.0)
+    for handle, model, row in zip(handles, params, tuned):
+        assert row.tobytes() == handle.fine_tune(model, 4, 20.0).values.tobytes()
+    trained, traces = train_local(handles, models[0], replace(cfg, early_stop_patience=2))
+    for handle in handles:
+        want, trace = train_local([handle], models[0], replace(cfg, early_stop_patience=2))
+        assert trained[handle.client_id].values.tobytes() == want[handle.client_id].values.tobytes()
+        assert traces[handle.client_id] == trace[handle.client_id]
+    # Two empty test-double splits among the stores: the first of them in
+    # batch order fails, before any stack is yielded.
+    empty = [
+        FederatedClient(replace(prepare_client(ds, LAG, HORIZON), train=_EmptySplit()))
+        for ds in datasets[5:7]
+    ]
+    message = f"^client {empty[0].client_id} has no train samples$"
+    with pytest.raises(InsufficientDataError, match=message):
+        next(clients_module._stacks([a[0], b[1], empty[0], a[1], empty[1]], "train"))
+
+
 def population_splits(n_clients=3):
     datasets = generate_population(PopulationSpec(n_clients=n_clients, archetypes=2, days=7, seed=3))
     return [prepare_client(ds, 6, 1) for ds in datasets]
@@ -1072,9 +1138,8 @@ def scaled_train(splits, factor):
 def test_a_row_at_the_backtracking_floor_stops_while_its_stack_mates_go_on(monkeypatch):
     # Inputs scaled by 1e10 make the loss so steep that every step size down
     # to the 1e-18 floor overshoots: that row stops in its first epoch.
-    splits = population_splits()
-    splits[1] = scaled_train(splits[1], 1e10)
-    handles = [FederatedClient(s) for s in splits]
+    handles = population_clients(n_clients=3, seed=3)
+    handles[1]._store["train"][0][1] *= 1e10
     params = init_params(population_spec(), 0)
     stack_sizes = []
     kernel = clients_module._fine_tune_stack
@@ -1101,16 +1166,18 @@ def test_a_row_at_the_backtracking_floor_stops_while_its_stack_mates_go_on(monke
     [("ok", "huge", "ok", "empty"), ("ok", "empty", "huge"), ("huge", "ok", "huge")],
     ids=["non-finite-first", "empty-first", "two-non-finite"],
 )
-def test_fine_tune_batch_raises_the_first_failing_clients_error(layout):
-    # "huge": train inputs scaled by 1e150, so the first candidate at lr
-    # 1e10 overflows; "empty": no train samples; "ok" backtracks and passes.
-    splits = population_splits(len(layout))
-    kinds_of = {
-        "ok": lambda s: s,
-        "huge": lambda s: scaled_train(s, 1e150),
-        "empty": lambda s: replace(s, train=_EmptySplit()),
-    }
-    handles = [FederatedClient(kinds_of[kind](s)) for kind, s in zip(layout, splits)]
+def test_fine_tune_batch_raises_the_first_failing_clients_error(monkeypatch, layout):
+    # "huge": a fleet row whose train inputs are scaled by 1e150 in its
+    # store, so the first candidate at lr 1e10 overflows; "empty": a lone
+    # handle without train samples; "ok": a fleet row that backtracks and
+    # passes. The fleet rows fine-tune as one stack, huge rows beside ok ones.
+    datasets = generate_population(PopulationSpec(n_clients=len(layout), archetypes=2, days=7, seed=3))
+    handles = FederatedClient.fleet(datasets, 6, 1)
+    for i, kind in enumerate(layout):
+        if kind == "huge":
+            handles[i]._store["train"][0][i] *= 1e150
+        elif kind == "empty":
+            handles[i] = FederatedClient(replace(prepare_client(datasets[i], 6, 1), train=_EmptySplit()))
     spec = population_spec()
     params = [init_params(spec, j) for j in range(len(handles))]
 
@@ -1120,8 +1187,10 @@ def test_fine_tune_batch_raises_the_first_failing_clients_error(layout):
 
     with pytest.raises((NumericError, InsufficientDataError)) as want:
         one_after_another()
+    stacks = record_stacks(monkeypatch)
     with pytest.raises((NumericError, InsufficientDataError)) as got:
         FederatedClient.fine_tune_batch(handles, spec, np.stack([p.values for p in params]), 3, 1e10)
+    assert stacks == [("train", len(layout) - layout.count("empty"))]
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
     first = next(kind for kind in layout if kind != "ok")
     assert type(want.value) is {"huge": NumericError, "empty": InsufficientDataError}[first]
@@ -1147,7 +1216,8 @@ def wide():
 def sample_layouts(handles):
     """The handles' train samples as a store view, a gather from the store
     and a copy that is not C-contiguous, each C x n x d and C x n x h."""
-    view = clients_module._rows(handles, "train")
+    indices, *view = next(clients_module._stacks(handles, "train"))
+    assert indices == list(range(len(handles)))
     assert all(np.shares_memory(a, b) for a, b in zip(view, handles[0]._store["train"]))
     reordered = handles[1:] + handles[:1]
     gather = tuple(a[[h._row for h in reordered]] for a in handles[0]._store["train"])

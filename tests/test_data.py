@@ -19,7 +19,6 @@ from fedforecast.data import (
     IDENTITY_SCALER,
     Scaler,
     TimeSeries,
-    build_supervised,
     fit_scaler,
     load_csv,
     prepare_client,
@@ -70,25 +69,40 @@ def test_fit_scaler_empty_rejected():
 # ------------------------------------------------------------- windowing
 
 
-def test_build_supervised_lag2_h1():
-    out = build_supervised(series([1, 2, 3, 4]), {}, 2, 1, IDENTITY_SCALER)
-    np.testing.assert_array_equal(out.inputs, [[1, 2], [2, 3]])
-    np.testing.assert_array_equal(out.targets, [[3], [4]])
-    np.testing.assert_array_equal(out.sample_timestamps, [2, 3])
+def windows(
+    values, lag, horizon, covariates=None, value_scaler=IDENTITY_SCALER, covariate_scalers=None, start=0
+):
+    """prepare_client's train, val and test samples of one series under
+    explicit scalers (a covariate without one is left as it is), joined
+    back in time order: (inputs, targets, sample timestamps)."""
+    dataset = ClientDataset("c0", series(values, start), covariates or {})
+    splits = prepare_client(dataset, lag, horizon, value_scaler, covariate_scalers or {})
+    sets = (splits.train, splits.val, splits.test)
+    names = ("inputs", "targets", "sample_timestamps")
+    return tuple(np.concatenate([getattr(s, name) for s in sets]) for name in names)
 
 
-def test_build_supervised_lag1_h2():
-    out = build_supervised(series([1, 2, 3, 4]), {}, 1, 2, IDENTITY_SCALER)
-    np.testing.assert_array_equal(out.inputs, [[1], [2]])
-    np.testing.assert_array_equal(out.targets, [[2, 3], [3, 4]])
+def test_windows_lag2_h1():
+    inputs, targets, stamps = windows(range(1, 11), 2, 1)
+    np.testing.assert_array_equal(inputs, [[t, t + 1] for t in range(1, 9)])
+    np.testing.assert_array_equal(targets, [[t + 2] for t in range(1, 9)])
+    np.testing.assert_array_equal(stamps, range(2, 10))
 
 
-def test_build_supervised_too_short():
-    with pytest.raises(InsufficientDataError):
-        build_supervised(series([1, 2, 3]), {}, 2, 2, IDENTITY_SCALER)
+def test_windows_lag1_h2():
+    inputs, targets, _ = windows(range(1, 11), 1, 2)
+    np.testing.assert_array_equal(inputs, [[t] for t in range(1, 9)])
+    np.testing.assert_array_equal(targets, [[t + 1, t + 2] for t in range(1, 9)])
 
 
-def test_build_supervised_sample_count_formula():
+def test_windows_too_short():
+    with pytest.raises(InsufficientDataError, match="need >= 3 to split$"):
+        windows([1, 2, 3], 2, 2)
+
+
+def test_windows_sample_count_formula():
+    # n = len - lag - horizon + 1 samples, split 0.7 / 0.15 / rest: fewer
+    # than 7 leave an empty split.
     rng = np.random.default_rng(1)
     for _ in range(30):
         length = int(rng.integers(2, 40))
@@ -96,37 +110,32 @@ def test_build_supervised_sample_count_formula():
         horizon = int(rng.integers(1, 6))
         n = length - lag - horizon + 1
         values = rng.normal(size=length)
-        if n < 1:
+        if n < 7:
             with pytest.raises(InsufficientDataError):
-                build_supervised(series(values), {}, lag, horizon, IDENTITY_SCALER)
+                windows(values, lag, horizon)
         else:
-            out = build_supervised(series(values), {}, lag, horizon, IDENTITY_SCALER)
-            assert out.n_samples == n
+            assert len(windows(values, lag, horizon)[0]) == n
 
 
 def test_covariates_appended_in_sorted_name_order():
     covs = {
-        "temperature": np.array([10.0, 11, 12, 13]),
-        "irradiance": np.array([0.0, 0.25, 0.5, 0.75]),
+        "temperature": np.arange(10.0, 20.0),
+        "irradiance": np.arange(10) / 4,
     }
-    out = build_supervised(series([1, 2, 3, 4]), covs, 2, 1, IDENTITY_SCALER)
+    inputs, _, _ = windows(range(1, 11), 2, 1, covs)
     # columns: lag window, then irradiance, then temperature (sorted names)
-    np.testing.assert_array_equal(out.inputs, [[1, 2, 0.5, 12], [2, 3, 0.75, 13]])
+    np.testing.assert_array_equal(inputs[:2], [[1, 2, 0.5, 12], [2, 3, 0.75, 13]])
 
 
 def test_values_scaled_covariates_use_their_own_scalers():
     value_scaler = Scaler(mean=2.0, std=2.0)
-    covs = {"temperature": np.array([10.0, 20, 30, 40])}
-    out = build_supervised(
-        series([1, 2, 3, 4]),
-        covs,
-        2,
-        1,
-        value_scaler,
-        {"temperature": Scaler(mean=30.0, std=10.0)},
+    covs = {"temperature": np.arange(10.0, 110.0, 10.0), "wind": np.arange(5.0, 15.0)}
+    inputs, targets, _ = windows(
+        range(1, 11), 2, 1, covs, value_scaler, {"temperature": Scaler(mean=30.0, std=10.0)}
     )
-    np.testing.assert_allclose(out.inputs[0], [-0.5, 0.0, 0.0])
-    np.testing.assert_allclose(out.targets[0], [0.5])
+    # wind has no scaler of its own and is left as it is.
+    np.testing.assert_allclose(inputs[0], [-0.5, 0.0, 0.0, 7.0])
+    np.testing.assert_allclose(targets[0], [0.5])
 
 
 # --------------------------------------------------------------- splitting
@@ -493,22 +502,19 @@ def test_windows_equal_the_per_row_loop_bitwise(seed):
     rng = np.random.default_rng(seed)
     for _ in range(20):
         lag, horizon = int(rng.integers(1, 30)), int(rng.integers(1, 6))
-        n_values = lag + horizon + int(rng.integers(0, 200))
+        n_values = lag + horizon + 6 + int(rng.integers(0, 200))
         names = [f"cov{j}" for j in range(int(rng.integers(0, 4)))]
         covs = {name: rng.normal(size=n_values) * 5 for name in names}
         cov_scalers = {name: Scaler(float(rng.normal()), 0.5) for name in names[:1]}
-        args = (
-            series(rng.normal(3.0, 2.0, size=n_values), start=int(rng.integers(0, 99))),
-            covs,
-            lag,
-            horizon,
-            Scaler(float(rng.normal()), float(rng.uniform(0.1, 3.0))),
-            cov_scalers,
+        values, start = rng.normal(3.0, 2.0, size=n_values), int(rng.integers(0, 99))
+        scaler = Scaler(float(rng.normal()), float(rng.uniform(0.1, 3.0)))
+        got = windows(values, lag, horizon, covs, scaler, cov_scalers, start)
+        want = reference_build_supervised(
+            series(values, start), covs, lag, horizon, scaler, cov_scalers
         )
-        got, want = build_supervised(*args), reference_build_supervised(*args)
-        assert np.array_equal(got.inputs, want.inputs)
-        assert np.array_equal(got.targets, want.targets)
-        assert np.array_equal(got.sample_timestamps, want.sample_timestamps)
+        assert np.array_equal(got[0], want.inputs)
+        assert np.array_equal(got[1], want.targets)
+        assert np.array_equal(got[2], want.sample_timestamps)
 
 
 # ------------------------------------------------- load_csv against its oracle

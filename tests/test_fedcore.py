@@ -18,6 +18,7 @@ from helpers import (
     population_clients,
     population_spec,
     reference_fedavg,
+    record_stacks,
     reference_routed_round,
     same_round,
     synthetic_linear_client,
@@ -825,18 +826,31 @@ def final_models(result, clients):
 
 
 @pytest.mark.parametrize("mode", ["global", "hc", "ifca"])
-def test_mixed_federation_equals_all_plain(mode):
+def test_mixed_federation_equals_all_plain(monkeypatch, mode):
+    # The plain handles are rows of a fleet store in both federations, so
+    # the plain rows of the mixed one still train as stacks of several,
+    # gathered from their store; every other handle there is a lone
+    # RecordingClient, which the engine calls on its own.
     datasets = generate_population(PopulationSpec(n_clients=6, archetypes=2, days=10, seed=1))
-    splits = [prepare_client(ds, 6, 1) for ds in datasets]
-    plain = [FederatedClient(s) for s in splits]
-    mixed = [RecordingClient(s) if i % 2 else FederatedClient(s) for i, s in enumerate(splits)]
+    plain = FederatedClient.fleet(datasets, 6, 1)
+    mixed = [
+        RecordingClient(prepare_client(ds, 6, 1)) if i % 2 else handle
+        for i, (ds, handle) in enumerate(zip(datasets, FederatedClient.fleet(datasets, 6, 1)))
+    ]
     for method in ("local_update", "val_loss", "choose_cluster", "fine_tune"):
         assert fedcore._batch_owner(RecordingClient, method) is None
         assert fedcore._batch_owner(FederatedClient, method) is FederatedClient
     config = sgd_config(**IDENTITY_CONFIGS["sampled_dp"])
     cluster = ClusterConfig(mode=mode, tau=0.05, warmup=2, k=2, recluster_every=2)
+    stacks = record_stacks(monkeypatch)
     want = run_training(plain, population_spec(), config, mode, cluster)
+    plain_stacks = stacks[:]
+    del stacks[:]
     got = run_training(mixed, population_spec(), config, mode, cluster)
+    # Plain handles train or validate as stacks of several: all six in the
+    # plain federation, the three plain rows in the mixed one.
+    assert max(rows for _, rows in plain_stacks) == 6
+    assert max(rows for _, rows in stacks) == 3
     assert_same_training(got, want)
     assert to_json_text(run_result_json_obj(got)) == to_json_text(run_result_json_obj(want))
     evaluations = sum(r.all_client_val_loss is not None for r in got.reports)
